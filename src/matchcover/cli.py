@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from .errors import CapExceededError, InfeasibleError, InputError
 from .covered import coefficient_query, covered_closure
 from .graphs import (
+    Family,
     Graph,
     GroundGraph,
     bipartite_ground,
@@ -32,6 +32,7 @@ from .matching import (
     enumerate_perfect_matchings,
     has_perfect_matching,
     parse_weight_function,
+    support_union,
 )
 from .polynomial import (
     MultilinearPolynomial,
@@ -43,18 +44,12 @@ COMPLETE_M_CAP = 6
 BIPARTITE_LATTICE_CAP = 4
 EXHAUSTIVE_VERIFY_CAP = 4
 COUNT_COVERED_CAP = 4
-
-THREADS_ENV = "MATCHCOVER_THREADS"
-
-
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+# Weighted closures are capped on the width of the optimal support G_w
+# instead of on n: 16 edges is what K_{4,4} has, the widest unweighted
+# ground the n caps admit.
+SUPPORT_EDGE_CAP = 16
+# The lattice of K_{4,4}: its N x N order matrix is the largest one built.
+LATTICE_ELEMENT_CAP = 7444
 
 
 def _write_output(args, text: str) -> None:
@@ -98,6 +93,22 @@ def _bipartite_setup(args) -> tuple[GroundGraph, WeightFunction | None]:
     return ground, weights
 
 
+def _matchings(
+    args, ground: GroundGraph, weights: WeightFunction | None, what: str
+) -> Family:
+    """All perfect matchings, or the minimum-weight ones when weights are
+    given, refused when those span more than SUPPORT_EDGE_CAP edges."""
+    if weights is None:
+        return enumerate_perfect_matchings(ground.full_graph())
+    width = support_union(weights).edge_count
+    if width > SUPPORT_EDGE_CAP and not args.unsafe_caps:
+        raise CapExceededError(
+            f"{what} is capped at {SUPPORT_EDGE_CAP} support edges, the minimum-weight"
+            f" matchings span {width} (override with --unsafe-caps)"
+        )
+    return enumerate_min_weight_pms(weights)
+
+
 def _parity(count: int) -> str:
     return "even" if count % 2 == 0 else "odd"
 
@@ -109,9 +120,9 @@ def _parity(count: int) -> str:
 def cmd_poly(args) -> int:
     ground, weights = _bipartite_setup(args)
     if weights is None:
-        poly = pm_polynomial(args.n, workers=args.threads)
+        poly = pm_polynomial(args.n)
     else:
-        poly = min_weight_pm_polynomial(weights, workers=args.threads)
+        poly = min_weight_pm_polynomial(weights)
     text = poly.to_json() if args.format == "json" else poly.to_text()
     _write_output(args, text)
     print(f"terms: {len(poly)} ({_parity(len(poly))})", file=sys.stderr)
@@ -152,9 +163,9 @@ def cmd_verify(args) -> int:
                 f"polynomial ground {poly.ground.header()} does not match --n {args.n}"
             )
     elif weights is None:
-        poly = pm_polynomial(args.n, workers=args.threads)
+        poly = pm_polynomial(args.n)
     else:
-        poly = min_weight_pm_polynomial(weights, workers=args.threads)
+        poly = min_weight_pm_polynomial(weights)
     _note(args, f"polynomial has {len(poly)} terms")
 
     if weights is None:
@@ -170,9 +181,10 @@ def cmd_verify(args) -> int:
         rng = random.Random(args.seed)
         points = [rng.getrandbits(ground.edge_count) for _ in range(args.samples)]
 
+    values = poly.value_table()  # None on wide grounds and huge coefficients
     checked = 0
     for mask in points:
-        got = poly.evaluate(mask)
+        got = poly.evaluate(mask) if values is None else int(values[mask])
         want = oracle(mask)
         if got != want:
             witness = edge_list_str(Graph(ground, mask))
@@ -199,14 +211,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _lattice_family(args, ground, weights):
-    if ground.mode == "bipartite":
-        if weights is None:
-            return enumerate_perfect_matchings(ground.full_graph())
-        return enumerate_min_weight_pms(weights)
-    return enumerate_perfect_matchings(ground.full_graph())
-
-
 def cmd_lattice(args) -> int:
     _check_n(args.n)
     if args.mode == "complete":
@@ -218,21 +222,26 @@ def cmd_lattice(args) -> int:
                 " (override with --unsafe-caps)"
             )
         ground = complete_ground(args.n)
-        weights = None
         if args.weights:
             raise InputError("--weights applies to bipartite mode only")
+        family = enumerate_perfect_matchings(ground.full_graph())
     else:
-        if args.n > BIPARTITE_LATTICE_CAP and not args.unsafe_caps:
+        if not args.weights and args.n > BIPARTITE_LATTICE_CAP and not args.unsafe_caps:
             raise CapExceededError(
                 f"bipartite lattices are capped at n <= {BIPARTITE_LATTICE_CAP}"
                 " (override with --unsafe-caps)"
             )
         ground, weights = _bipartite_setup(args)
+        family = _matchings(args, ground, weights, "a bipartite lattice")
 
-    family = _lattice_family(args, ground, weights)
     _note(args, f"family has {len(family)} matchings")
-    cov = covered_closure(family, workers=args.threads)
+    cov = covered_closure(family)
     _note(args, f"covered set has {len(cov)} graphs")
+    if len(cov) + 1 > LATTICE_ELEMENT_CAP and not args.unsafe_caps:
+        raise CapExceededError(
+            f"lattices are capped at {LATTICE_ELEMENT_CAP} elements, this one has"
+            f" {len(cov) + 1} (override with --unsafe-caps)"
+        )
     lat = build_lattice(cov)
 
     if args.format == "dot":
@@ -289,17 +298,14 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_count_covered(args) -> int:
-    if args.n > COUNT_COVERED_CAP and not args.unsafe_caps:
+    if not args.weights and args.n > COUNT_COVERED_CAP and not args.unsafe_caps:
         raise CapExceededError(
             f"count-covered is capped at n <= {COUNT_COVERED_CAP}"
             " (override with --unsafe-caps)"
         )
     ground, weights = _bipartite_setup(args)
-    if weights is None:
-        family = enumerate_perfect_matchings(ground.full_graph())
-    else:
-        family = enumerate_min_weight_pms(weights)
-    cov = covered_closure(family, workers=args.threads)
+    family = _matchings(args, ground, weights, "count-covered")
+    cov = covered_closure(family)
     count = len(cov)
     if args.format == "json":
         _write_output(
@@ -318,13 +324,6 @@ def _add_common(sub, formats=("text", "json")) -> None:
     sub.add_argument("--output", "-o", help="write to a file instead of stdout")
     sub.add_argument(
         "--format", "-f", choices=formats, default="text", help="output format"
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        metavar="N",
-        help=f"worker threads for closure expansion (default: ${THREADS_ENV} or cores)",
     )
     sub.add_argument("--verbose", "-v", action="store_true", help="progress to stderr")
     sub.add_argument(

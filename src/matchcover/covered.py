@@ -1,26 +1,30 @@
 """Union closure of a family of subgraphs and coverage queries.
 
 A graph is covered by a family when its edge set is the union of a nonempty
-subset of the family. The closure is built breadth-first with deduplication,
-so its size is output-sensitive rather than 2^|family|. The empty graph is
-never covered; the lattice module adds it as the bottom element.
+subset of the family. On a narrow support the closure comes from one dense
+OR transform over all subsets of the support; on a wide one it is built
+breadth-first with deduplication, so its cost follows the size of the
+closure rather than 2^|family|. The empty graph is never covered; the
+lattice module adds it as the bottom element.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
+
+import numpy as np
 
 from .errors import InputError
 from .graphs import (
     Family,
     Graph,
     GroundGraph,
-    canonical_key,
     cyclomatic_number,
     edge_list_str,
+    mask_key,
 )
 from .matching import WeightFunction, has_perfect_matching, pm_support
+from .subsets import SupportBits, _subset_transform, canonical_order, dense_fits
 
 
 class CoveredSet:
@@ -57,42 +61,55 @@ def _check_family(F: Family) -> None:
         raise InputError("family members must have at least one edge")
 
 
-def covered_closure(F: Family, workers: int = 1) -> CoveredSet:
+def covered_closure(F: Family) -> CoveredSet:
     """The set of all distinct unions of nonempty subfamilies of F.
 
-    Breadth-first: each frontier graph is merged with every family member and
-    unseen results form the next frontier. The result is independent of the
-    expansion schedule, so frontier chunks may be farmed out to threads.
+    A narrow support (see dense_fits) gets the dense table of
+    _dense_closure_masks; a wide one the breadth-first search, whose cost
+    follows the size of the closure rather than of the support.
     """
     _check_family(F)
     members = [g.edges for g in F]
-    seen = set(members)
-    frontier = sorted(seen)
+    bits = SupportBits(members)
+    if dense_fits(len(bits), len(members)):
+        masks = _dense_closure_masks(members, bits)
+    else:
+        width = F.ground.edge_count
+        masks = sorted(_bfs_closure_masks(members), key=lambda m: mask_key(m, width))
+    return CoveredSet(F.ground, F, tuple(Graph(F.ground, m) for m in masks))
 
-    def expand(chunk: list[int]) -> list[int]:
-        out = []
-        for g in chunk:
+
+def _dense_closure_masks(members: list[int], bits: SupportBits) -> list[int]:
+    """Covered masks in canonical order, by one OR pass over the support.
+
+    After the pass, table[S] is the union of the members inside S, and S is
+    covered exactly when that union is S itself.
+    """
+    cmembers = np.array([bits.compress(m) for m in members], dtype=np.uint32)
+    table = np.zeros(1 << len(bits), dtype=np.uint32)
+    table[cmembers] = cmembers
+    _subset_transform(table, "|")
+    covered = np.flatnonzero(table == np.arange(table.size, dtype=np.uint32))
+    # index 0 always matches, but the empty graph is not covered
+    covered = covered[1:].astype(np.uint32)
+    return bits.expand(canonical_order(covered, len(bits)))
+
+
+def _bfs_closure_masks(members: list[int]) -> set[int]:
+    """Covered masks, unordered: each frontier graph is merged with every
+    member and the unseen results form the next frontier."""
+    seen = set(members)
+    frontier = list(seen)
+    while frontier:
+        produced = []
+        for g in frontier:
             for m in members:
                 u = g | m
                 if u not in seen:
-                    out.append(u)
-        return out
-
-    while frontier:
-        if workers > 1 and len(frontier) > 256:
-            step = (len(frontier) + workers - 1) // workers
-            chunks = [frontier[k : k + step] for k in range(0, len(frontier), step)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                produced = [u for part in pool.map(expand, chunks) for u in part]
-        else:
-            produced = expand(frontier)
-        frontier = []
-        for u in produced:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    graphs = sorted((Graph(F.ground, m) for m in seen), key=canonical_key)
-    return CoveredSet(F.ground, F, tuple(graphs))
+                    seen.add(u)
+                    produced.append(u)
+        frontier = produced
+    return seen
 
 
 def is_covered(G: Graph, F: Family) -> bool:

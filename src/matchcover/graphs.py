@@ -129,7 +129,7 @@ class Graph:
         return self.edges == 0
 
     def edge_ids(self) -> list[int]:
-        return [k for k in range(self.ground.edge_count) if self.edges >> k & 1]
+        return list(_iter_bits(self.edges))
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         pairs = self.ground.edge_pairs()
@@ -152,10 +152,28 @@ class Graph:
         return f"Graph({self.ground.header()!r}, {{{edge_list_str(self)}}})"
 
 
+def _iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def canonical_key(G: Graph) -> tuple[int, tuple[int, ...]]:
     """Sort key used everywhere: ascending edge count, then edge ids."""
     ids = tuple(G.edge_ids())
     return (len(ids), ids)
+
+
+def mask_key(mask: int, width: int) -> tuple[int, int]:
+    """Sort key on raw edge masks of a width-edge ground that orders them as
+    canonical_key orders their graphs.
+
+    Among masks of one edge count, the one holding the smallest edge id of
+    their difference comes first, so it has the larger bit-reversed mask.
+    """
+    return (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2))
 
 
 def same_ground(*graphs: Graph) -> GroundGraph:

@@ -9,20 +9,13 @@ Eulerian interval counts cheap integer work even for a few thousand elements.
 from __future__ import annotations
 
 import json
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InputError, StructureViolationError
 from .covered import CoveredSet
-from .graphs import Graph, GroundGraph, canonical_key, edge_list_str
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .graphs import Graph, GroundGraph, _iter_bits, canonical_key, edge_list_str
 
 
 class RankLabels(NamedTuple):

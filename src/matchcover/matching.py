@@ -187,12 +187,13 @@ class WeightFunction:
     """Exact non-negative rational weight per edge of a bipartite ground.
 
     The solution of the full-ground assignment problem (optimal value, one
-    optimal matching, dual potentials) is computed once on demand and cached;
-    everything downstream of it (the tight subgraph, the support graph,
-    coefficient queries) reuses it.
+    optimal matching, dual potentials) and the tight subgraph it defines are
+    computed once on demand and cached; everything downstream of them (the
+    support graph, coefficient queries, the minimum-weight oracle) reuses
+    them.
     """
 
-    __slots__ = ("ground", "weights", "_solution")
+    __slots__ = ("ground", "weights", "_solution", "_tight")
 
     def __init__(self, ground: GroundGraph, weights: Iterable[Fraction | int | str]):
         _require_bipartite(ground, "a weight function")
@@ -206,6 +207,7 @@ class WeightFunction:
         self.ground = ground
         self.weights = ws
         self._solution = None
+        self._tight = None
 
     @classmethod
     def unit(cls, ground: GroundGraph) -> "WeightFunction":
@@ -242,15 +244,17 @@ class WeightFunction:
         Every minimum-weight perfect matching lives inside this subgraph, and
         every perfect matching inside it is minimum-weight.
         """
-        _, _, u, v = self._solve()
-        n = self.ground.size
-        mask = 0
-        for i in range(n):
-            wrow = i * n
-            for j in range(n):
-                if self.weights[wrow + j] == u[i] + v[j]:
-                    mask |= 1 << (wrow + j)
-        return mask
+        if self._tight is None:
+            _, _, u, v = self._solve()
+            n = self.ground.size
+            mask = 0
+            for i in range(n):
+                wrow = i * n
+                for j in range(n):
+                    if self.weights[wrow + j] == u[i] + v[j]:
+                        mask |= 1 << (wrow + j)
+            self._tight = mask
+        return self._tight
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,8 +5,9 @@ vector as a spanning subgraph, so assignments are passed around as Graphs (or
 raw masks). Membership polynomials are built three ways: from the
 inclusion-exclusion coefficients of the covered-set lattice (general
 families), from the cyclomatic-number sign rule (perfect-matching families,
-weighted or not), and from an exhaustive truth-table transform that serves as
-the independent oracle at small sizes.
+weighted or not, whose narrow supports take the Mobius transform of their
+membership table instead), and from an exhaustive truth-table transform that
+serves as the independent oracle at small sizes.
 """
 
 from __future__ import annotations
@@ -17,14 +18,23 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapExceededError, InputError
-from .covered import covered_closure
-from .graphs import Family, Graph, GroundGraph, bipartite_ground, cyclomatic_number
+from .covered import _check_family, covered_closure
+from .graphs import (
+    Family,
+    Graph,
+    GroundGraph,
+    _iter_bits,
+    bipartite_ground,
+    cyclomatic_number,
+    mask_key,
+)
 from .lattice import build_lattice
 from .matching import (
     WeightFunction,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
 )
+from .subsets import DENSE_BIT_CAP, SupportBits, _subset_transform, dense_fits
 
 TRANSFORM_BIT_CAP = 16
 
@@ -78,46 +88,69 @@ class MultilinearPolynomial:
                 total += coeff
         return total
 
+    def value_table(self) -> np.ndarray | None:
+        """Values at all 2^m assignments, indexed by mask, by one zeta pass.
+
+        The int32 table holds partial sums of coefficients, so it is refused
+        (None) when the absolute coefficients sum past int32, as well as
+        when the ground has more than DENSE_BIT_CAP edges.
+        """
+        if (
+            self.ground.edge_count > DENSE_BIT_CAP
+            or sum(abs(c) for c in self.terms.values()) > np.iinfo(np.int32).max
+        ):
+            return None
+        table = np.zeros(1 << self.ground.edge_count, dtype=np.int32)
+        count = len(self.terms)
+        table[np.fromiter(self.terms, dtype=np.int64, count=count)] = np.fromiter(
+            self.terms.values(), dtype=np.int64, count=count
+        )
+        return _subset_transform(table, "+")
+
     def sorted_terms(self) -> list[tuple[int, int]]:
         """(mask, coeff) pairs in canonical (degree, edge-id) order."""
-        def key(item):
-            mask, _ = item
-            ids = tuple(k for k in range(self.ground.edge_count) if mask >> k & 1)
-            return (len(ids), ids)
-
-        return sorted(self.terms.items(), key=key)
+        width = self.ground.edge_count
+        return sorted(self.terms.items(), key=lambda item: mask_key(item[0], width))
 
     def to_text(self) -> str:
         """One term per line: signed coefficient, then sorted x[u,v] factors."""
-        lines = []
-        pairs = self.ground.edge_pairs()
-        for mask, coeff in self.sorted_terms():
-            factors = [
-                f"x[{pairs[k][0]},{pairs[k][1]}]"
-                for k in range(self.ground.edge_count)
-                if mask >> k & 1
-            ]
-            lines.append(" ".join([f"{coeff:+d}"] + factors))
+        names = [f"x[{i},{j}]" for (i, j) in self.ground.edge_pairs()]
+        lines = [
+            " ".join([f"{coeff:+d}", *(names[k] for k in _iter_bits(mask))])
+            for mask, coeff in self.sorted_terms()
+        ]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        pairs = self.ground.edge_pairs()
         return {
             "ground": {"mode": self.ground.mode, "size": self.ground.size},
             "terms": [
-                {
-                    "coeff": coeff,
-                    "edges": [
-                        list(self.ground.edge_endpoints(k))
-                        for k in range(self.ground.edge_count)
-                        if mask >> k & 1
-                    ],
-                }
+                {"coeff": coeff, "edges": [list(pairs[k]) for k in _iter_bits(mask)]}
                 for mask, coeff in self.sorted_terms()
             ],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The bytes of json.dumps(self.to_json_dict(), indent=2) plus a
+        newline, written directly rather than by the pure-Python encoder
+        that indent selects."""
+        pairs = [
+            f"\n        [\n          {i},\n          {j}\n        ]"
+            for (i, j) in self.ground.edge_pairs()
+        ]
+        terms = []
+        for mask, coeff in self.sorted_terms():
+            edges = ",".join(pairs[k] for k in _iter_bits(mask))
+            edges = f"[{edges}\n      ]" if mask else "[]"
+            terms.append(
+                f'\n    {{\n      "coeff": {coeff},\n      "edges": {edges}\n    }}'
+            )
+        body = f"[{','.join(terms)}\n  ]" if terms else "[]"
+        return (
+            f'{{\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
+            f'\n    "size": {self.ground.size}\n  }},\n  "terms": {body}\n}}\n'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultilinearPolynomial":
@@ -133,7 +166,7 @@ class MultilinearPolynomial:
                     mask |= 1 << ground.edge_index(u, v)
                 if mask in terms:
                     raise InputError("duplicate monomial in polynomial file")
-                terms[mask] = coeff
+                terms[mask] = int(coeff)  # JSON true is an int, written back as 1
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from None
         return cls(ground, terms)
@@ -161,11 +194,11 @@ def membership_oracle(F: Family, G: Graph) -> int:
     return int(any(m.edges & ~G.edges == 0 for m in F))
 
 
-def membership_polynomial_general(F: Family, workers: int = 1) -> MultilinearPolynomial:
+def membership_polynomial_general(F: Family) -> MultilinearPolynomial:
     """Membership polynomial of an arbitrary family via lattice
     inclusion-exclusion: each covered graph contributes minus its Mobius
     number."""
-    cov = covered_closure(F, workers=workers)
+    cov = covered_closure(F)
     lat = build_lattice(cov)
     terms: dict[int, int] = {}
     for g in cov:
@@ -175,32 +208,53 @@ def membership_polynomial_general(F: Family, workers: int = 1) -> MultilinearPol
     return MultilinearPolynomial(F.ground, terms)
 
 
-def _pm_family_polynomial(F: Family, workers: int = 1) -> MultilinearPolynomial:
-    cov = covered_closure(F, workers=workers)
+def _sign_rule_polynomial(F: Family) -> MultilinearPolynomial:
+    """One term per covered graph, signed by its cyclomatic number."""
     terms = {
-        g.edges: (-1 if cyclomatic_number(g) % 2 else 1) for g in cov
+        g.edges: (-1 if cyclomatic_number(g) % 2 else 1) for g in covered_closure(F)
     }
     return MultilinearPolynomial(F.ground, terms)
 
 
-def pm_polynomial(n: int, workers: int = 1) -> MultilinearPolynomial:
+def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
+    """Membership polynomial of a family of perfect matchings.
+
+    On a narrow support (see dense_fits) the coefficients are the Mobius
+    transform of the membership table, which one OR pass builds; on a wide
+    one they come from the sign rule over the closure.
+    """
+    _check_family(F)
+    members = [g.edges for g in F]
+    bits = SupportBits(members)
+    if not dense_fits(len(bits), len(members)):
+        return _sign_rule_polynomial(F)
+    # int32 holds every partial sum: a Mobius step at most doubles |entry|
+    table = np.zeros(1 << len(bits), dtype=np.int32)
+    table[[bits.compress(m) for m in members]] = 1
+    _subset_transform(table, "|")
+    _subset_transform(table, "+", inverse=True)
+    masks = np.flatnonzero(table)
+    return MultilinearPolynomial(
+        F.ground, dict(zip(bits.expand(masks), table[masks].tolist()))
+    )
+
+
+def pm_polynomial(n: int) -> MultilinearPolynomial:
     """Membership polynomial of the perfect matchings of K_{n,n}: one term
     per matching-covered subgraph, signed by its cyclomatic number."""
     ground = bipartite_ground(n)
     family = enumerate_perfect_matchings(ground.full_graph())
-    return _pm_family_polynomial(family, workers=workers)
+    return _pm_family_polynomial(family)
 
 
-def min_weight_pm_polynomial(
-    w: WeightFunction, workers: int = 1
-) -> MultilinearPolynomial:
+def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
     """Membership polynomial of the minimum-weight perfect matchings under w.
 
     Same sign rule as the unweighted case; every monomial lies inside the
     union of the minimum-weight matchings.
     """
     family = enumerate_min_weight_pms(w)
-    return _pm_family_polynomial(family, workers=workers)
+    return _pm_family_polynomial(family)
 
 
 def truth_table_transform(
@@ -224,10 +278,7 @@ def truth_table_transform(
         dtype=np.int64,
         count=size,
     )
-    for bit in range(m):
-        step = 1 << bit
-        view = table.reshape(-1, 2 * step)
-        view[:, step:] -= view[:, :step]
+    _subset_transform(table, "+", inverse=True)
     terms = {
         int(mask): int(table[mask]) for mask in np.nonzero(table)[0]
     }

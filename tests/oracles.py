@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's algorithms:
 permutation scans instead of the assignment solver, breadth-first search
-instead of union-find, powerset unions instead of the breadth-first closure.
+instead of union-find, powerset unions instead of the closure, and writers
+that scan every edge bit instead of the set bits.
 """
 
 from fractions import Fraction
@@ -137,3 +138,49 @@ def min_weight_family(ground, w):
         key=lambda g: (g.edge_count, tuple(g.edge_ids())),
     )
     return Family(ground, graphs)
+
+
+def reference_sorted_terms(poly):
+    """Terms in canonical order, by scanning every edge bit of every term."""
+    def key(item):
+        ids = tuple(k for k in range(poly.ground.edge_count) if item[0] >> k & 1)
+        return (len(ids), ids)
+
+    return sorted(poly.terms.items(), key=key)
+
+
+def reference_text(poly):
+    """The polynomial text format, written term by term and bit by bit."""
+    pairs = poly.ground.edge_pairs()
+    lines = []
+    for mask, coeff in reference_sorted_terms(poly):
+        factors = [
+            f"x[{pairs[k][0]},{pairs[k][1]}]"
+            for k in range(poly.ground.edge_count)
+            if mask >> k & 1
+        ]
+        lines.append(" ".join([f"{coeff:+d}"] + factors))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_dict(poly):
+    """The data of the polynomial JSON format, written bit by bit."""
+    return {
+        "ground": {"mode": poly.ground.mode, "size": poly.ground.size},
+        "terms": [
+            {
+                "coeff": coeff,
+                "edges": [
+                    list(poly.ground.edge_endpoints(k))
+                    for k in range(poly.ground.edge_count)
+                    if mask >> k & 1
+                ],
+            }
+            for mask, coeff in reference_sorted_terms(poly)
+        ],
+    }
+
+
+def pattern_weights(ground, pattern):
+    """0/1 weights from a row-major string of '0' and '1'."""
+    return WeightFunction(ground, [int(ch) for ch in pattern])

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import matchcover
 from matchcover.cli import main
 
 W22 = "bipartite 2\n1 1 1\n1 2 2\n2 1 2\n2 2 1\n"
@@ -263,10 +266,64 @@ def test_count_covered(capsys, tmp_path):
     assert code == 2 and "capped" in err
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("MATCHCOVER_THREADS", "2")
-    code, out, _ = run(capsys, "poly", "--n", "2")
-    assert code == 0 and out == POLY2_TEXT
+def _weight_file(path, n, weight):
+    lines = [f"bipartite {n}"]
+    lines += [f"{i} {j} {weight(i, j)}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_weighted_caps_follow_the_support(tmp_path, capsys):
+    # one optimal matching: its support has 5 edges, well under the cap
+    diag = _weight_file(tmp_path / "diag.txt", 5, lambda i, j: 0 if i == j else 1)
+    code, out, _ = run(capsys, "count-covered", "--n", "5", "--weights", diag)
+    assert code == 0 and out == "count: 1\nparity: odd\n"
+    code, out, _ = run(capsys, "lattice", "--n", "5", "--weights", diag)
+    assert code == 0 and out.startswith("elements: 2\nis-lattice: true\n")
+    # all 25 edges are optimal: refused before anything is enumerated
+    flat = _weight_file(tmp_path / "flat.txt", 5, lambda i, j: 7)
+    for cmd in ("count-covered", "lattice"):
+        code, out, err = run(capsys, cmd, "--n", "5", "--weights", flat)
+        assert code == 2 and out == "" and "capped at 16 support edges" in err
+    code, _, err = run(capsys, "lattice", "--n", "5")
+    assert code == 2 and "capped" in err
+
+
+def test_lattice_element_cap(monkeypatch, capsys):
+    import matchcover.cli as cli
+
+    monkeypatch.setattr(cli, "LATTICE_ELEMENT_CAP", 49)
+    code, out, err = run(capsys, "lattice", "--n", "3")
+    assert code == 2 and out == "" and "capped at 49 elements" in err
+    code, out, _ = run(capsys, "lattice", "--n", "3", "--unsafe-caps")
+    assert code == 0 and "elements: 50" in out
+
+
+def test_verify_huge_coefficient_matches_pointwise(tmp_path, capsys):
+    from matchcover import Graph, bipartite_ground, edge_list_str, has_perfect_matching
+    from matchcover import MultilinearPolynomial, pm_polynomial
+
+    g = bipartite_ground(2)
+    terms = dict(pm_polynomial(2).terms)
+    terms[0b0110] = 2**70
+    poly = MultilinearPolynomial(g, terms)
+    assert poly.value_table() is None
+    check = tmp_path / "huge.json"
+    check.write_text(poly.to_json())
+    for mask in range(1 << g.edge_count):
+        got, want = poly.evaluate(mask), int(has_perfect_matching(Graph(g, mask)))
+        if got != want:
+            break
+    witness = edge_list_str(Graph(g, mask))
+    argv = ["verify", "--n", "2", "--exhaustive", "--check-file", str(check)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == f"MISMATCH at assignment {witness}: polynomial {got}, oracle {want}\n"
+    code, out, _ = run(capsys, *argv, "-f", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False, "assignment": witness, "polynomial": got, "oracle": want
+    }
 
 
 def test_check_file_ground_mismatch(tmp_path, capsys):
@@ -281,10 +338,14 @@ def test_check_file_ground_mismatch(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(matchcover.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "matchcover.cli", "poly", "--n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == POLY2_TEXT

@@ -9,7 +9,9 @@ from matchcover import (
     InputError,
     WeightFunction,
     bipartite_ground,
+    canonical_key,
     coefficient_query,
+    complete_ground,
     covered_closure,
     cyclomatic_number,
     enumerate_min_weight_pms,
@@ -23,7 +25,13 @@ from matchcover import (
     support_union,
     truth_table_transform,
 )
+from matchcover.covered import _bfs_closure_masks, _dense_closure_masks
+from matchcover.subsets import DENSE_BIT_CAP, SupportBits
 from oracles import brute_covered_masks, random_int_weights
+
+
+def canonical_key_of(ground):
+    return lambda mask: canonical_key(Graph(ground, mask))
 
 
 def test_closure_of_k22_matchings():
@@ -61,9 +69,32 @@ def test_closure_is_union_closed():
             assert cov.contains_mask(a | b)
 
 
-def test_closure_parallel_matches_serial():
-    fam = enumerate_perfect_matchings(bipartite_ground(3).full_graph())
-    assert list(covered_closure(fam, workers=4)) == list(covered_closure(fam))
+def _random_family(rng, ground, support, size):
+    masks = {rng.getrandbits(ground.edge_count) & support for _ in range(size)}
+    return Family(ground, [Graph(ground, m) for m in sorted(masks - {0})])
+
+
+def test_closure_dense_matches_bfs():
+    rng = random.Random(61)
+    cases = [
+        (bipartite_ground(3), None),
+        (bipartite_ground(4), None),
+        (complete_ground(6), None),
+        # an 18-edge support on the 400 edges of K_{20,20}
+        (bipartite_ground(20), sum(1 << k for k in rng.sample(range(400), 18))),
+    ]
+    for ground, support in cases:
+        support = ground.full_graph().edges if support is None else support
+        for size in (1, 3, 7, 12):
+            fam = _random_family(rng, ground, support, size)
+            members = [m.edges for m in fam]
+            bits = SupportBits(members)
+            assert len(bits) <= DENSE_BIT_CAP
+            dense = _dense_closure_masks(members, bits)
+            bfs = sorted(_bfs_closure_masks(members), key=canonical_key_of(ground))
+            assert dense == bfs
+            assert set(dense) == brute_covered_masks(fam)
+            assert [g.edges for g in covered_closure(fam)] == dense
 
 
 def test_closure_rejects_bad_families():

@@ -7,6 +7,7 @@ from matchcover import (
     Graph,
     InputError,
     bipartite_ground,
+    canonical_key,
     complete_ground,
     component_count,
     cyclomatic_number,
@@ -17,6 +18,7 @@ from matchcover import (
     parse_ground,
     union_graphs,
 )
+from matchcover.graphs import mask_key
 from oracles import bfs_component_count, random_graph
 
 
@@ -173,3 +175,16 @@ def test_parse_graph_errors():
         parse_graph("bipartite 2\na b\n")
     with pytest.raises(InputError):
         parse_graph("bipartite 2\n1 1\n", ground=bipartite_ground(3))
+
+
+def test_mask_key_orders_like_canonical_key():
+    rng = random.Random(127)
+    for ground in (bipartite_ground(3), complete_ground(6), bipartite_ground(20)):
+        # few edges from a small pool, so that edge counts tie often
+        pool = rng.sample(range(ground.edge_count), 7)
+        graphs = [
+            Graph(ground, sum(1 << k for k in rng.sample(pool, rng.randint(0, 4))))
+            for _ in range(300)
+        ]
+        by_mask = sorted(graphs, key=lambda g: mask_key(g.edges, ground.edge_count))
+        assert by_mask == sorted(graphs, key=canonical_key)

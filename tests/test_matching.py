@@ -295,3 +295,20 @@ def test_weight_file_errors():
         parse_weight_function("bipartite 2\n1 1 -3\n1 2 2\n2 1 2\n2 2 1\n")
     with pytest.raises(InputError):
         parse_weight_function("")
+
+
+def test_tight_mask_is_cached(monkeypatch):
+    rng = random.Random(113)
+    g = bipartite_ground(5)
+    w = random_int_weights(rng, g, 1, 3)
+    first = w.tight_mask()
+    assert first == WeightFunction(g, w.weights).tight_mask()
+
+    def no_solve(self):
+        raise AssertionError("the tight mask was computed again")
+
+    monkeypatch.setattr(WeightFunction, "_solve", no_solve)
+    assert w.tight_mask() == first
+    assert contains_min_weight_pm(g.full_graph(), w)
+    with pytest.raises(AssertionError):
+        WeightFunction(g, w.weights).tight_mask()

@@ -1,5 +1,7 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
 from matchcover import (
@@ -22,7 +24,14 @@ from matchcover import (
     pm_polynomial,
     truth_table_transform,
 )
-from oracles import random_int_weights
+from matchcover.polynomial import _pm_family_polynomial, _sign_rule_polynomial
+from matchcover.subsets import _subset_transform
+from oracles import (
+    pattern_weights,
+    random_int_weights,
+    reference_json_dict,
+    reference_text,
+)
 
 
 def test_membership_oracle():
@@ -230,3 +239,88 @@ def test_has_perfect_matching_agrees_with_polynomial_membership():
     for _ in range(500):
         mask = rng.getrandbits(g.edge_count)
         assert poly.evaluate(mask) == int(has_perfect_matching(Graph(g, mask)))
+
+
+def test_subset_transform_matches_subset_sums():
+    rng = np.random.default_rng(101)
+    table = rng.integers(-50, 50, size=1 << 6, dtype=np.int64)
+    masks = rng.integers(0, 1 << 20, size=1 << 6, dtype=np.uint32)
+    zeta = _subset_transform(table.copy(), "+")
+    union = _subset_transform(masks.copy(), "|")
+    for s in range(1 << 6):
+        inside = [t for t in range(1 << 6) if t & ~s == 0]
+        assert zeta[s] == sum(table[t] for t in inside)
+        assert union[s] == np.bitwise_or.reduce(masks[inside])
+
+
+def test_subset_transform_minus_inverts_plus():
+    rng = np.random.default_rng(103)
+    table = rng.integers(-1000, 1000, size=1 << 12, dtype=np.int64)
+    there = _subset_transform(table.copy(), "+")
+    assert not np.array_equal(there, table)
+    assert np.array_equal(_subset_transform(there, "+", inverse=True), table)
+
+
+def test_dense_coefficients_match_sign_rule_and_lattice():
+    rng = random.Random(107)
+    families = []
+    for n in (1, 2, 3):
+        g = bipartite_ground(n)
+        families.append(enumerate_perfect_matchings(g.full_graph()))
+        families.extend(
+            enumerate_min_weight_pms(random_int_weights(rng, g, 1, 3)) for _ in range(3)
+        )
+    g4 = bipartite_ground(4)
+    for pattern in ("0000000001000001", "1000000000001000", "0110100101101001"):
+        families.append(enumerate_min_weight_pms(pattern_weights(g4, pattern)))
+    families.append(enumerate_min_weight_pms(random_int_weights(rng, g4, 1, 2)))
+    for fam in families:
+        dense = _pm_family_polynomial(fam)
+        assert dense == _sign_rule_polynomial(fam) == membership_polynomial_general(fam)
+
+
+def test_value_table_matches_evaluate():
+    rng = random.Random(109)
+    g = bipartite_ground(3)
+    polys = [pm_polynomial(3), min_weight_pm_polynomial(random_int_weights(rng, g))]
+    polys.append(MultilinearPolynomial(g, {0: 5, 0b11: -(2**20), 0b101: 3}))
+    for poly in polys:
+        values = poly.value_table()
+        assert values.dtype == np.int32
+        assert [int(v) for v in values] == [poly.evaluate(m) for m in range(1 << 9)]
+
+
+def test_value_table_refuses_what_int32_cannot_hold():
+    g = bipartite_ground(2)
+    assert MultilinearPolynomial(g, {1: 2**31 - 1}).value_table() is not None
+    assert MultilinearPolynomial(g, {1: 2**30, 2: -(2**30)}).value_table() is None
+    assert MultilinearPolynomial(g, {1: 2**70}).value_table() is None
+    wide = bipartite_ground(5)  # 25 edges, above the dense cap
+    assert MultilinearPolynomial(wide, {1: 1}).value_table() is None
+
+
+def test_writers_match_reference_writers():
+    polys = [pm_polynomial(n) for n in (1, 2, 3, 4)]
+    g1 = bipartite_ground(1)
+    polys += [MultilinearPolynomial(g1, {}), MultilinearPolynomial(g1, {0: 3, 1: -2})]
+    polys.append(
+        min_weight_pm_polynomial(
+            pattern_weights(bipartite_ground(5), "0110100110000101000000011")
+        )
+    )
+    # K_{20,20}: zero 2x2 blocks on rows/columns 1-2 and 3-4, zero diagonal
+    # elsewhere; 24 support edges, so the closure is breadth-first
+    g20 = bipartite_ground(20)
+    zero = {(i, j) for i in (1, 2) for j in (1, 2)}
+    zero |= {(i, j) for i in (3, 4) for j in (3, 4)}
+    zero |= {(i, i) for i in range(5, 21)}
+    polys.append(
+        min_weight_pm_polynomial(
+            WeightFunction(g20, [0 if p in zero else 1 for p in g20.edge_pairs()])
+        )
+    )
+    assert [len(p) for p in polys[-2:]] == [909, 9]
+    for poly in polys:
+        assert poly.to_text() == reference_text(poly)
+        assert poly.to_json() == json.dumps(reference_json_dict(poly), indent=2) + "\n"
+        assert poly.to_json_dict() == reference_json_dict(poly)
