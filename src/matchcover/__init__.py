@@ -58,11 +58,9 @@ from .lattice import (
     Lattice,
     RankLabels,
     build_lattice,
-    verify_lattice,
 )
 from .polynomial import (
     MultilinearPolynomial,
-    evaluate,
     membership_oracle,
     membership_polynomial_general,
     min_weight_pm_polynomial,

@@ -2,7 +2,8 @@
 
 Subcommands map onto the library one-to-one and write deterministic output:
 identical arguments (and seed) produce byte-identical files. Exit codes:
-0 success, 1 a verification found a mismatch, 2 bad input. Output is built
+0 success, 1 a verification found a mismatch, 2 bad input, 3 an internal
+error (any other exception, such as running out of memory). Output is built
 in memory and written once, so error paths never leave partial files.
 """
 
@@ -48,7 +49,9 @@ COUNT_COVERED_CAP = 4
 # instead of on n: 16 edges is what K_{4,4} has, the widest unweighted
 # ground the n caps admit.
 SUPPORT_EDGE_CAP = 16
-# The lattice of K_{4,4}: its N x N order matrix is the largest one built.
+# The lattice of K_{4,4}, the largest one built: its down- and up-masks take
+# N^2 bits each (7 MB apiece at this N), and the Eulerian check visits every
+# comparable pair.
 LATTICE_ELEMENT_CAP = 7444
 
 
@@ -395,6 +398,10 @@ def main(argv=None) -> int:
     except (InputError, CapExceededError, InfeasibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 must keep meaning "verification failed"
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: internal {type(exc).__name__}{detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

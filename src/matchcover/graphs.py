@@ -17,6 +17,13 @@ BIPARTITE = "bipartite"
 COMPLETE = "complete"
 
 
+def _check_ground(mode: str, size: int) -> None:
+    if mode not in (BIPARTITE, COMPLETE):
+        raise InputError(f"unknown ground mode {mode!r}")
+    if not isinstance(size, int) or size < 1:
+        raise InputError(f"ground size must be a positive integer, got {size!r}")
+
+
 class GroundGraph:
     """Host graph K_{n,n} (mode "bipartite") or K_m (mode "complete").
 
@@ -28,10 +35,7 @@ class GroundGraph:
     __slots__ = ("mode", "size", "_pairs", "_index", "_ends")
 
     def __init__(self, mode: str, size: int):
-        if mode not in (BIPARTITE, COMPLETE):
-            raise InputError(f"unknown ground mode {mode!r}")
-        if not isinstance(size, int) or size < 1:
-            raise InputError(f"ground size must be a positive integer, got {size!r}")
+        _check_ground(mode, size)
         self.mode = mode
         self.size = size
         if mode == BIPARTITE:
@@ -284,7 +288,9 @@ class Family:
 # "u v" (1-based). Blank lines and "#" comments are ignored.
 # ---------------------------------------------------------------------------
 
-def parse_ground(header: str) -> GroundGraph:
+def _parse_header(header: str) -> tuple[str, int]:
+    """Mode and size of a ground header, checked without building the ground,
+    so that a file can be compared with what it should hold first."""
     parts = header.split()
     if len(parts) != 2:
         raise InputError(f"bad ground header {header!r}")
@@ -293,7 +299,12 @@ def parse_ground(header: str) -> GroundGraph:
         n = int(size)
     except ValueError:
         raise InputError(f"bad ground size {size!r}") from None
-    return GroundGraph(mode, n)
+    _check_ground(mode, n)
+    return mode, n
+
+
+def parse_ground(header: str) -> GroundGraph:
+    return GroundGraph(*_parse_header(header))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -310,10 +321,11 @@ def parse_graph(text: str, ground: GroundGraph | None = None) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise InputError("empty graph file")
-    _, header = lines[0]
-    g = parse_ground(header)
-    if ground is not None and g != ground:
-        raise InputError(f"graph ground {g.header()} does not match {ground.header()}")
+    mode, size = _parse_header(lines[0][1])
+    if ground is None:
+        ground = GroundGraph(mode, size)
+    elif (mode, size) != (ground.mode, ground.size):
+        raise InputError(f"graph ground {mode} {size} does not match {ground.header()}")
     mask = 0
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -323,8 +335,8 @@ def parse_graph(text: str, ground: GroundGraph | None = None) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        mask |= 1 << g.edge_index(u, v)
-    return Graph(g, mask)
+        mask |= 1 << ground.edge_index(u, v)
+    return Graph(ground, mask)
 
 
 def format_graph(G: Graph) -> str:

@@ -17,6 +17,16 @@ from .errors import InputError, StructureViolationError
 from .covered import CoveredSet
 from .graphs import Graph, GroundGraph, _iter_bits, canonical_key, edge_list_str
 
+_WORD = (1 << 64) - 1
+# Word comparisons per block of the order masks: 2^18 uint64 are 2 MB.
+_BLOCK_WORDS = 1 << 18
+
+
+def _pack_rows(rows: np.ndarray) -> list[int]:
+    """Each boolean row as an int whose bit k is column k."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
 
 class RankLabels(NamedTuple):
     """Longest-chain ranks, plus the first cover that breaks gradedness."""
@@ -40,7 +50,7 @@ class Lattice:
 
     Construction requires a unique minimum and a unique maximum; whether every
     pair has a unique meet and join is a separate question answered honestly
-    by verify_lattice / meet / join, never assumed.
+    by is_lattice / meet / join, never assumed.
     """
 
     def __init__(self, elements: list[Graph]):
@@ -71,36 +81,27 @@ class Lattice:
     # -- construction helpers ------------------------------------------------
 
     def _order_masks(self) -> tuple[list[int], list[int]]:
-        """Down-set and up-set bitmasks from pairwise subset tests.
+        """Down-set and up-set bitmasks from blocked subset tests.
 
+        Each edge mask is split into 64-bit words, and one block of rows is
+        compared against all N elements at a time, so the temporaries hold
+        about _BLOCK_WORDS word comparisons rather than an N x N matrix.
         The canonical element order is a linear extension (strict subgraphs
         have strictly fewer edges), which later code relies on.
         """
         n = len(self.elements)
-        masks = [g.edges for g in self.elements]
-        if self.ground.edge_count <= 62:
-            arr = np.array(masks, dtype=np.int64)
-            comp = (arr[:, None] & arr[None, :]) == arr[:, None]  # comp[i,j]: i <= j
-            down = [
-                int.from_bytes(
-                    np.packbits(comp[:, j], bitorder="little").tobytes(), "little"
-                )
-                for j in range(n)
-            ]
-            up = [
-                int.from_bytes(
-                    np.packbits(comp[i, :], bitorder="little").tobytes(), "little"
-                )
-                for i in range(n)
-            ]
-            return down, up
-        down = [0] * n
-        up = [0] * n
-        for i, mi in enumerate(masks):
-            for j, mj in enumerate(masks):
-                if mi & ~mj == 0:
-                    down[j] |= 1 << i
-                    up[i] |= 1 << j
+        words = max(1, -(-self.ground.edge_count // 64))
+        arr = np.array(
+            [[g.edges >> (64 * w) & _WORD for w in range(words)] for g in self.elements],
+            dtype=np.uint64,
+        )
+        down: list[int] = []
+        up: list[int] = []
+        rows = max(1, _BLOCK_WORDS // (n * words))
+        for lo in range(0, n, rows):
+            block = arr[lo : lo + rows, None, :]
+            up.extend(_pack_rows(((block & ~arr) == 0).all(axis=2)))  # block[i] <= arr[j]
+            down.extend(_pack_rows(((arr & ~block) == 0).all(axis=2)))  # arr[j] <= block[i]
         return down, up
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
@@ -177,19 +178,39 @@ class Lattice:
     def is_lattice(self) -> bool:
         """Every pair has a unique meet and join.
 
-        Comparable pairs trivially meet at the lower and join at the upper
-        element, so only incomparable pairs need the generic check.
+        Certificate first. Let J be the join-irreducibles: the elements with
+        exactly one lower cover (for a covered set, the matchings). If
+        x | j is an element for every element x and every j in J, then by
+        induction along the linear extension every element y is the bottom
+        united with the J-elements below it: y is the bottom or in J, or it
+        has two lower covers a and b, whose union is an element (add the
+        J-elements below b to a one at a time) strictly above a and inside
+        y, hence y itself. So the union of any two elements is reached from
+        one of them by adding J-elements one at a time, and the set is
+        closed under union. The union is then the join, and with the unique
+        bottom every pair also has a meet (the join of its common lower
+        bounds). That costs O(N * |J|) lookups.
+
+        Otherwise fall back to the generic check, of joins only: a finite
+        poset with a least element in which every pair has a join is a
+        lattice. Comparable pairs trivially join at the upper element, so
+        only incomparable pairs are tested.
         """
+        index = self._index
+        lower_covers = [0] * len(self.elements)
+        for (_, b) in self._covers:
+            lower_covers[b] += 1
+        irreducible = [
+            self.elements[k].edges for k, c in enumerate(lower_covers) if c == 1
+        ]
+        if all((g.edges | j) in index for g in self.elements for j in irreducible):
+            return True
         down, up = self._down, self._up
         for i in range(len(self.elements)):
             di, ui = down[i], up[i]
             for j in range(i + 1, len(self.elements)):
                 if (down[j] >> i | di >> j) & 1:
                     continue
-                common = di & down[j]
-                h = common.bit_length() - 1
-                if down[h] != common:
-                    return False
                 common = ui & up[j]
                 low = (common & -common).bit_length() - 1
                 if up[low] != common:
@@ -218,18 +239,6 @@ class Lattice:
     def mobius_table(self) -> dict[Graph, int]:
         self.mobius(self.top)
         return {g: self._mobius[k] for k, g in enumerate(self.elements)}
-
-    def _mobius_pair(self, ix: int, iy: int) -> int:
-        """mu(x, y) inside the interval [x, y]; used by the secondary
-        Eulerian cross-check only, so it recomputes without memo."""
-        interval = self._up[ix] & self._down[iy]
-        memo: dict[int, int] = {}
-        for k in _iter_bits(interval):
-            if k == ix:
-                memo[k] = 1
-                continue
-            memo[k] = -sum(memo[z] for z in _iter_bits(self._down[k] & interval & ~(1 << k)))
-        return memo[iy]
 
     # -- ranks, gradedness, Eulerian property ------------------------------------
 
@@ -302,18 +311,6 @@ class Lattice:
 
     def is_eulerian(self) -> bool:
         return self.eulerian_check().eulerian
-
-    def eulerian_mobius_check(self) -> bool:
-        """Secondary cross-check: mu(x, y) == (-1)^(rank difference) on every
-        interval. Quadratic with interval-sized recursions; desk scale only."""
-        ranks, violation = self._rank_data()
-        if violation is not None:
-            return False
-        for i in range(len(self.elements)):
-            for j in _iter_bits(self._up[i]):
-                if self._mobius_pair(i, j) != (-1) ** (ranks[j] - ranks[i]):
-                    return False
-        return True
 
     # -- intervals and sublattices -------------------------------------------------
 
@@ -397,7 +394,3 @@ def build_lattice(C: CoveredSet) -> Lattice:
         raise InputError("cannot build a lattice from an empty covered set")
     return Lattice([C.ground.empty_graph(), *C.graphs])
 
-
-def verify_lattice(L: Lattice) -> bool:
-    """True iff every pair of elements has a unique meet and a unique join."""
-    return L.is_lattice()

@@ -22,7 +22,7 @@ from .graphs import (
     Graph,
     GroundGraph,
     canonical_key,
-    parse_ground,
+    _parse_header,
     _content_lines,
 )
 
@@ -183,6 +183,17 @@ def parse_rational(token: str) -> Fraction:
         raise InputError(f"bad weight {token!r}: zero denominator") from None
 
 
+def _exact_weight(w) -> Fraction:
+    """A weight as an exact Fraction. Floats are refused rather than
+    expanded (0.1 is not 1/10), and so are bools."""
+    if isinstance(w, (bool, float)):
+        raise InputError(f"weight {w!r} is not exact: give an int, a Fraction or 'p/q'")
+    try:
+        return Fraction(w)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"bad weight {w!r}") from None
+
+
 class WeightFunction:
     """Exact non-negative rational weight per edge of a bipartite ground.
 
@@ -197,7 +208,7 @@ class WeightFunction:
 
     def __init__(self, ground: GroundGraph, weights: Iterable[Fraction | int | str]):
         _require_bipartite(ground, "a weight function")
-        ws = tuple(Fraction(w) for w in weights)
+        ws = tuple(_exact_weight(w) for w in weights)
         if len(ws) != ground.edge_count:
             raise InputError(
                 f"need {ground.edge_count} weights for {ground.header()}, got {len(ws)}"
@@ -272,8 +283,14 @@ def parse_weight_function(text: str) -> WeightFunction:
     lines = _content_lines(text)
     if not lines:
         raise InputError("empty weight file")
-    ground = parse_ground(lines[0][1])
-    _require_bipartite(ground, "a weight file")
+    mode, n = _parse_header(lines[0][1])
+    if mode != BIPARTITE:
+        raise InputError(f"a weight file requires a bipartite ground, got {mode} {n}")
+    if len(lines) - 1 != n * n:
+        raise InputError(
+            f"weight file has {len(lines) - 1} edge lines, {mode} {n} needs {n * n}"
+        )
+    ground = GroundGraph(mode, n)
     weights: dict[int, Fraction] = {}
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -287,13 +304,7 @@ def parse_weight_function(text: str) -> WeightFunction:
         if k in weights:
             raise InputError(f"line {lineno}: duplicate weight for edge ({i}, {j})")
         weights[k] = parse_rational(parts[2])
-    if len(weights) != ground.edge_count:
-        missing = next(
-            ground.edge_endpoints(k)
-            for k in range(ground.edge_count)
-            if k not in weights
-        )
-        raise InputError(f"weight file misses edge {missing} of {ground.header()}")
+    # n^2 lines, no duplicate: every edge has its weight
     return WeightFunction(ground, [weights[k] for k in range(ground.edge_count)])
 
 

@@ -183,10 +183,6 @@ class MultilinearPolynomial:
         return f"MultilinearPolynomial({self.ground.header()!r}, {len(self.terms)} terms)"
 
 
-def evaluate(p: MultilinearPolynomial, x: Graph | int) -> int:
-    return p.evaluate(x)
-
-
 def membership_oracle(F: Family, G: Graph) -> int:
     """1 iff some family member is a subgraph of G."""
     if G.ground != F.ground:

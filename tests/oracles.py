@@ -3,13 +3,16 @@
 Everything here is deliberately independent of the library's algorithms:
 permutation scans instead of the assignment solver, breadth-first search
 instead of union-find, powerset unions instead of the closure, and writers
-that scan every edge bit instead of the set bits.
+that scan every edge bit instead of the set bits. The lattice checks are the
+generic O(N^2) pair scans that the library's certificate and blocked masks
+replace.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from matchcover import Family, Graph, WeightFunction
+from matchcover.graphs import _iter_bits
 
 
 def brute_min_weight(G, w):
@@ -184,3 +187,60 @@ def reference_json_dict(poly):
 def pattern_weights(ground, pattern):
     """0/1 weights from a row-major string of '0' and '1'."""
     return WeightFunction(ground, [int(ch) for ch in pattern])
+
+
+def pairwise_is_lattice(lat):
+    """Unique meet and join for every incomparable pair, by the O(N^2) scan
+    over the lattice's down-set and up-set bitmasks."""
+    down, up = lat._down, lat._up
+    for i in range(len(lat.elements)):
+        di, ui = down[i], up[i]
+        for j in range(i + 1, len(lat.elements)):
+            if (down[j] >> i | di >> j) & 1:
+                continue
+            common = di & down[j]
+            h = common.bit_length() - 1
+            if down[h] != common:
+                return False
+            common = ui & up[j]
+            low = (common & -common).bit_length() - 1
+            if up[low] != common:
+                return False
+    return True
+
+
+def pairwise_order_masks(lat):
+    """Down-set and up-set bitmasks by testing every pair of edge masks."""
+    masks = [g.edges for g in lat.elements]
+    down = [0] * len(masks)
+    up = [0] * len(masks)
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if mi & ~mj == 0:
+                down[j] |= 1 << i
+                up[i] |= 1 << j
+    return down, up
+
+
+def mobius_pair(lat, ix, iy):
+    """mu(x, y) inside the interval [x, y], recomputed without memo."""
+    interval = lat._up[ix] & lat._down[iy]
+    memo = {}
+    for k in _iter_bits(interval):
+        if k == ix:
+            memo[k] = 1
+            continue
+        memo[k] = -sum(memo[z] for z in _iter_bits(lat._down[k] & interval & ~(1 << k)))
+    return memo[iy]
+
+
+def eulerian_mobius_check(lat):
+    """mu(x, y) == (-1)^(rank difference) on every interval; desk scale only."""
+    if not lat.is_graded:
+        return False
+    ranks = lat._rank_data()[0]
+    for i in range(len(lat.elements)):
+        for j in _iter_bits(lat._up[i]):
+            if mobius_pair(lat, i, j) != (-1) ** (ranks[j] - ranks[i]):
+                return False
+    return True

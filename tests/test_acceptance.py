@@ -25,7 +25,6 @@ from matchcover import (
     membership_polynomial_general,
     pm_polynomial,
     truth_table_transform,
-    verify_lattice,
 )
 from oracles import (
     brute_pm_masks_bipartite,
@@ -147,7 +146,7 @@ def test_criterion_7_bipartite_lattice_structure():
         for n in (1, 2, 3):
             fam = enumerate_perfect_matchings(bipartite_ground(n).full_graph())
             lat = build_lattice(covered_closure(fam))
-            assert verify_lattice(lat)
+            assert lat.is_lattice()
             assert lat.rank_labels().graded
             assert lat.is_eulerian()
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import matchcover
@@ -335,6 +336,45 @@ def test_check_file_ground_mismatch(tmp_path, capsys):
         capsys, "verify", "--n", "2", "--exhaustive", "--check-file", str(check)
     )
     assert code == 2 and "does not match" in err
+
+
+def test_oversized_headers_are_refused_before_allocating(tmp_path, capsys):
+    # a ground of 30000 x 30000 edges would take tens of GB to build
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("bipartite 30000\n1 1\n")
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("bipartite 30000\n1 1 1\n1 2 1\n")
+    runs = [
+        (["coeff", "--n", "2", "--graph", str(gfile)],
+         "error: graph ground bipartite 30000 does not match bipartite 2\n"),
+        (["poly", "--n", "2", "--weights", str(wfile)],
+         "error: weight file has 2 edge lines, bipartite 30000 needs 900000000\n"),
+    ]
+    for argv, message in runs:
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", message)
+        assert peak < 4 * 2**20
+
+
+def test_internal_errors_exit_3(monkeypatch, capsys):
+    import matchcover.cli as cli
+
+    def fail(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "pm_polynomial", fail)
+    assert run(capsys, "poly", "--n", "2") == (3, "", "error: internal RuntimeError: boom\n")
+
+    def exhausted(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "pm_polynomial", exhausted)
+    assert run(capsys, "verify", "--n", "2") == (3, "", "error: internal MemoryError\n")
 
 
 def test_console_entry_point():

@@ -1,12 +1,15 @@
+import math
 import random
 
 import pytest
 
 from matchcover import (
+    Family,
     Graph,
     InputError,
     Lattice,
     StructureViolationError,
+    WeightFunction,
     bipartite_ground,
     build_lattice,
     complete_ground,
@@ -14,9 +17,15 @@ from matchcover import (
     cyclomatic_number,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
-    verify_lattice,
 )
-from oracles import random_int_weights
+from matchcover import lattice as lattice_module
+from oracles import (
+    eulerian_mobius_check,
+    pairwise_is_lattice,
+    pairwise_order_masks,
+    pattern_weights,
+    random_int_weights,
+)
 
 
 def pm_lattice(n):
@@ -65,9 +74,9 @@ def test_meet_join_examples():
 
 
 def test_verify_lattice_true_cases():
-    assert verify_lattice(pm_lattice(2))
-    assert verify_lattice(pm_lattice(3))
-    assert verify_lattice(k6_lattice())
+    assert pm_lattice(2).is_lattice()
+    assert pm_lattice(3).is_lattice()
+    assert k6_lattice().is_lattice()
 
 
 def test_verify_lattice_detects_violation():
@@ -78,11 +87,113 @@ def test_verify_lattice_detects_violation():
     c = Graph(g, 0b0111)
     d = Graph(g, 0b1011)
     poset = Lattice([g.empty_graph(), a, b, c, d, g.full_graph()])
-    assert not verify_lattice(poset)
+    assert not poset.is_lattice()
     with pytest.raises(StructureViolationError):
         poset.meet(c, d)
     with pytest.raises(StructureViolationError):
         poset.join(a, b)
+
+
+def shift_lattice(n, shifts):
+    """Unions of the cyclic-shift matchings i -> i + s of K_{n,n}."""
+    g = bipartite_ground(n)
+    family = [
+        g.graph_from_edges([(i, (i + s - 1) % n + 1) for i in range(1, n + 1)])
+        for s in shifts
+    ]
+    return build_lattice(covered_closure(Family(g, family)))
+
+
+def blocks_lattice(n, rows):
+    """Zero weight on the diagonal and on the 2x2 blocks at rows (r, r + 1),
+    weight 1 elsewhere: 2^len(rows) minimum-weight matchings."""
+    weights = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            zero = i == j or any({i, j} <= {r, r + 1} for r in rows)
+            weights.append(0 if zero else 1)
+    w = WeightFunction(bipartite_ground(n), weights)
+    return build_lattice(covered_closure(enumerate_min_weight_pms(w)))
+
+
+def test_is_lattice_matches_pairwise_check():
+    lattices = [pm_lattice(n) for n in (1, 2, 3)] + [k6_lattice()]
+    g4 = bipartite_ground(4)
+    for pattern in ("0000000001000001", "1000000000001000", "0110100101101001"):
+        w = pattern_weights(g4, pattern)
+        lattices.append(build_lattice(covered_closure(enumerate_min_weight_pms(w))))
+    lattices.append(shift_lattice(8, range(3)))
+    for lat in lattices:
+        assert lat.is_lattice() is pairwise_is_lattice(lat) is True
+
+
+def test_is_lattice_on_hand_built_posets():
+    g = bipartite_ground(2)
+    # a lattice that is not union-closed: {1} | {2} is missing, so the
+    # certificate fails and the pairwise join check answers
+    poset = Lattice([g.empty_graph(), Graph(g, 0b001), Graph(g, 0b010), Graph(g, 0b111)])
+    assert poset.is_lattice() and pairwise_is_lattice(poset)
+    rng = random.Random(71)
+    seen = set()
+    for ground in (bipartite_ground(2), bipartite_ground(3)):
+        full = ground.full_graph().edges
+        for _ in range(150):
+            masks = {0, full} | {
+                rng.getrandbits(ground.edge_count) for _ in range(rng.randint(1, 8))
+            }
+            poset = Lattice([Graph(ground, m) for m in masks])
+            answer = poset.is_lattice()
+            assert answer == pairwise_is_lattice(poset)
+            union_closed = all(a | b in masks for a in masks for b in masks)
+            seen.add((answer, union_closed))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_order_masks_match_pairwise_scan(monkeypatch):
+    cases = [
+        shift_lattice(8, range(3)),  # 64 edges: one full 64-bit word
+        shift_lattice(9, range(3)),  # 81 edges: two words
+        blocks_lattice(20, (1, 7, 19)),  # 400 edges: seven words
+    ]
+    assert [len(lat) for lat in cases] == [8, 8, 28]
+    for lat in cases:
+        assert (lat._down, lat._up) == pairwise_order_masks(lat)
+    # blocks of a few rows each
+    monkeypatch.setattr(lattice_module, "_BLOCK_WORDS", 100)
+    lat = pm_lattice(3)
+    assert (lat._down, lat._up) == pairwise_order_masks(lat)
+
+
+def test_order_masks_of_the_n4_lattice():
+    # 7,444 elements take about 210 blocks; scan every 41st row pairwise
+    lat = pm_lattice(4)
+    assert len(lat) ** 2 > lattice_module._BLOCK_WORDS
+    masks = [g.edges for g in lat.elements]
+    for i in range(0, len(masks), 41):
+        up = sum(1 << j for j, m in enumerate(masks) if masks[i] & ~m == 0)
+        down = sum(1 << j for j, m in enumerate(masks) if m & ~masks[i] == 0)
+        assert (lat._down[i], lat._up[i]) == (down, up)
+
+
+def test_birkhoff_f_vector():
+    # the covered graphs of K_{n,n} are the faces of the Birkhoff polytope B_n,
+    # and the rank of a face is its dimension plus one
+    expected = {
+        2: (1, 2, 1),
+        3: (1, 6, 15, 18, 9, 1),
+        4: (1, 24, 240, 978, 1968, 2176, 1392, 528, 120, 16, 1),
+    }
+    for n, counts in expected.items():
+        assert pm_lattice(n).level_counts() == counts
+        f = counts[1:]
+        assert sum((-1) ** d * fd for d, fd in enumerate(f)) == 1  # Euler
+        assert f[0] == math.factorial(n)  # vertices: the permutation matrices
+        edges = math.factorial(n) // 2 * sum(
+            math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1)
+        )
+        assert f[1] == edges
+        if n >= 3:
+            assert f[-2] == n * n  # facets: x_ij >= 0
 
 
 def test_lattice_requires_unique_extremes():
@@ -186,8 +297,8 @@ def test_k6_lattice_is_not_graded():
 def test_eulerian_checks():
     assert pm_lattice(2).is_eulerian()
     assert pm_lattice(3).is_eulerian()
-    assert pm_lattice(2).eulerian_mobius_check()
-    assert pm_lattice(3).eulerian_mobius_check()
+    assert eulerian_mobius_check(pm_lattice(2))
+    assert eulerian_mobius_check(pm_lattice(3))
     check = k6_lattice().eulerian_check()
     assert not check.eulerian
     assert check.reason == "not graded"
@@ -223,7 +334,7 @@ def test_find_pentagon():
 
 
 def test_wide_ground_uses_the_plain_subset_path():
-    # K_{8,8} has 64 edge bits, past the vectorized order-matrix limit
+    # K_{8,8} has 64 edge bits, so its masks fill a whole 64-bit word
     g = bipartite_ground(8)
     shifts = []
     for s in range(3):
@@ -234,7 +345,7 @@ def test_wide_ground_uses_the_plain_subset_path():
 
     lat = build_lattice(covered_closure(Family(g, shifts)))
     assert len(lat) == 8  # 3 matchings, 3 pair unions, 1 triple union, bottom
-    assert verify_lattice(lat)
+    assert lat.is_lattice()
     m0, m1, m2 = shifts
     assert lat.meet(m0, m1) == g.empty_graph()
     assert lat.join(m0, m1).edges == m0.edges | m1.edges

@@ -272,6 +272,11 @@ def test_weight_function_validation():
         WeightFunction(g, [1, 2, 3, -1])
     with pytest.raises(InputError):
         WeightFunction(complete_ground(4), [1] * 6)
+    # inexact weights are refused, not expanded to binary fractions
+    for bad in (0.1, float("nan"), float("inf"), True, "nan", None):
+        with pytest.raises(InputError):
+            WeightFunction(g, [1, 2, 3, bad])
+    assert WeightFunction(g, [1, "1/10", Fraction(3, 2), 0]).weights[1] == Fraction(1, 10)
 
 
 def test_weight_file_round_trip():

@@ -16,7 +16,6 @@ from matchcover import (
     contains_min_weight_pm,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
-    evaluate,
     has_perfect_matching,
     membership_oracle,
     membership_polynomial_general,
@@ -132,12 +131,12 @@ def test_evaluate_examples():
     g = bipartite_ground(2)
     poly = pm_polynomial(2)
     only_first = g.graph_from_edges([(1, 1)])
-    assert evaluate(poly, g.full_graph()) == 1
-    assert evaluate(poly, only_first) == 0
+    assert poly.evaluate(g.full_graph()) == 1
+    assert poly.evaluate(only_first) == 0
     single = MultilinearPolynomial(g, {only_first.edges: 1})
-    assert evaluate(single, only_first) == 1
+    assert single.evaluate(only_first) == 1
     with pytest.raises(InputError):
-        evaluate(poly, bipartite_ground(3).full_graph())
+        poly.evaluate(bipartite_ground(3).full_graph())
     with pytest.raises(InputError):
         poly.evaluate(1 << 10)
 
