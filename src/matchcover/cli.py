@@ -17,9 +17,12 @@ import sys
 from .errors import CapExceededError, InfeasibleError, InputError
 from .covered import coefficient_query, covered_closure
 from .graphs import (
+    BIPARTITE,
     Family,
     Graph,
     GroundGraph,
+    _content_lines,
+    _parse_header,
     bipartite_ground,
     complete_ground,
     edge_list_str,
@@ -36,19 +39,14 @@ from .matching import (
     support_union,
 )
 from .polynomial import (
+    EDGE_CAP,
     MultilinearPolynomial,
+    _json_data,
+    _json_ground,
     min_weight_pm_polynomial,
     pm_polynomial,
 )
 
-COMPLETE_M_CAP = 6
-BIPARTITE_LATTICE_CAP = 4
-EXHAUSTIVE_VERIFY_CAP = 4
-COUNT_COVERED_CAP = 4
-# Weighted closures are capped on the width of the optimal support G_w
-# instead of on n: 16 edges is what K_{4,4} has, the widest unweighted
-# ground the n caps admit.
-SUPPORT_EDGE_CAP = 16
 # The lattice of K_{4,4}, the largest one built: its down- and up-masks take
 # N^2 bits each (7 MB apiece at this N), and the Eulerian check visits every
 # comparable pair.
@@ -68,47 +66,68 @@ def _note(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _load_weights(path: str) -> WeightFunction:
-    with open(path) as fh:
-        return parse_weight_function(fh.read())
+def _cap(args, width: int, what: str) -> None:
+    """Refuse exhaustive work over more than EDGE_CAP edges: the ground's
+    edges for exhaustive verification and unweighted runs, the support G_w
+    of the minimum-weight matchings for weighted ones. Callers compute the
+    width before building anything of that size."""
+    if width > EDGE_CAP and not args.unsafe_caps:
+        raise CapExceededError(
+            f"{what} is capped at {EDGE_CAP} support edges, this one has {width}"
+            " (override with --unsafe-caps)"
+        )
 
 
-def _load_graph(path: str, ground: GroundGraph | None) -> Graph:
+# Input files are compared with --n from their headers, before a ground of
+# either size is built.
+
+def _load_weights(args) -> WeightFunction | None:
+    if not getattr(args, "weights", None):
+        return None
+    with open(args.weights) as fh:
+        weights = parse_weight_function(fh.read())  # builds only its own ground
+    if weights.ground.size != args.n:
+        raise InputError(
+            f"weight file ground {weights.ground.header()} does not match --n {args.n}"
+        )
+    return weights
+
+
+def _load_query_graph(args, weights: WeightFunction | None) -> Graph:
+    with open(args.graph) as fh:
+        text = fh.read()
+    lines = _content_lines(text)
+    if lines:  # parse_graph refuses an empty file
+        mode, size = _parse_header(lines[0][1])
+        if (mode, size) != (BIPARTITE, args.n):
+            raise InputError(
+                f"graph ground {mode} {size} does not match {BIPARTITE} {args.n}"
+            )
+    ground = bipartite_ground(args.n) if weights is None else weights.ground
+    return parse_graph(text, ground)
+
+
+def _load_polynomial(args) -> MultilinearPolynomial:
+    with open(args.check_file) as fh:
+        data = _json_data(fh.read())
+    mode, size = _json_ground(data)
+    if (mode, size) != (BIPARTITE, args.n):
+        raise InputError(f"polynomial ground {mode} {size} does not match --n {args.n}")
+    return MultilinearPolynomial.from_json_dict(data)
+
+
+def _load_graph(path: str, ground: GroundGraph) -> Graph:
     with open(path) as fh:
         return parse_graph(fh.read(), ground)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InputError(f"--n must be >= 1, got {n}")
-
-
-def _bipartite_setup(args) -> tuple[GroundGraph, WeightFunction | None]:
-    _check_n(args.n)
-    ground = bipartite_ground(args.n)
-    weights = None
-    if getattr(args, "weights", None):
-        weights = _load_weights(args.weights)
-        if weights.ground != ground:
-            raise InputError(
-                f"weight file ground {weights.ground.header()} does not match --n {args.n}"
-            )
-    return ground, weights
-
-
-def _matchings(
-    args, ground: GroundGraph, weights: WeightFunction | None, what: str
-) -> Family:
-    """All perfect matchings, or the minimum-weight ones when weights are
-    given, refused when those span more than SUPPORT_EDGE_CAP edges."""
+def _matchings(args, weights: WeightFunction | None, what: str) -> Family:
+    """All perfect matchings of K_{n,n}, or the minimum-weight ones when
+    weights are given, refused past EDGE_CAP edges."""
     if weights is None:
-        return enumerate_perfect_matchings(ground.full_graph())
-    width = support_union(weights).edge_count
-    if width > SUPPORT_EDGE_CAP and not args.unsafe_caps:
-        raise CapExceededError(
-            f"{what} is capped at {SUPPORT_EDGE_CAP} support edges, the minimum-weight"
-            f" matchings span {width} (override with --unsafe-caps)"
-        )
+        _cap(args, args.n * args.n, what)
+        return enumerate_perfect_matchings(bipartite_ground(args.n).full_graph())
+    _cap(args, support_union(weights).edge_count, what)
     return enumerate_min_weight_pms(weights)
 
 
@@ -121,7 +140,7 @@ def _parity(count: int) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_poly(args) -> int:
-    ground, weights = _bipartite_setup(args)
+    weights = _load_weights(args)
     if weights is None:
         poly = pm_polynomial(args.n)
     else:
@@ -133,8 +152,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    ground, weights = _bipartite_setup(args)
-    graph = _load_graph(args.graph, ground)
+    weights = _load_weights(args)
+    graph = _load_query_graph(args, weights)
     coeff = coefficient_query(graph, weights)
     if args.format == "json":
         _write_output(args, json.dumps({"coefficient": coeff}) + "\n")
@@ -144,31 +163,21 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ground, weights = _bipartite_setup(args)
+    weights = _load_weights(args)
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
-    if args.exhaustive and args.n > EXHAUSTIVE_VERIFY_CAP and not args.unsafe_caps:
-        raise CapExceededError(
-            f"exhaustive verification is capped at n <= {EXHAUSTIVE_VERIFY_CAP}"
-            " (override with --unsafe-caps)"
-        )
-    if weights is None and args.n > EXHAUSTIVE_VERIFY_CAP and not args.unsafe_caps:
-        raise CapExceededError(
-            f"building the unweighted polynomial is capped at n <= {EXHAUSTIVE_VERIFY_CAP}"
-            " (override with --unsafe-caps)"
-        )
+    if args.exhaustive:
+        _cap(args, args.n * args.n, "exhaustive verification")
+    elif weights is None:
+        _cap(args, args.n * args.n, "unweighted verification")
 
     if args.check_file:
-        with open(args.check_file) as fh:
-            poly = MultilinearPolynomial.from_json(fh.read())
-        if poly.ground != ground:
-            raise InputError(
-                f"polynomial ground {poly.ground.header()} does not match --n {args.n}"
-            )
+        poly = _load_polynomial(args)
     elif weights is None:
         poly = pm_polynomial(args.n)
     else:
         poly = min_weight_pm_polynomial(weights)
+    ground = poly.ground
     _note(args, f"polynomial has {len(poly)} terms")
 
     if weights is None:
@@ -215,27 +224,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    _check_n(args.n)
     if args.mode == "complete":
         if args.n % 2:
             raise InputError("complete mode needs an even vertex count")
-        if args.n > COMPLETE_M_CAP and not args.unsafe_caps:
-            raise CapExceededError(
-                f"complete mode is capped at m <= {COMPLETE_M_CAP}"
-                " (override with --unsafe-caps)"
-            )
-        ground = complete_ground(args.n)
+        _cap(args, args.n * (args.n - 1) // 2, "complete mode")
         if args.weights:
             raise InputError("--weights applies to bipartite mode only")
-        family = enumerate_perfect_matchings(ground.full_graph())
+        family = enumerate_perfect_matchings(complete_ground(args.n).full_graph())
     else:
-        if not args.weights and args.n > BIPARTITE_LATTICE_CAP and not args.unsafe_caps:
-            raise CapExceededError(
-                f"bipartite lattices are capped at n <= {BIPARTITE_LATTICE_CAP}"
-                " (override with --unsafe-caps)"
-            )
-        ground, weights = _bipartite_setup(args)
-        family = _matchings(args, ground, weights, "a bipartite lattice")
+        family = _matchings(args, _load_weights(args), "a bipartite lattice")
+    ground = family.ground
 
     _note(args, f"family has {len(family)} matchings")
     cov = covered_closure(family)
@@ -301,13 +299,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_count_covered(args) -> int:
-    if not args.weights and args.n > COUNT_COVERED_CAP and not args.unsafe_caps:
-        raise CapExceededError(
-            f"count-covered is capped at n <= {COUNT_COVERED_CAP}"
-            " (override with --unsafe-caps)"
-        )
-    ground, weights = _bipartite_setup(args)
-    family = _matchings(args, ground, weights, "count-covered")
+    family = _matchings(args, _load_weights(args), "count-covered")
     cov = covered_closure(family)
     count = len(cov)
     if args.format == "json":
@@ -394,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.n < 1:  # every subcommand takes --n
+            raise InputError(f"--n must be >= 1, got {args.n}")
         return args.func(args)
     except (InputError, CapExceededError, InfeasibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

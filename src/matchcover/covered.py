@@ -23,7 +23,7 @@ from .graphs import (
     edge_list_str,
     mask_key,
 )
-from .matching import WeightFunction, has_perfect_matching, pm_support
+from .matching import WeightFunction, pm_support
 from .subsets import SupportBits, _subset_transform, canonical_order, dense_fits
 
 
@@ -136,8 +136,8 @@ def coefficient_query(G: Graph, w: WeightFunction | None = None) -> int:
     For the family of minimum-weight perfect matchings (unit weights when w is
     None): the coefficient is (-1)^cyclomatic(G) when G is covered and 0
     otherwise. Coverage is decided without enumerating anything exponential:
-    G is covered iff every edge of G is dual-tight, G has a perfect matching,
-    and every edge of G lies in some perfect matching of G. Each query is
+    G is covered iff every edge of G is dual-tight and every edge of G lies
+    in some perfect matching of G (so a nonempty G has one). Each query is
     polynomial in n.
     """
     ground = G.ground
@@ -148,8 +148,6 @@ def coefficient_query(G: Graph, w: WeightFunction | None = None) -> int:
     if G.is_empty:
         return 0
     if w is not None and G.edges & ~w.tight_mask():
-        return 0
-    if not has_perfect_matching(G):
         return 0
     if pm_support(G).edges != G.edges:
         return 0

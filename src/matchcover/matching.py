@@ -1,11 +1,12 @@
 """Perfect matchings and exact minimum-weight assignment.
 
-Bipartite grounds get polynomial-time algorithms throughout: augmenting paths
+One backtracking search enumerates the perfect matchings of either ground,
+and decides their existence on complete grounds at desk scale. Bipartite
+grounds get polynomial-time algorithms for everything else: augmenting paths
 for existence, an O(n^3) potential-based assignment solver over exact
 rationals for minima, and alternating-reachability for the set of edges that
-lie in some perfect matching. Complete grounds are served by backtracking at
-desk scale. All weights are fractions.Fraction, so weight equality (and hence
-the set of minimum-weight matchings) is decided exactly.
+lie in some perfect matching. All weights are fractions.Fraction, so weight
+equality (and hence the set of minimum-weight matchings) is decided exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import inf
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InfeasibleError, InputError
 from .graphs import (
@@ -22,8 +23,9 @@ from .graphs import (
     Graph,
     GroundGraph,
     canonical_key,
-    _parse_header,
     _content_lines,
+    _iter_bits,
+    _parse_header,
 )
 
 
@@ -66,104 +68,56 @@ def _kuhn_matching(rows: list[int]) -> tuple[int, list[int]]:
     return size, match_right
 
 
+def _require_even(ground: GroundGraph) -> None:
+    if ground.vertex_count % 2:
+        raise InputError(
+            f"perfect matchings on {ground.header()} need an even vertex count"
+        )
+
+
+def _pm_masks(G: Graph) -> Iterator[int]:
+    """Edge masks of the perfect matchings of G, on either ground.
+
+    Backtracking matches the lowest free vertex with each free neighbour in
+    turn. On a bipartite ground that vertex is always a left one, so each
+    level of the search fixes the partner of one row.
+    """
+    ground = G.ground
+    ends = ground._ends
+    # up[a]: (vertex bit, edge bit) of each edge {a, b} of G with a < b; the
+    # lowest free vertex has only higher partners, so the lower end suffices
+    up: list[list[tuple[int, int]]] = [[] for _ in range(ground.vertex_count)]
+    for k in _iter_bits(G.edges):
+        a, b = ends[k]
+        up[a].append((1 << b, 1 << k))
+
+    def rec(free: int, acc: int) -> Iterator[int]:
+        if not free:
+            yield acc
+            return
+        low = free & -free
+        rest = free ^ low
+        for vbit, ebit in up[low.bit_length() - 1]:
+            if rest & vbit:
+                yield from rec(rest ^ vbit, acc | ebit)
+
+    return rec((1 << ground.vertex_count) - 1, 0)
+
+
 def has_perfect_matching(G: Graph) -> bool:
     """True iff G contains a perfect matching of its ground's vertex set."""
     if G.ground.mode == BIPARTITE:
         size, _ = _kuhn_matching(_row_masks(G))
         return size == G.ground.size
-    if G.ground.size % 2:
-        raise InputError(
-            f"perfect matchings on {G.ground.header()} need an even vertex count"
-        )
-    return _complete_pm_exists(G)
-
-
-def _complete_adj(G: Graph) -> list[int]:
-    m = G.ground.size
-    adj = [0] * m
-    ends = G.ground._ends
-    mask = G.edges
-    while mask:
-        k = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        a, b = ends[k]
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
-def _complete_pm_exists(G: Graph) -> bool:
-    adj = _complete_adj(G)
-    m = G.ground.size
-
-    def rec(free: int) -> bool:
-        if not free:
-            return True
-        u = (free & -free).bit_length() - 1
-        partners = adj[u] & free & ~(1 << u)
-        while partners:
-            v = (partners & -partners).bit_length() - 1
-            partners &= partners - 1
-            if rec(free & ~(1 << u) & ~(1 << v)):
-                return True
-        return False
-
-    return rec((1 << m) - 1)
+    _require_even(G.ground)
+    return next(_pm_masks(G), None) is not None
 
 
 def enumerate_perfect_matchings(G: Graph) -> Family:
     """All perfect matchings of G, in canonical (edge-count, edge-id) order."""
-    ground = G.ground
-    if ground.mode == BIPARTITE:
-        masks = _pm_masks_bipartite(G)
-    else:
-        if ground.size % 2:
-            raise InputError(
-                f"perfect matchings on {ground.header()} need an even vertex count"
-            )
-        masks = _pm_masks_complete(G)
-    graphs = sorted((Graph(ground, m) for m in masks), key=canonical_key)
-    return Family(ground, graphs)
-
-
-def _pm_masks_bipartite(G: Graph) -> list[int]:
-    n = G.ground.size
-    rows = _row_masks(G)
-    out: list[int] = []
-
-    def rec(i: int, used: int, acc: int) -> None:
-        if i == n:
-            out.append(acc)
-            return
-        avail = rows[i] & ~used
-        while avail:
-            j = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            rec(i + 1, used | (1 << j), acc | (1 << (i * n + j)))
-
-    rec(0, 0, 0)
-    return out
-
-
-def _pm_masks_complete(G: Graph) -> list[int]:
-    adj = _complete_adj(G)
-    m = G.ground.size
-    eidx = G.ground.edge_index
-    out: list[int] = []
-
-    def rec(free: int, acc: int) -> None:
-        if not free:
-            out.append(acc)
-            return
-        u = (free & -free).bit_length() - 1
-        partners = adj[u] & free & ~(1 << u)
-        while partners:
-            v = (partners & -partners).bit_length() - 1
-            partners &= partners - 1
-            rec(free & ~(1 << u) & ~(1 << v), acc | (1 << eidx(u + 1, v + 1)))
-
-    rec((1 << m) - 1, 0)
-    return out
+    _require_even(G.ground)
+    graphs = sorted((Graph(G.ground, m) for m in _pm_masks(G)), key=canonical_key)
+    return Family(G.ground, graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +135,8 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise InputError(f"bad weight {token!r}: zero denominator") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(f"bad weight: {exc}") from None
 
 
 def _exact_weight(w) -> Fraction:
@@ -522,12 +478,9 @@ def support_union(w: WeightFunction) -> Graph:
 
 
 def enumerate_min_weight_pms(w: WeightFunction) -> Family:
-    """All minimum-weight perfect matchings, enumerated inside their union."""
-    gw = support_union(w)
-    opt = w.optimum()
-    masks = [m for m in _pm_masks_bipartite(gw) if w.weight_of(m) == opt]
-    graphs = sorted((Graph(w.ground, m) for m in masks), key=canonical_key)
-    return Family(w.ground, graphs)
+    """All minimum-weight perfect matchings: the perfect matchings of their
+    union, each of which is dual-tight and so of minimum weight."""
+    return enumerate_perfect_matchings(support_union(w))
 
 
 def contains_min_weight_pm(G: Graph, w: WeightFunction) -> bool:

@@ -23,6 +23,7 @@ from .graphs import (
     Family,
     Graph,
     GroundGraph,
+    _check_ground,
     _iter_bits,
     bipartite_ground,
     cyclomatic_number,
@@ -36,7 +37,10 @@ from .matching import (
 )
 from .subsets import DENSE_BIT_CAP, SupportBits, _subset_transform, dense_fits
 
-TRANSFORM_BIT_CAP = 16
+# Widest edge set that exhaustive work (2^E assignments, or the covered
+# graphs of a support of E edges) takes unless told otherwise: the 16 edges
+# of K_{4,4}. truth_table_transform and every CLI cap but the lattice's use it.
+EDGE_CAP = 16
 
 
 class MultilinearPolynomial:
@@ -154,8 +158,8 @@ class MultilinearPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultilinearPolynomial":
+        ground = GroundGraph(*_json_ground(data))
         try:
-            ground = GroundGraph(data["ground"]["mode"], data["ground"]["size"])
             terms: dict[int, int] = {}
             for item in data["terms"]:
                 coeff = item["coeff"]
@@ -167,20 +171,38 @@ class MultilinearPolynomial:
                 if mask in terms:
                     raise InputError("duplicate monomial in polynomial file")
                 terms[mask] = int(coeff)  # JSON true is an int, written back as 1
-        except (KeyError, TypeError) as exc:
+        except InputError:  # a ValueError already worded for the user
+            raise
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: an edge not a pair
             raise InputError(f"malformed polynomial JSON: {exc}") from None
         return cls(ground, terms)
 
     @classmethod
     def from_json(cls, text: str) -> "MultilinearPolynomial":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed polynomial JSON: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_json_data(text))
 
     def __repr__(self) -> str:
         return f"MultilinearPolynomial({self.ground.header()!r}, {len(self.terms)} terms)"
+
+
+def _json_data(text: str):
+    """Decoded polynomial JSON, malformed text refused as InputError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or more digits than int() converts
+        raise InputError(f"malformed polynomial JSON: {exc}") from None
+
+
+def _json_ground(data) -> tuple[str, int]:
+    """Mode and size of the ground that decoded polynomial JSON names,
+    checked without building the ground, so that they can be compared with
+    what the data should hold first."""
+    try:
+        mode, size = data["ground"]["mode"], data["ground"]["size"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed polynomial JSON: {exc}") from None
+    _check_ground(mode, size)
+    return mode, size
 
 
 def membership_oracle(F: Family, G: Graph) -> int:
@@ -256,7 +278,7 @@ def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
 def truth_table_transform(
     oracle: Callable[[Graph], int],
     ground: GroundGraph,
-    max_bits: int = TRANSFORM_BIT_CAP,
+    max_bits: int = EDGE_CAP,
 ) -> MultilinearPolynomial:
     """The unique multilinear polynomial agreeing with the oracle on all 0/1
     assignments, by the in-place subset Mobius transform over all 2^m points.

@@ -1,14 +1,16 @@
 """Brute-force oracles shared by the tests.
 
 Everything here is deliberately independent of the library's algorithms:
-permutation scans instead of the assignment solver, breadth-first search
-instead of union-find, powerset unions instead of the closure, and writers
-that scan every edge bit instead of the set bits. The lattice checks are the
+permutation and pairing scans instead of the backtracking matcher and the
+assignment solver, breadth-first search instead of union-find, powerset
+unions instead of the closure, and writers that scan every edge bit instead
+of the set bits. The lattice checks are the
 generic O(N^2) pair scans that the library's certificate and blocked masks
 replace.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from matchcover import Family, Graph, WeightFunction
@@ -70,6 +72,29 @@ def brute_pm_masks_bipartite(G):
                 break
             mask |= 1 << k
         if ok:
+            out.append(mask)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pairings(m):
+    """Every perfect pairing of the vertices 1..m, read off the permutations
+    (consecutive entries form a pair) and deduplicated."""
+    out = set()
+    for perm in permutations(range(1, m + 1)):
+        out.add(frozenset(tuple(sorted(perm[k : k + 2])) for k in range(0, m, 2)))
+    return tuple(out)
+
+
+def brute_pm_masks_complete(G):
+    """Perfect matchings of a graph on a complete ground, by scanning every
+    pairing of its vertices."""
+    out = []
+    for pairing in _pairings(G.ground.size):
+        mask = 0
+        for u, v in pairing:
+            mask |= 1 << G.ground.edge_index(u, v)
+        if mask & ~G.edges == 0:
             out.append(mask)
     return out
 

@@ -290,6 +290,38 @@ def test_weighted_caps_follow_the_support(tmp_path, capsys):
     assert code == 2 and "capped" in err
 
 
+def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
+    # zero diagonal blocks of sizes 2, 2, 2, 2 leave a 16-edge support,
+    # blocks of 3, 2, 2 a 17-edge one; every other edge weighs 1
+    def blocks(*sizes):
+        start = [sum(sizes[:k]) for k in range(len(sizes))]
+        block = [b for b, s in zip(start, sizes) for _ in range(s)]
+        n = sum(sizes)
+        return _weight_file(tmp_path / f"{n}.txt", n,
+                            lambda i, j: 0 if block[i - 1] == block[j - 1] else 1)
+
+    code, out, _ = run(capsys, "count-covered", "--n", "8", "--weights", blocks(2, 2, 2, 2))
+    assert code == 0 and out == "count: 81\nparity: odd\n"
+    wide = blocks(3, 2, 2)
+    message = ("error: count-covered is capped at 16 support edges, this one has 17"
+               " (override with --unsafe-caps)\n")
+    assert run(capsys, "count-covered", "--n", "7", "--weights", wide) == (2, "", message)
+    code, out, _ = run(capsys, "count-covered", "--n", "7", "--weights", wide, "--unsafe-caps")
+    assert code == 0 and out == "count: 441\nparity: odd\n"
+    # unweighted runs: K_{5,5} has 25 edges, K_8 28
+    for argv, what, width in [
+        (["count-covered", "--n", "5"], "count-covered", 25),
+        (["lattice", "--n", "5"], "a bipartite lattice", 25),
+        (["verify", "--n", "5"], "unweighted verification", 25),
+        (["verify", "--n", "5", "--exhaustive"], "exhaustive verification", 25),
+        (["lattice", "--mode", "complete", "--n", "8"], "complete mode", 28),
+    ]:
+        assert run(capsys, *argv) == (
+            2, "", f"error: {what} is capped at 16 support edges, this one has {width}"
+            " (override with --unsafe-caps)\n"
+        )
+
+
 def test_lattice_element_cap(monkeypatch, capsys):
     import matchcover.cli as cli
 
@@ -351,14 +383,65 @@ def test_oversized_headers_are_refused_before_allocating(tmp_path, capsys):
          "error: weight file has 2 edge lines, bipartite 30000 needs 900000000\n"),
     ]
     for argv, message in runs:
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, *argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (code, out, err) == (2, "", message)
-        assert peak < 4 * 2**20
+        assert_refused_small(capsys, argv, message)
+
+
+def assert_refused_small(capsys, argv, message):
+    """The run exits 2 with exactly this one error line, having traced less
+    than 4 MB of allocations."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", message)
+    assert peak < 4 * 2**20
+
+
+def test_mismatched_inputs_are_refused_before_the_n_ground(tmp_path, capsys):
+    # K_{3000,3000} has 9 * 10^6 edges; building it first took 2.7 GB
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(W22)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(IDENT)
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"ground": {"mode": "bipartite", "size": 3000}, "terms": []}))
+    runs = [
+        (["poly", "--n", "3000", "--weights", str(wfile)],
+         "error: weight file ground bipartite 2 does not match --n 3000\n"),
+        (["coeff", "--n", "3000", "--graph", str(gfile)],
+         "error: graph ground bipartite 2 does not match bipartite 3000\n"),
+        (["verify", "--n", "2", "--check-file", str(pfile)],
+         "error: polynomial ground bipartite 3000 does not match --n 2\n"),
+        (["verify", "--n", "3000"],
+         "error: unweighted verification is capped at 16 support edges, this one has"
+         " 9000000 (override with --unsafe-caps)\n"),
+    ]
+    for argv, message in runs:
+        assert_refused_small(capsys, argv, message)
+
+
+def test_malformed_numbers_exit_2(tmp_path, capsys):
+    from matchcover import pm_polynomial
+
+    data = pm_polynomial(2).to_json_dict()
+    data["terms"][0]["edges"][0] = [1, 1, 1]
+    check = tmp_path / "edge.json"
+    check.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--n", "2", "--check-file", str(check))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed polynomial JSON: too many values to unpack")
+    assert err.count("\n") == 1
+    # integers longer than int() converts, in a check file and a weight file
+    check.write_text('{"ground": {"mode": "bipartite", "size": 1}, "terms": [{"coeff": '
+                     + "1" * 5000 + ', "edges": [[1, 1]]}]}')
+    code, _, err = run(capsys, "verify", "--n", "1", "--check-file", str(check))
+    assert code == 2 and err.startswith("error: malformed polynomial JSON:")
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("bipartite 1\n1 1 " + "9" * 5000 + "\n")
+    code, _, err = run(capsys, "poly", "--n", "1", "--weights", str(wfile))
+    assert code == 2 and err.startswith("error: bad weight:")
 
 
 def test_internal_errors_exit_3(monkeypatch, capsys):

@@ -29,8 +29,11 @@ from oracles import (
     brute_min_weight,
     brute_min_weight_forced,
     brute_pm_masks_bipartite,
+    brute_pm_masks_complete,
+    min_weight_family,
     random_graph,
     random_int_weights,
+    random_rational_weights,
 )
 
 
@@ -79,6 +82,24 @@ def test_enumeration_is_canonical_and_matches_brute_force():
             assert sorted(masks) == sorted(brute_pm_masks_bipartite(graph))
             keys = [canonical_key(m) for m in fam]
             assert keys == sorted(keys)
+
+
+def test_complete_enumeration_and_existence_match_pairing_scan():
+    rng = random.Random(5)
+    for m in (4, 6, 8):
+        g = complete_ground(m)
+        for k in range(60):
+            # alternate half-dense and three-quarter-dense subgraphs, so that
+            # both answers of the existence test come up at every m
+            mask = rng.getrandbits(g.edge_count)
+            if k % 2:
+                mask |= rng.getrandbits(g.edge_count)
+            graph = Graph(g, mask)
+            brute = brute_pm_masks_complete(graph)
+            want = sorted((Graph(g, b) for b in brute), key=canonical_key)
+            assert list(enumerate_perfect_matchings(graph)) == want
+            assert has_perfect_matching(graph) == bool(brute)
+    assert len(brute_pm_masks_complete(complete_ground(8).full_graph())) == 105
 
 
 def w22():
@@ -228,6 +249,20 @@ def test_enumerate_min_weight_pms():
         masks = [m.edges for m in fam]
         assert masks and len(set(masks)) == len(masks)
         assert union_graphs(list(fam), ground=g3) == support_union(w)
+
+
+def test_min_weight_family_equals_permutation_scan():
+    # same Family, same order, with no weight filter behind the enumeration
+    rng = random.Random(43)
+    for n in (1, 2, 3, 4):
+        g = bipartite_ground(n)
+        weightings = [WeightFunction.unit(g)]
+        for _ in range(6):
+            weightings.append(random_int_weights(rng, g))
+            weightings.append(random_rational_weights(rng, g))
+            weightings.append(random_int_weights(rng, g, lo=0, hi=1))  # ties
+        for w in weightings:
+            assert enumerate_min_weight_pms(w) == min_weight_family(g, w)
 
 
 def test_contains_min_weight_pm_matches_enumeration():
