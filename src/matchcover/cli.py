@@ -48,8 +48,8 @@ from .polynomial import (
 )
 
 # The lattice of K_{4,4}, the largest one built: its down- and up-masks take
-# N^2 bits each (7 MB apiece at this N), and the Eulerian check visits every
-# comparable pair.
+# N^2 bits each (7 MB apiece at this N), and the Eulerian check counts an
+# interval for every comparable pair of equal rank parity (255,000 at this N).
 LATTICE_ELEMENT_CAP = 7444
 
 
@@ -113,7 +113,7 @@ def _load_polynomial(args) -> MultilinearPolynomial:
     mode, size = _json_ground(data)
     if (mode, size) != (BIPARTITE, args.n):
         raise InputError(f"polynomial ground {mode} {size} does not match --n {args.n}")
-    return MultilinearPolynomial.from_json_dict(data)
+    return MultilinearPolynomial.from_json_dict(data, bipartite_ground(args.n))
 
 
 def _load_graph(path: str, ground: GroundGraph) -> Graph:

@@ -316,15 +316,15 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_graph(text: str, ground: GroundGraph | None = None) -> Graph:
-    """Parse the text format; if `ground` is given the header must match it."""
+def parse_graph(text: str, ground: GroundGraph) -> Graph:
+    """Parse the text format of a graph on the expected ground. The header
+    must name that ground; it is compared before anything is built, so a
+    header naming a huge ground costs nothing."""
     lines = _content_lines(text)
     if not lines:
         raise InputError("empty graph file")
     mode, size = _parse_header(lines[0][1])
-    if ground is None:
-        ground = GroundGraph(mode, size)
-    elif (mode, size) != (ground.mode, ground.size):
+    if (mode, size) != (ground.mode, ground.size):
         raise InputError(f"graph ground {mode} {size} does not match {ground.header()}")
     mask = 0
     for lineno, line in lines[1:]:

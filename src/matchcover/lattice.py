@@ -2,24 +2,110 @@
 
 Elements are held in a fixed linear extension (canonical graph order, bottom
 first). Per-element down-sets and up-sets are bitmasks over element indices,
-which makes order queries, meets, joins, Mobius numbers, rank labels, and
-Eulerian interval counts cheap integer work even for a few thousand elements.
+built as ANDs of one element bitmask per edge, which makes order queries,
+meets, joins and rank labels cheap integer work even for a few thousand
+elements. The three whole-lattice passes work on those masks packed into
+uint64 rows:
+
+- Mobius numbers mu(bottom, x) are computed one edge-count level at a time,
+  as popcounts of packed down-set rows against bit planes of the numbers
+  already known (exact at any magnitude);
+- the Eulerian check counts the even- and odd-ranked elements of the
+  intervals of even length in batches of packed up-row / down-row pairs;
+- the JSON export writes its bytes directly instead of through the json
+  encoder.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InputError, StructureViolationError
 from .covered import CoveredSet
-from .graphs import Graph, GroundGraph, _iter_bits, canonical_key, edge_list_str
+from .graphs import Graph, GroundGraph, _iter_bits, edge_list_str, mask_key
 
-_WORD = (1 << 64) - 1
-# Word comparisons per block of the order masks: 2^18 uint64 are 2 MB.
+# Words per block of packed down-set rows in the Mobius pass: 2^18 uint64
+# are 2 MB.
 _BLOCK_WORDS = 1 << 18
+# Words per batch of interval tests, and per chunk of packed up-rows, in the
+# Eulerian check: small enough for the cache.
+_BATCH_WORDS = 1 << 16
+
+
+def _pack_ints(masks: list[int], words: int) -> np.ndarray:
+    """Bitmasks below 2^(64 * words) as rows of little-endian uint64 words."""
+    data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(data, dtype=np.uint64).reshape(len(masks), words)
+
+
+def _json_array(items: list[str]) -> str:
+    """A list of encoded items as json.dumps writes it at indent 2, one level
+    below the top object."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _set_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of packed uint64 rows, in no set order:
+    the lowest bit of every nonzero word is peeled off, round by round."""
+    r, w = np.nonzero(rows)
+    words = rows[r, w]
+    found_rows, found_columns = [r[:0]], [w[:0]]
+    while len(words):
+        low = words & (~words + np.uint64(1))
+        found_rows.append(r)
+        exponent = np.frexp(low.astype(np.float64))[1]  # exact: low is a power of two
+        found_columns.append(w * 64 + exponent - 1)
+        words ^= low
+        left = words != 0
+        r, w, words = r[left], w[left], words[left]
+    return np.concatenate(found_rows), np.concatenate(found_columns)
+
+
+def _first_unbalanced(
+    up: np.ndarray,
+    first_row: int,
+    down: np.ndarray,
+    even: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> Optional[tuple[int, int]]:
+    """The first pair (x[k], y[k]) in index order whose interval, the common
+    bits of up-row x (row x - first_row of up) and down-row y, does not hold
+    as many elements of the even mask as outside it; or None.
+
+    Pairs are sorted by the 64-row block of x and then by y, and tested in
+    batches of about _BATCH_WORDS words. The interval of (x, y) lies
+    between indices x and y, so a batch in one row block needs only the
+    words from that block to its largest y. Over those words, the popcount
+    of interval ^ even exceeds that of even by the interval's odd elements
+    minus its even ones, so one popcount per pair decides.
+    """
+    if not len(x):
+        return None
+    order = np.argsort((x // 64) * down.shape[0] + y)
+    x, y = x[order], y[order]
+    block = x // 64
+    start = 0
+    for end in [*np.flatnonzero(np.diff(block)) + 1, len(x)]:
+        w0 = int(block[start])
+        failed = []
+        while start < end:
+            stop = min(end, start + max(1, _BATCH_WORDS // (down.shape[1] - w0)))
+            w1 = int(y[stop - 1]) // 64 + 1
+            interval = up[x[start:stop] - first_row, w0:w1]
+            interval &= down[y[start:stop], w0:w1]
+            interval ^= even[w0:w1]  # its odd elements, and the even ones it lacks
+            flipped = np.bitwise_count(interval).sum(axis=1, dtype=np.int32)
+            bad = np.flatnonzero(flipped != np.bitwise_count(even[w0:w1]).sum()) + start
+            failed.extend(zip(x[bad].tolist(), y[bad].tolist()))
+            start = stop
+        if failed:
+            return min(failed)
+    return None
 
 
 def _pack_rows(rows: np.ndarray) -> list[int]:
@@ -60,7 +146,8 @@ class Lattice:
         for g in elements:
             if g.ground != ground:
                 raise InputError("lattice elements must share one ground")
-        elements = sorted(set(elements), key=canonical_key)
+        width = ground.edge_count
+        elements = sorted(set(elements), key=lambda g: mask_key(g.edges, width))
         self.ground: GroundGraph = ground
         self.elements: tuple[Graph, ...] = tuple(elements)
         self._index = {g.edges: k for k, g in enumerate(self.elements)}
@@ -75,46 +162,55 @@ class Lattice:
         self._bottom = bottoms[0]
         self._top = tops[0]
         self._covers = self._cover_pairs()
-        self._mobius: dict[int, int] = {}
+        self._mobius: Optional[list[int]] = None
         self._ranklabels: Optional[tuple[list[int], Optional[tuple[int, int]]]] = None
 
     # -- construction helpers ------------------------------------------------
 
     def _order_masks(self) -> tuple[list[int], list[int]]:
-        """Down-set and up-set bitmasks from blocked subset tests.
+        """Down-set and up-set bitmasks, built from one bitmask per edge.
 
-        Each edge mask is split into 64-bit words, and one block of rows is
-        compared against all N elements at a time, so the temporaries hold
-        about _BLOCK_WORDS word comparisons rather than an N x N matrix.
-        The canonical element order is a linear extension (strict subgraphs
+        For each edge e of the support (the union of the elements), has[e]
+        holds the elements that contain e. The down-set of y is the
+        intersection of the complements of has[e] over the support edges y
+        lacks, and the up-set of x the intersection of has[e] over the
+        edges of x: N * s ANDs of N-bit integers for s support edges, where
+        pairwise subset tests take N^2 comparisons of edge masks. The
+        canonical element order is a linear extension (strict subgraphs
         have strictly fewer edges), which later code relies on.
         """
-        n = len(self.elements)
-        words = max(1, -(-self.ground.edge_count // 64))
-        arr = np.array(
-            [[g.edges >> (64 * w) & _WORD for w in range(words)] for g in self.elements],
-            dtype=np.uint64,
-        )
+        masks = [g.edges for g in self.elements]
+        support = 0
+        for m in masks:
+            support |= m
+        edges = list(_iter_bits(support))
+        bits = [[m >> e & 1 for m in masks] for e in edges]
+        has = _pack_rows(np.array(bits, dtype=bool).reshape(len(edges), len(masks)))
+        full = (1 << len(masks)) - 1
+        lacks = [full ^ h for h in has]
         down: list[int] = []
         up: list[int] = []
-        rows = max(1, _BLOCK_WORDS // (n * words))
-        for lo in range(0, n, rows):
-            block = arr[lo : lo + rows, None, :]
-            up.extend(_pack_rows(((block & ~arr) == 0).all(axis=2)))  # block[i] <= arr[j]
-            down.extend(_pack_rows(((arr & ~block) == 0).all(axis=2)))  # arr[j] <= block[i]
+        for m in masks:
+            below = above = full
+            for e, h, lack in zip(edges, has, lacks):
+                if m >> e & 1:
+                    above &= h
+                else:
+                    below &= lack
+            down.append(below)
+            up.append(above)
         return down, up
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction: maximal strict predecessors of each element."""
         covers: list[tuple[int, int]] = []
+        down = self._down
         for j in range(len(self.elements)):
-            candidates = self._down[j] & ~(1 << j)
-            dominated = 0
+            candidates = down[j] ^ 1 << j
             while candidates:
                 x = candidates.bit_length() - 1  # highest index = maximal first
                 covers.append((x, j))
-                dominated |= self._down[x]
-                candidates &= ~dominated & ~(1 << x)
+                candidates &= ~down[x]  # x and all below it
         covers.sort()
         return covers
 
@@ -219,26 +315,54 @@ class Lattice:
 
     # -- Mobius numbers ----------------------------------------------------------
 
+    def _mobius_numbers(self) -> list[int]:
+        """mu(bottom, x) of every element, computed one edge-count level at a
+        time and cached.
+
+        A strict subgraph has strictly fewer edges, so each level of the
+        canonical order is a contiguous index range whose strict down-sets
+        lie wholly in the earlier levels (the bottom, alone in the first
+        level, has mu = 1). mu of a row is minus the sum of the known mu over
+        its down-set. The known values are split by sign and binary digit
+        into bit planes, and the sum is the signed, weighted popcount of the
+        packed row against each plane: exact at any magnitude.
+        """
+        if self._mobius is None:
+            n = len(self.elements)
+            edges = [g.edge_count for g in self.elements]
+            mu = [1]
+            planes = {(0, 0): 1}  # (sign, binary digit) -> bits of the elements with it
+            lo = 1
+            while lo < n:
+                hi = bisect_right(edges, edges[lo], lo)
+                keys = sorted(planes)
+                words = -(-lo // 64)
+                packed = _pack_ints([planes[key] for key in keys], words)
+                weights = np.array(
+                    [(1 - 2 * sign) << digit for sign, digit in keys], dtype=object
+                )
+                below = (1 << lo) - 1  # the strict down-set of a row of this level
+                step = max(1, _BLOCK_WORDS // words)
+                for start in range(lo, hi, step):
+                    end = min(hi, start + step)
+                    rows = _pack_ints([self._down[k] & below for k in range(start, end)], words)
+                    hits = [np.bitwise_count(rows & plane).sum(axis=1) for plane in packed]
+                    mu.extend((-(np.stack(hits, axis=1).astype(object) @ weights)).tolist())
+                for k in range(lo, hi):
+                    sign, size = int(mu[k] < 0), abs(mu[k])
+                    for digit in range(size.bit_length()):
+                        if size >> digit & 1:
+                            planes[sign, digit] = planes.get((sign, digit), 0) | 1 << k
+                lo = hi
+            self._mobius = mu
+        return self._mobius
+
     def mobius(self, x: Graph) -> int:
-        """Mobius number mu(bottom, x), memoized over the down-set of x."""
-        ix = self.index_of(x)
-        memo = self._mobius
-        if ix not in memo:
-            for k in _iter_bits(self._down[ix]):  # ascending = linear extension
-                if k in memo:
-                    continue
-                if k == self._bottom:
-                    memo[k] = 1
-                    continue
-                total = 0
-                for z in _iter_bits(self._down[k] & ~(1 << k)):
-                    total += memo[z]
-                memo[k] = -total
-        return memo[ix]
+        """Mobius number mu(bottom, x)."""
+        return self._mobius_numbers()[self.index_of(x)]
 
     def mobius_table(self) -> dict[Graph, int]:
-        self.mobius(self.top)
-        return {g: self._mobius[k] for k, g in enumerate(self.elements)}
+        return dict(zip(self.elements, self._mobius_numbers()))
 
     # -- ranks, gradedness, Eulerian property ------------------------------------
 
@@ -285,8 +409,20 @@ class Lattice:
 
     def eulerian_check(self) -> EulerianCheck:
         """Equal counts of even- and odd-ranked elements in every interval
-        [x, y] with x < y. Requires gradedness; a non-graded poset fails with
-        the offending cover as witness."""
+        [x, y] with x < y; the witness is the first failing pair in index
+        order. Requires gradedness; a non-graded poset fails with the
+        offending cover as witness.
+
+        Intervals of even length decide the answer. A cover is balanced, and
+        if every proper subinterval of an interval [x, y] of odd length l is
+        balanced, then mu(u, v) = (-1)^(rank v - rank u) on all of them, and
+        the two Mobius recursions give mu(x, y) = (-1)^l - A and
+        mu(x, y) = (-1)^l - (-1)^l A, A being the alternating count of
+        [x, y]; so A = 0. By induction on length, all intervals are balanced
+        once the even ones are. An odd interval may still fail before the
+        first failing even one in index order, so after a failure the pairs
+        of every row up to it are checked again, all lengths included.
+        """
         ranks, violation = self._rank_data()
         if violation is not None:
             return EulerianCheck(
@@ -294,20 +430,38 @@ class Lattice:
                 "not graded",
                 (self.elements[violation[0]], self.elements[violation[1]]),
             )
-        even = 0
-        for k, r in enumerate(ranks):
-            if r % 2 == 0:
-                even |= 1 << k
-        odd = ~even & ((1 << len(self.elements)) - 1)
-        for i in range(len(self.elements)):
-            ui = self._up[i]
-            for j in _iter_bits(ui & ~(1 << i)):
-                interval = ui & self._down[j]
-                if (interval & even).bit_count() != (interval & odd).bit_count():
-                    return EulerianCheck(
-                        False, "interval", (self.elements[i], self.elements[j])
-                    )
-        return EulerianCheck(True, None, None)
+        pair = self._scan_intervals(ranks, len(self.elements), even_only=True)
+        if pair is None:
+            return EulerianCheck(True, None, None)
+        i, j = self._scan_intervals(ranks, pair[0] + 1, even_only=False)
+        return EulerianCheck(False, "interval", (self.elements[i], self.elements[j]))
+
+    def _scan_intervals(
+        self, ranks: list[int], rows: int, even_only: bool
+    ) -> Optional[tuple[int, int]]:
+        """The first unbalanced pair (i, j), i < j and i < rows, in index
+        order, checked over packed up-rows in chunks of about _BATCH_WORDS
+        words; with even_only, only pairs of equal rank parity."""
+        n = len(self.elements)
+        words = -(-n // 64)
+        down = _pack_ints(self._down, words)
+        even_bits = sum(1 << k for k, r in enumerate(ranks) if r % 2 == 0)
+        even = _pack_ints([even_bits], words)[0]
+        odd_rank = np.array(ranks) % 2 == 1
+        chunk = max(64, _BATCH_WORDS // words // 64 * 64)
+        for lo in range(0, rows, chunk):
+            k = np.arange(lo, min(rows, lo + chunk))
+            up = _pack_ints(self._up[lo : lo + len(k)], words)
+            if even_only:  # same parity as the row
+                later = up & np.where(odd_rank[k, None], ~even, even)
+            else:
+                later = up.copy()
+            later[k - lo, k // 64] &= ~(np.uint64(1) << (k % 64).astype(np.uint64))
+            i, j = _set_bits(later)
+            first = _first_unbalanced(up, lo, down, even, i + lo, j)
+            if first is not None:
+                return first
+        return None
 
     def is_eulerian(self) -> bool:
         return self.eulerian_check().eulerian
@@ -374,18 +528,38 @@ class Lattice:
 
     def to_json_dict(self) -> dict:
         ranks, violation = self._rank_data()
-        table = self.mobius_table()
         return {
             "ground": {"mode": self.ground.mode, "size": self.ground.size},
             "elements": [g.edge_pairs() for g in self.elements],
             "covers": [[a, b] for (a, b) in self._covers],
-            "mobius": [table[g] for g in self.elements],
+            "mobius": list(self.mobius_table().values()),
             "ranks": ranks,
             "graded": violation is None,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The bytes of json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) plus a newline, written directly rather than by the
+        pure-Python encoder that indent selects."""
+        ranks, violation = self._rank_data()
+        pairs = [
+            f"\n      [\n        {u},\n        {v}\n      ]"
+            for (u, v) in self.ground.edge_pairs()
+        ]
+        elements = [
+            f"[{','.join(pairs[k] for k in _iter_bits(g.edges))}\n    ]" if g.edges else "[]"
+            for g in self.elements
+        ]
+        covers = [f"[\n      {a},\n      {b}\n    ]" for (a, b) in self._covers]
+        mobius = [str(m) for m in self.mobius_table().values()]
+        return (
+            f'{{\n  "covers": {_json_array(covers)},\n  "elements": {_json_array(elements)},'
+            f'\n  "graded": {"true" if violation is None else "false"},'
+            f'\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
+            f'\n    "size": {self.ground.size}\n  }},'
+            f'\n  "mobius": {_json_array(mobius)},'
+            f'\n  "ranks": {_json_array([str(r) for r in ranks])}\n}}\n'
+        )
 
 
 def build_lattice(C: CoveredSet) -> Lattice:
@@ -393,4 +567,3 @@ def build_lattice(C: CoveredSet) -> Lattice:
     if len(C) == 0:
         raise InputError("cannot build a lattice from an empty covered set")
     return Lattice([C.ground.empty_graph(), *C.graphs])
-

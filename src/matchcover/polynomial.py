@@ -157,8 +157,14 @@ class MultilinearPolynomial:
         )
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "MultilinearPolynomial":
-        ground = GroundGraph(*_json_ground(data))
+    def from_json_dict(cls, data: dict, ground: GroundGraph) -> "MultilinearPolynomial":
+        """The polynomial of decoded JSON on the expected ground. The header
+        must name that ground; it is compared before anything is built."""
+        mode, size = _json_ground(data)
+        if (mode, size) != (ground.mode, ground.size):
+            raise InputError(
+                f"polynomial ground {mode} {size} does not match {ground.header()}"
+            )
         try:
             terms: dict[int, int] = {}
             for item in data["terms"]:
@@ -178,8 +184,8 @@ class MultilinearPolynomial:
         return cls(ground, terms)
 
     @classmethod
-    def from_json(cls, text: str) -> "MultilinearPolynomial":
-        return cls.from_json_dict(_json_data(text))
+    def from_json(cls, text: str, ground: GroundGraph) -> "MultilinearPolynomial":
+        return cls.from_json_dict(_json_data(text), ground)
 
     def __repr__(self) -> str:
         return f"MultilinearPolynomial({self.ground.header()!r}, {len(self.terms)} terms)"
@@ -216,13 +222,9 @@ def membership_polynomial_general(F: Family) -> MultilinearPolynomial:
     """Membership polynomial of an arbitrary family via lattice
     inclusion-exclusion: each covered graph contributes minus its Mobius
     number."""
-    cov = covered_closure(F)
-    lat = build_lattice(cov)
-    terms: dict[int, int] = {}
-    for g in cov:
-        coeff = -lat.mobius(g)
-        if coeff:
-            terms[g.edges] = coeff
+    lat = build_lattice(covered_closure(F))
+    table = lat.mobius_table()
+    terms = {g.edges: -mu for g, mu in table.items() if mu and g != lat.bottom}
     return MultilinearPolynomial(F.ground, terms)
 
 

@@ -5,8 +5,9 @@ permutation and pairing scans instead of the backtracking matcher and the
 assignment solver, breadth-first search instead of union-find, powerset
 unions instead of the closure, and writers that scan every edge bit instead
 of the set bits. The lattice checks are the
-generic O(N^2) pair scans that the library's certificate and blocked masks
-replace.
+generic O(N^2) pair scans and the per-element loops that the library's
+certificate, blocked masks, level-wise Mobius numbers and blocked Eulerian
+check replace.
 """
 
 from fractions import Fraction
@@ -269,3 +270,38 @@ def eulerian_mobius_check(lat):
             if mobius_pair(lat, i, j) != (-1) ** (ranks[j] - ranks[i]):
                 return False
     return True
+
+
+def memo_mobius(lat):
+    """mu(bottom, x) for every element index, by the memoised sum over each
+    strict down-set in the linear extension."""
+    memo = {}
+    for k in range(len(lat.elements)):
+        if k == lat._bottom:
+            memo[k] = 1
+            continue
+        total = 0
+        for z in _iter_bits(lat._down[k] & ~(1 << k)):
+            total += memo[z]
+        memo[k] = -total
+    return [memo[k] for k in range(len(lat.elements))]
+
+
+def pairwise_eulerian_check(lat):
+    """(eulerian, reason, witness index pair) by counting the even- and
+    odd-ranked elements of every interval [i, j], i < j, in (i, j) order."""
+    ranks, violation = lat._rank_data()
+    if violation is not None:
+        return False, "not graded", violation
+    even = 0
+    for k, r in enumerate(ranks):
+        if r % 2 == 0:
+            even |= 1 << k
+    odd = ~even & ((1 << len(lat.elements)) - 1)
+    for i in range(len(lat.elements)):
+        ui = lat._up[i]
+        for j in _iter_bits(ui & ~(1 << i)):
+            interval = ui & lat._down[j]
+            if (interval & even).bit_count() != (interval & odd).bit_count():
+                return False, "interval", (i, j)
+    return True, None, None

@@ -127,7 +127,7 @@ def test_criterion_5_parity():
 
 def test_criterion_6_mobius_and_rank_facts():
     with criterion(6, "mobius sign and rank vs cyclomatic number", 30.0):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             fam = enumerate_perfect_matchings(bipartite_ground(n).full_graph())
             lat = build_lattice(covered_closure(fam))
             labels = lat.rank_labels()
@@ -143,7 +143,7 @@ def test_criterion_6_mobius_and_rank_facts():
 
 def test_criterion_7_bipartite_lattice_structure():
     with criterion(7, "bipartite lattices: lattice, graded, Eulerian", 60.0):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             fam = enumerate_perfect_matchings(bipartite_ground(n).full_graph())
             lat = build_lattice(covered_closure(fam))
             assert lat.is_lattice()

@@ -149,7 +149,7 @@ def test_family_validation():
 def test_text_format_round_trip():
     g = complete_ground(6)
     graph = g.graph_from_edges([(1, 2), (3, 4), (5, 6)])
-    assert parse_graph(format_graph(graph)) == graph
+    assert parse_graph(format_graph(graph), g) == graph
 
     text = """
     # a comment line
@@ -158,23 +158,26 @@ def test_text_format_round_trip():
     1 1   # trailing comment
     2 2
     """
-    parsed = parse_graph(text)
+    parsed = parse_graph(text, bipartite_ground(2))
     assert parsed == bipartite_ground(2).graph_from_edges([(1, 1), (2, 2)])
     assert edge_list_str(parsed) == "1,1 2,2"
     assert edge_list_str(bipartite_ground(2).empty_graph()) == "{}"
 
 
 def test_parse_graph_errors():
+    g2 = bipartite_ground(2)
     with pytest.raises(InputError):
-        parse_graph("")
+        parse_graph("", g2)
     with pytest.raises(InputError):
-        parse_graph("bipartite 2\n1\n")
+        parse_graph("bipartite 2\n1\n", g2)
     with pytest.raises(InputError):
-        parse_graph("bipartite 2\n1 3\n")
+        parse_graph("bipartite 2\n1 3\n", g2)
     with pytest.raises(InputError):
-        parse_graph("bipartite 2\na b\n")
+        parse_graph("bipartite 2\na b\n", g2)
     with pytest.raises(InputError):
         parse_graph("bipartite 2\n1 1\n", ground=bipartite_ground(3))
+    with pytest.raises(TypeError):
+        parse_graph("bipartite 2\n1 1\n")  # the expected ground is required
 
 
 def test_mask_key_orders_like_canonical_key():

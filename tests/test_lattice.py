@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 
@@ -17,15 +19,23 @@ from matchcover import (
     cyclomatic_number,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
+    min_weight_pm_polynomial,
+    pm_polynomial,
 )
 from matchcover import lattice as lattice_module
 from oracles import (
     eulerian_mobius_check,
+    memo_mobius,
+    pairwise_eulerian_check,
     pairwise_is_lattice,
     pairwise_order_masks,
     pattern_weights,
     random_int_weights,
 )
+
+# 0/1 weightings of K_{4,4}, row-major, whose minimum-weight lattices the
+# tests share
+WEIGHTED_N4_PATTERNS = ("0000000001000001", "1000000000001000", "0110100101101001")
 
 
 def pm_lattice(n):
@@ -36,6 +46,17 @@ def pm_lattice(n):
 def k6_lattice():
     fam = enumerate_perfect_matchings(complete_ground(6).full_graph())
     return build_lattice(covered_closure(fam))
+
+
+def k6_witness():
+    return complete_ground(6).graph_from_edges(
+        [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 6)]
+    )
+
+
+def weighted_n4_lattice(pattern):
+    w = pattern_weights(bipartite_ground(4), pattern)
+    return build_lattice(covered_closure(enumerate_min_weight_pms(w)))
 
 
 def test_diamond_structure():
@@ -118,10 +139,7 @@ def blocks_lattice(n, rows):
 
 def test_is_lattice_matches_pairwise_check():
     lattices = [pm_lattice(n) for n in (1, 2, 3)] + [k6_lattice()]
-    g4 = bipartite_ground(4)
-    for pattern in ("0000000001000001", "1000000000001000", "0110100101101001"):
-        w = pattern_weights(g4, pattern)
-        lattices.append(build_lattice(covered_closure(enumerate_min_weight_pms(w))))
+    lattices += [weighted_n4_lattice(p) for p in WEIGHTED_N4_PATTERNS]
     lattices.append(shift_lattice(8, range(3)))
     for lat in lattices:
         assert lat.is_lattice() is pairwise_is_lattice(lat) is True
@@ -158,14 +176,16 @@ def test_order_masks_match_pairwise_scan(monkeypatch):
     assert [len(lat) for lat in cases] == [8, 8, 28]
     for lat in cases:
         assert (lat._down, lat._up) == pairwise_order_masks(lat)
-    # blocks of a few rows each
+    # the n = 3 lattice, with the Mobius rows packed a few at a time
     monkeypatch.setattr(lattice_module, "_BLOCK_WORDS", 100)
     lat = pm_lattice(3)
     assert (lat._down, lat._up) == pairwise_order_masks(lat)
+    assert lat._mobius_numbers() == memo_mobius(lat)
 
 
 def test_order_masks_of_the_n4_lattice():
-    # 7,444 elements take about 210 blocks; scan every 41st row pairwise
+    # 7,444 elements, more than one block of packed rows; scan every 41st
+    # row pairwise
     lat = pm_lattice(4)
     assert len(lat) ** 2 > lattice_module._BLOCK_WORDS
     masks = [g.edges for g in lat.elements]
@@ -363,8 +383,6 @@ def test_dot_export():
 
 
 def test_json_export():
-    import json
-
     lat = pm_lattice(2)
     data = json.loads(lat.to_json())
     assert data["ground"] == {"mode": "bipartite", "size": 2}
@@ -373,3 +391,116 @@ def test_json_export():
     assert data["mobius"] == [1, -1, -1, 1]
     assert data["ranks"] == [0, 1, 1, 2]
     assert sorted(data["covers"]) == [[0, 1], [0, 2], [1, 3], [2, 3]]
+
+
+def subset_poset(ground, masks):
+    return Lattice([Graph(ground, m) for m in masks])
+
+
+def fin_sphere(m):
+    """Faces (as vertex sets, one edge bit per vertex) of the bipyramid over
+    an m-gon with one more triangle, the fin, on an equator edge, plus a
+    bottom and a top. It is graded and every interval from the bottom is
+    balanced, but upper intervals at the fin are not. The first failing
+    pair, (m + 3, top), runs from the fin vertex and has odd length; the
+    failing pairs of even length, from the fin's edges, come after it."""
+    north, south, fin = m, m + 1, m + 2
+    triangles = [(k, (k + 1) % m, apex) for k in range(m) for apex in (north, south)]
+    triangles.append((0, 1, fin))
+    masks = {0, (1 << (m + 3)) - 1}
+    for t in triangles:
+        for r in (1, 2, 3):
+            masks.update(sum(1 << v for v in face) for face in itertools.combinations(t, r))
+    return subset_poset(bipartite_ground(9), masks)
+
+
+def order_test_posets():
+    """Lattices and posets of every kind the tests build: covered-set
+    lattices, an interval, weighted n = 4 shapes, hand-built posets, a
+    non-graded one and a graded non-Eulerian one."""
+    g2 = bipartite_ground(2)
+    k6 = k6_lattice()
+    posets = [pm_lattice(n) for n in (1, 2, 3)]
+    posets += [k6, k6.interval(k6.bottom, k6_witness())]
+    posets += [weighted_n4_lattice(p) for p in WEIGHTED_N4_PATTERNS]
+    posets.append(subset_poset(g2, [0, 0b0001, 0b0010, 0b0111, 0b1011, 0b1111]))
+    posets.append(subset_poset(g2, [0, 0b001, 0b010, 0b111]))
+    posets.append(subset_poset(g2, [0, 0b0001, 0b0011, 0b1111]))  # a chain: graded
+    posets.append(subset_poset(g2, [0, 0b0001, 0b0011, 0b0100, 0b1111]))  # not graded
+    posets.append(subset_poset(g2, [0]))
+    posets.append(fin_sphere(62))
+    rng = random.Random(73)
+    for ground in (bipartite_ground(2), bipartite_ground(3)):
+        full = ground.full_graph().edges
+        for _ in range(60):
+            masks = {0, full} | {
+                rng.getrandbits(ground.edge_count) for _ in range(rng.randint(1, 12))
+            }
+            posets.append(subset_poset(ground, masks))
+    return posets
+
+
+def eulerian_indices(lat):
+    check = lat.eulerian_check()
+    witness = check.witness and tuple(lat.index_of(g) for g in check.witness)
+    return check.eulerian, check.reason, witness
+
+
+def test_mobius_and_eulerian_match_the_oracles(monkeypatch):
+    seen = set()
+    for lat in order_test_posets():
+        assert lat._mobius_numbers() == memo_mobius(lat)
+        assert [lat.mobius(g) for g in lat.elements] == memo_mobius(lat)
+        assert eulerian_indices(lat) == pairwise_eulerian_check(lat)
+        seen.add(lat.eulerian_check().reason)
+    assert seen == {None, "not graded", "interval"}
+    # batches of one or two pairs, chunks of one row block each
+    monkeypatch.setattr(lattice_module, "_BATCH_WORDS", 8)
+    for lat in (fin_sphere(62), pm_lattice(3), weighted_n4_lattice(WEIGHTED_N4_PATTERNS[0])):
+        assert eulerian_indices(lat) == pairwise_eulerian_check(lat)
+    assert eulerian_indices(fin_sphere(62))[1:] == ("interval", (65, 379))
+
+
+def test_mobius_is_exact_past_int64():
+    # 66 levels of 3 incomparable elements on K_{15,15}: element (r, i) holds
+    # every edge of the levels below r plus edge i of level r. Then
+    # |mu| = 2^(r - 1) on level r, past 2^63 at the top levels.
+    ground = bipartite_ground(15)
+    masks = [0]
+    for r in range(66):
+        below = (1 << 3 * r) - 1
+        masks += [below | 1 << (3 * r + i) for i in range(3)]
+    masks.append((1 << 198) - 1)
+    lat = subset_poset(ground, masks)
+    mu = lat._mobius_numbers()
+    for r in range(1, 67):
+        assert mu[3 * r - 2 : 3 * r + 1] == [(-1) ** r * 2 ** (r - 1)] * 3
+    assert mu[-1] == -(2**66)
+    assert abs(mu[-2]) > 2**63
+    assert mu == memo_mobius(lat)
+
+
+def test_mobius_is_minus_the_coefficient():
+    # Rota's crosscut theorem with the matchings as crosscut: the coefficient
+    # of a covered graph x is -mu(bottom, x). The polynomials come from the
+    # dense Mobius transform of the membership table, not from the lattice.
+    cases = [(pm_lattice(n), pm_polynomial(n)) for n in (1, 2, 3, 4)]
+    for pattern in WEIGHTED_N4_PATTERNS:
+        w = pattern_weights(bipartite_ground(4), pattern)
+        cases.append((weighted_n4_lattice(pattern), min_weight_pm_polynomial(w)))
+    for lat, poly in cases:
+        table = lat.mobius_table()
+        assert len(poly) == len(lat) - 1
+        for g in lat.elements:
+            if g != lat.bottom:
+                assert table[g] == -poly.coefficient(g)
+
+
+def test_json_writer_matches_json_dumps():
+    lattices = [pm_lattice(n) for n in (1, 2, 3)] + [k6_lattice()]
+    lattices.append(weighted_n4_lattice(WEIGHTED_N4_PATTERNS[2]))
+    lattices.append(subset_poset(bipartite_ground(2), [0]))  # no covers at all
+    for lat in lattices:
+        want = json.dumps(lat.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert lat.to_json() == want
+    assert json.loads(lattices[-1].to_json())["covers"] == []

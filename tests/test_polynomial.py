@@ -214,21 +214,25 @@ def test_text_format():
 
 def test_json_round_trip():
     poly = pm_polynomial(3)
-    again = MultilinearPolynomial.from_json(poly.to_json())
+    g3 = bipartite_ground(3)
+    again = MultilinearPolynomial.from_json(poly.to_json(), g3)
     assert again == poly
     data = poly.to_json_dict()
     assert data["ground"] == {"mode": "bipartite", "size": 3}
     assert data["terms"][0]["coeff"] in (1, -1)
 
     with pytest.raises(InputError):
-        MultilinearPolynomial.from_json("{not json")
+        MultilinearPolynomial.from_json("{not json", g3)
     with pytest.raises(InputError):
-        MultilinearPolynomial.from_json('{"ground": {"mode": "bipartite"}}')
+        MultilinearPolynomial.from_json('{"ground": {"mode": "bipartite"}}', g3)
     with pytest.raises(InputError):
         MultilinearPolynomial.from_json(
             '{"ground": {"mode": "bipartite", "size": 1},'
-            ' "terms": [{"coeff": 1.5, "edges": []}]}'
+            ' "terms": [{"coeff": 1.5, "edges": []}]}',
+            bipartite_ground(1),
         )
+    with pytest.raises(InputError, match="bipartite 3 does not match bipartite 2"):
+        MultilinearPolynomial.from_json(poly.to_json(), bipartite_ground(2))
 
 
 def test_has_perfect_matching_agrees_with_polynomial_membership():

@@ -1,12 +1,15 @@
 """Hypothesis properties: the parsers return a result or raise InputError on
-any input, and Euler's relation holds for every weighting.
+any input, refuse a header naming a huge ground without allocating for it,
+and Euler's relation holds for every weighting.
 
 Parser inputs are well-formed files on grounds of size at most 6 with a few
-parts garbled, so that most draws get past the first checks and reach the
-later ones; a share of them is unstructured text.
+parts garbled, mostly parsed against the ground their header names, so that
+most draws get past the first checks and reach the later ones; a share of
+them is unstructured text.
 """
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -86,25 +89,30 @@ def edge_lists(ground, most):
     return st.lists(st.sampled_from(pairs), max_size=most) if pairs else st.just([])
 
 
-@st.composite
-def graph_texts(draw):
-    mode = draw(st.sampled_from(["bipartite", "complete"]))
-    size = draw(st.integers(1, 6))
-    ground = bipartite_ground(size) if mode == "bipartite" else complete_ground(size)
-    pairs = draw(edge_lists(ground, 8))
-    return draw(garbled_lines(f"{mode} {size}", [(str(u), str(v)) for u, v in pairs]))
-
-
 GROUNDS = st.one_of(
-    st.none(),
     st.integers(1, 6).map(bipartite_ground),
     st.integers(1, 6).map(complete_ground),
 )
 
 
+@st.composite
+def expected_ground(draw, ground):
+    """The ground a file names in three draws of four, another one else."""
+    return draw(st.one_of(st.just(ground), st.just(ground), st.just(ground), GROUNDS))
+
+
+@st.composite
+def graph_inputs(draw):
+    ground = draw(GROUNDS)
+    pairs = draw(edge_lists(ground, 8))
+    text = draw(garbled_lines(ground.header(), [(str(u), str(v)) for u, v in pairs]))
+    return text, draw(expected_ground(ground))
+
+
 @PARSER_EXAMPLES
-@given(text=st.one_of(graph_texts(), texts(60)), ground=GROUNDS)
-def test_parse_graph_returns_or_refuses(text, ground):
+@given(args=st.one_of(graph_inputs(), st.tuples(texts(60), GROUNDS)))
+def test_parse_graph_returns_or_refuses(args):
+    text, ground = args
     returns_or_refuses(lambda: parse_graph(text, ground), Graph)
 
 
@@ -132,33 +140,61 @@ def _slots(node):
 
 
 @st.composite
-def polynomial_texts(draw):
-    mode = draw(st.sampled_from(["bipartite", "complete"]))
-    size = draw(st.integers(1, 6))
-    ground = bipartite_ground(size) if mode == "bipartite" else complete_ground(size)
+def polynomial_inputs(draw):
+    ground = draw(GROUNDS)
     terms = [
         {"coeff": draw(st.integers(-2, 2)),
          "edges": [list(p) for p in draw(edge_lists(ground, 4))]}
         for _ in range(draw(st.integers(0, 4)))
     ]
-    data = {"ground": {"mode": mode, "size": size}, "terms": terms}
+    data = {"ground": {"mode": ground.mode, "size": ground.size}, "terms": terms}
     for _ in range(draw(st.integers(0, 2))):
         slots = list(_slots(data))
         node, key = slots[draw(st.integers(0, len(slots) - 1))]
         node[key] = draw(JSON_VALUES)
-    return json.dumps(data)
+    return json.dumps(data), draw(expected_ground(ground))
 
 
 @PARSER_EXAMPLES
-@given(text=st.one_of(
-    polynomial_texts(),
-    st.integers(4301, 4400).map(lambda k: '{"ground": {"mode": "bipartite", "size": 1},'
-                                          ' "terms": [{"coeff": ' + "1" * k
-                                          + ', "edges": [[1, 1]]}]}'),
-    texts(40),
+@given(args=st.one_of(
+    polynomial_inputs(),
+    st.tuples(
+        st.integers(4301, 4400).map(lambda k: '{"ground": {"mode": "bipartite", "size": 1},'
+                                              ' "terms": [{"coeff": ' + "1" * k
+                                              + ', "edges": [[1, 1]]}]}'),
+        st.just(bipartite_ground(1)),
+    ),
+    st.tuples(texts(40), GROUNDS),
 ))
-def test_polynomial_from_json_returns_or_refuses(text):
-    returns_or_refuses(lambda: MultilinearPolynomial.from_json(text), MultilinearPolynomial)
+def test_polynomial_from_json_returns_or_refuses(args):
+    text, ground = args
+    returns_or_refuses(
+        lambda: MultilinearPolynomial.from_json(text, ground), MultilinearPolynomial
+    )
+
+
+@settings(max_examples=60)
+@given(
+    mode=st.sampled_from(["bipartite", "complete"]),
+    size=st.integers(600, 10**12),
+    ground=GROUNDS,
+)
+def test_huge_headers_are_refused_before_allocating(mode, size, ground):
+    # building K_{600,600} alone takes about 142 MB; a refusal builds nothing
+    graph = f"{mode} {size}\n1 2\n"
+    poly = json.dumps({"ground": {"mode": mode, "size": size}, "terms": []})
+    for call in (
+        lambda: parse_graph(graph, ground),
+        lambda: MultilinearPolynomial.from_json(poly, ground),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @given(data=st.data())
