@@ -9,7 +9,6 @@ coefficients rest on, including the complete-graph K_6 counterexamples.
 
 from .errors import (
     CapExceededError,
-    InfeasibleError,
     InputError,
     StructureViolationError,
 )
@@ -20,27 +19,19 @@ from .graphs import (
     Graph,
     GroundGraph,
     bipartite_ground,
-    canonical_key,
     complete_ground,
     component_count,
     cyclomatic_number,
     edge_list_str,
-    format_graph,
-    is_subgraph,
     parse_graph,
-    parse_ground,
-    union_graphs,
 )
 from .matching import (
     WeightFunction,
     contains_min_weight_pm,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
-    format_weight_function,
     has_perfect_matching,
     hungarian,
-    min_weight,
-    min_weight_forced,
     parse_rational,
     parse_weight_function,
     pm_support,
@@ -50,8 +41,6 @@ from .covered import (
     CoveredSet,
     coefficient_query,
     covered_closure,
-    format_covered_set,
-    is_covered,
 )
 from .lattice import (
     EulerianCheck,

@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .errors import CapExceededError, InfeasibleError, InputError
+from .errors import CapExceededError, InputError
 from .covered import coefficient_query, covered_closure
 from .graphs import (
     BIPARTITE,
@@ -224,6 +224,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    report = [f for f in ("graph", "mobius", "interval", "find_pentagon") if getattr(args, f)]
+    if report and args.format != "text":
+        names = ", ".join("--" + f.replace("_", "-") for f in report)
+        raise InputError(f"--format {args.format} takes no report options, got {names}")
+    if args.mobius and not args.graph:
+        raise InputError("--mobius needs --graph to name the element")
     if args.mode == "complete":
         if args.n % 2:
             raise InputError("complete mode needs an even vertex count")
@@ -389,7 +395,7 @@ def main(argv=None) -> int:
         if args.n < 1:  # every subcommand takes --n
             raise InputError(f"--n must be >= 1, got {args.n}")
         return args.func(args)
-    except (InputError, CapExceededError, InfeasibleError, OSError) as exc:
+    except (InputError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 must keep meaning "verification failed"

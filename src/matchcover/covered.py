@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     GroundGraph,
     cyclomatic_number,
-    edge_list_str,
     mask_key,
 )
 from .matching import WeightFunction, pm_support
@@ -46,9 +45,6 @@ class CoveredSet:
 
     def __contains__(self, g: Graph) -> bool:
         return g.ground == self.ground and g.edges in self._masks
-
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self._masks
 
     def __repr__(self) -> str:
         return f"CoveredSet({self.ground.header()!r}, {len(self.graphs)} graphs)"
@@ -112,24 +108,6 @@ def _bfs_closure_masks(members: list[int]) -> set[int]:
     return seen
 
 
-def is_covered(G: Graph, F: Family) -> bool:
-    """True iff G equals the union of the family members it contains.
-
-    Equivalent to the existential definition (some subfamily unions to G)
-    because adding further contained members never shrinks the union.
-    """
-    _check_family(F)
-    if G.ground != F.ground:
-        raise InputError("graph and family grounds differ")
-    acc = 0
-    found = False
-    for m in F:
-        if m.edges & ~G.edges == 0:
-            acc |= m.edges
-            found = True
-    return found and acc == G.edges
-
-
 def coefficient_query(G: Graph, w: WeightFunction | None = None) -> int:
     """Coefficient of G's monomial in the membership polynomial, in {-1, 0, +1}.
 
@@ -153,9 +131,3 @@ def coefficient_query(G: Graph, w: WeightFunction | None = None) -> int:
         return 0
     return -1 if cyclomatic_number(G) % 2 else 1
 
-
-def format_covered_set(C: CoveredSet) -> str:
-    """Header with ground and count, then one line of 'u,v' pairs per graph."""
-    lines = [f"{C.ground.header()} {len(C)}"]
-    lines.extend(edge_list_str(g) for g in C.graphs)
-    return "\n".join(lines) + "\n"

@@ -5,12 +5,9 @@ class InputError(ValueError):
     """Malformed or out-of-range input: bad vertex, ground mismatch, bad file."""
 
 
-class InfeasibleError(Exception):
-    """The requested matching does not exist."""
-
-
 class StructureViolationError(Exception):
-    """A pair of lattice elements has no unique meet or join.
+    """A set of graphs has no unique minimum or maximum under inclusion, so
+    it cannot be ordered as a lattice.
 
     This is never masked: if it fires on a covered-set lattice it falsifies
     the structural assumption the coefficients rely on, so callers must see it.

@@ -139,9 +139,6 @@ class Graph:
         pairs = self.ground.edge_pairs()
         return [pairs[k] for k in self.edge_ids()]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edges >> self.ground.edge_index(u, v) & 1 == 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -164,52 +161,14 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def canonical_key(G: Graph) -> tuple[int, tuple[int, ...]]:
-    """Sort key used everywhere: ascending edge count, then edge ids."""
-    ids = tuple(G.edge_ids())
-    return (len(ids), ids)
-
-
 def mask_key(mask: int, width: int) -> tuple[int, int]:
-    """Sort key on raw edge masks of a width-edge ground that orders them as
-    canonical_key orders their graphs.
+    """Sort key on raw edge masks of a width-edge ground for the canonical
+    order used everywhere: ascending edge count, then the sorted edge ids.
 
     Among masks of one edge count, the one holding the smallest edge id of
     their difference comes first, so it has the larger bit-reversed mask.
     """
     return (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2))
-
-
-def same_ground(*graphs: Graph) -> GroundGraph:
-    ground = graphs[0].ground
-    for g in graphs[1:]:
-        if g.ground != ground:
-            raise InputError(
-                f"ground mismatch: {g.ground.header()} vs {ground.header()}"
-            )
-    return ground
-
-
-def is_subgraph(H: Graph, G: Graph) -> bool:
-    """True iff H's edges are a subset of G's (same ground required)."""
-    same_ground(H, G)
-    return H.edges & ~G.edges == 0
-
-
-def union_graphs(graphs: Iterable[Graph], *, ground: GroundGraph | None = None) -> Graph:
-    """Edge union of the given graphs; the empty union is the empty graph."""
-    mask = 0
-    for g in graphs:
-        if ground is None:
-            ground = g.ground
-        elif g.ground != ground:
-            raise InputError(
-                f"ground mismatch: {g.ground.header()} vs {ground.header()}"
-            )
-        mask |= g.edges
-    if ground is None:
-        raise InputError("union of an empty list needs an explicit ground")
-    return Graph(ground, mask)
 
 
 def component_count(G: Graph) -> int:
@@ -303,10 +262,6 @@ def _parse_header(header: str) -> tuple[str, int]:
     return mode, n
 
 
-def parse_ground(header: str) -> GroundGraph:
-    return GroundGraph(*_parse_header(header))
-
-
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -337,12 +292,6 @@ def parse_graph(text: str, ground: GroundGraph) -> Graph:
             raise InputError(f"line {lineno}: non-integer vertex in {line!r}") from None
         mask |= 1 << ground.edge_index(u, v)
     return Graph(ground, mask)
-
-
-def format_graph(G: Graph) -> str:
-    lines = [G.ground.header()]
-    lines.extend(f"{u} {v}" for (u, v) in G.edge_pairs())
-    return "\n".join(lines) + "\n"
 
 
 def edge_list_str(G: Graph) -> str:

@@ -2,10 +2,11 @@
 
 Elements are held in a fixed linear extension (canonical graph order, bottom
 first). Per-element down-sets and up-sets are bitmasks over element indices,
-built as ANDs of one element bitmask per edge, which makes order queries,
-meets, joins and rank labels cheap integer work even for a few thousand
-elements. The three whole-lattice passes work on those masks packed into
-uint64 rows:
+built as ANDs of one element bitmask per edge, which makes covers, rank
+labels, intervals and the pentagon search cheap integer work even for a few
+thousand elements. The order itself is not exported: it is edge inclusion,
+which callers test on the graphs directly. The three whole-lattice passes
+work on those masks packed into uint64 rows:
 
 - Mobius numbers mu(bottom, x) are computed one edge-count level at a time,
   as popcounts of packed down-set rows against bit planes of the numbers
@@ -136,7 +137,7 @@ class Lattice:
 
     Construction requires a unique minimum and a unique maximum; whether every
     pair has a unique meet and join is a separate question answered honestly
-    by is_lattice / meet / join, never assumed.
+    by is_lattice, never assumed.
     """
 
     def __init__(self, elements: list[Graph]):
@@ -236,10 +237,6 @@ class Lattice:
     def top(self) -> Graph:
         return self.elements[self._top]
 
-    def leq(self, x: Graph, y: Graph) -> bool:
-        ix, iy = self.index_of(x), self.index_of(y)
-        return self._down[iy] >> ix & 1 == 1
-
     def covers(self) -> list[tuple[Graph, Graph]]:
         return [(self.elements[a], self.elements[b]) for (a, b) in self._covers]
 
@@ -254,22 +251,6 @@ class Lattice:
         common = self._up[ix] & self._up[iy]
         low = (common & -common).bit_length() - 1
         return low if self._up[low] == common else None
-
-    def meet(self, x: Graph, y: Graph) -> Graph:
-        k = self._meet_index(self.index_of(x), self.index_of(y))
-        if k is None:
-            raise StructureViolationError(
-                f"no unique meet of {edge_list_str(x)} and {edge_list_str(y)}"
-            )
-        return self.elements[k]
-
-    def join(self, x: Graph, y: Graph) -> Graph:
-        k = self._join_index(self.index_of(x), self.index_of(y))
-        if k is None:
-            raise StructureViolationError(
-                f"no unique join of {edge_list_str(x)} and {edge_list_str(y)}"
-            )
-        return self.elements[k]
 
     def is_lattice(self) -> bool:
         """Every pair has a unique meet and join.
@@ -392,10 +373,6 @@ class Lattice:
             {g: ranks[k] for k, g in enumerate(self.elements)}, witness
         )
 
-    @property
-    def is_graded(self) -> bool:
-        return self._rank_data()[1] is None
-
     def level_counts(self) -> tuple[int, ...]:
         """Number of elements per rank, bottom upward."""
         ranks, _ = self._rank_data()
@@ -403,9 +380,6 @@ class Lattice:
         for r in ranks:
             out[r] += 1
         return tuple(out)
-
-    def height(self) -> int:
-        return self._rank_data()[0][self._top]
 
     def eulerian_check(self) -> EulerianCheck:
         """Equal counts of even- and odd-ranked elements in every interval

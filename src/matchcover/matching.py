@@ -3,10 +3,14 @@
 One backtracking search enumerates the perfect matchings of either ground,
 and decides their existence on complete grounds at desk scale. Bipartite
 grounds get polynomial-time algorithms for everything else: augmenting paths
-for existence, an O(n^3) potential-based assignment solver over exact
-rationals for minima, and alternating-reachability for the set of edges that
-lie in some perfect matching. All weights are fractions.Fraction, so weight
-equality (and hence the set of minimum-weight matchings) is decided exactly.
+for existence, and alternating-reachability for the set of edges that lie in
+some perfect matching. Minimum weights rest on one dual certificate: an
+O(n^3) potential-based assignment solver over exact rationals solves the
+full K_{n,n} once, and a perfect matching is minimum-weight exactly when all
+its edges are tight for its potentials. So the minimum-weight matchings are
+the perfect matchings of the tight subgraph, and every minimum-weight
+question is a plain matching question there. All weights are
+fractions.Fraction, so weight equality is decided exactly.
 """
 
 from __future__ import annotations
@@ -16,16 +20,16 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator
 
-from .errors import InfeasibleError, InputError
+from .errors import InputError
 from .graphs import (
     BIPARTITE,
     Family,
     Graph,
     GroundGraph,
-    canonical_key,
     _content_lines,
     _iter_bits,
     _parse_header,
+    mask_key,
 )
 
 
@@ -116,8 +120,9 @@ def has_perfect_matching(G: Graph) -> bool:
 def enumerate_perfect_matchings(G: Graph) -> Family:
     """All perfect matchings of G, in canonical (edge-count, edge-id) order."""
     _require_even(G.ground)
-    graphs = sorted((Graph(G.ground, m) for m in _pm_masks(G)), key=canonical_key)
-    return Family(G.ground, graphs)
+    width = G.ground.edge_count
+    masks = sorted(_pm_masks(G), key=lambda m: mask_key(m, width))
+    return Family(G.ground, [Graph(G.ground, m) for m in masks])
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +201,7 @@ class WeightFunction:
             cost = [
                 [self.weights[i * n + j] for j in range(n)] for i in range(n)
             ]
-            solved = hungarian(cost)
-            assert solved is not None  # full K_{n,n} is always feasible
-            self._solution = solved
+            self._solution = hungarian(cost)
         return self._solution
 
     def optimum(self) -> Fraction:
@@ -264,25 +267,17 @@ def parse_weight_function(text: str) -> WeightFunction:
     return WeightFunction(ground, [weights[k] for k in range(ground.edge_count)])
 
 
-def format_weight_function(w: WeightFunction) -> str:
-    lines = [w.ground.header()]
-    for k, (i, j) in enumerate(w.ground.edge_pairs()):
-        lines.append(f"{i} {j} {w.weights[k]}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Exact assignment
 # ---------------------------------------------------------------------------
 
-def hungarian(cost: list[list]) -> tuple[Fraction, list[int], list, list] | None:
-    """Minimum-cost perfect assignment on an n x n matrix of exact values.
+def hungarian(cost: list[list]) -> tuple[Fraction, list[int], list, list]:
+    """Minimum-cost perfect assignment on a full n x n matrix of exact values.
 
-    Entries may be math.inf for forbidden pairs. Returns
-    (optimum, row_to_col, u, v) with u, v dual potentials satisfying
-    u[i] + v[j] <= cost[i][j] (equality on matched pairs), or None when no
-    finite assignment exists. Ties resolve toward the smallest column index,
-    so results are deterministic in edge-id order.
+    Returns (optimum, row_to_col, u, v) with u, v dual potentials satisfying
+    u[i] + v[j] <= cost[i][j], with equality on matched pairs. Ties resolve
+    toward the smallest column index, so results are deterministic in
+    edge-id order.
     """
     n = len(cost)
     u = [0] * (n + 1)
@@ -309,8 +304,6 @@ def hungarian(cost: list[list]) -> tuple[Fraction, list[int], list, list] | None
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
-            if delta == inf:
-                return None
             for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
@@ -327,66 +320,8 @@ def hungarian(cost: list[list]) -> tuple[Fraction, list[int], list, list] | None
     row_to_col = [0] * n
     for j in range(1, n + 1):
         row_to_col[p[j] - 1] = j - 1
-    total = Fraction(0)
-    for i in range(n):
-        c = cost[i][row_to_col[i]]
-        if c == inf:
-            return None
-        total += c
+    total = sum((cost[i][row_to_col[i]] for i in range(n)), Fraction(0))
     return total, row_to_col, u[1:], v[1:]
-
-
-def _cost_matrix(G: Graph, w: WeightFunction) -> list[list]:
-    n = G.ground.size
-    return [
-        [
-            w.weights[i * n + j] if G.edges >> (i * n + j) & 1 else inf
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def min_weight(G: Graph, w: WeightFunction) -> Fraction:
-    """Exact minimum of w over perfect matchings contained in G."""
-    _require_bipartite(G.ground, "min_weight")
-    if G.ground != w.ground:
-        raise InputError("graph and weight function grounds differ")
-    solved = hungarian(_cost_matrix(G, w))
-    if solved is None:
-        raise InfeasibleError("graph has no perfect matching")
-    return solved[0]
-
-
-def min_weight_forced(G: Graph, w: WeightFunction, edge_id: int) -> Fraction:
-    """Minimum of w over perfect matchings of G that use the given edge.
-
-    Solved on the reduced instance with the edge's endpoints removed, plus
-    the edge's own weight.
-    """
-    if G.ground != w.ground:
-        raise InputError("graph and weight function grounds differ")
-    n = G.ground.size
-    if not 0 <= edge_id < G.ground.edge_count:
-        raise InputError(f"edge id {edge_id} out of range")
-    if not G.edges >> edge_id & 1:
-        raise InputError(f"edge {G.ground.edge_endpoints(edge_id)} is not in the graph")
-    i0, j0 = divmod(edge_id, n)
-    if n == 1:
-        return w.weights[edge_id]
-    rows = [i for i in range(n) if i != i0]
-    cols = [j for j in range(n) if j != j0]
-    cost = [
-        [
-            w.weights[i * n + j] if G.edges >> (i * n + j) & 1 else inf
-            for j in cols
-        ]
-        for i in rows
-    ]
-    solved = hungarian(cost)
-    if solved is None:
-        raise InfeasibleError("no perfect matching uses that edge")
-    return solved[0] + w.weights[edge_id]
 
 
 # ---------------------------------------------------------------------------

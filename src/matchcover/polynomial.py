@@ -278,19 +278,17 @@ def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
 
 
 def truth_table_transform(
-    oracle: Callable[[Graph], int],
-    ground: GroundGraph,
-    max_bits: int = EDGE_CAP,
+    oracle: Callable[[Graph], int], ground: GroundGraph
 ) -> MultilinearPolynomial:
     """The unique multilinear polynomial agreeing with the oracle on all 0/1
     assignments, by the in-place subset Mobius transform over all 2^m points.
 
-    Exhaustive by construction; refuses grounds wider than max_bits.
+    Exhaustive by construction; refuses grounds wider than EDGE_CAP.
     """
     m = ground.edge_count
-    if m > max_bits:
+    if m > EDGE_CAP:
         raise CapExceededError(
-            f"{ground.header()} has {m} edge bits, transform cap is {max_bits}"
+            f"{ground.header()} has {m} edge bits, transform cap is {EDGE_CAP}"
         )
     size = 1 << m
     table = np.fromiter(

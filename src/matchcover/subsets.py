@@ -90,8 +90,8 @@ class SupportBits:
 
 
 def canonical_order(cmasks: np.ndarray, width: int) -> np.ndarray:
-    """Masks of width bits sorted as canonical_key sorts graphs: by bit
-    count, then by descending bit-reversed mask (see graphs.mask_key)."""
+    """Masks of width bits in canonical order, as graphs.mask_key sorts
+    them: by bit count, then by descending bit-reversed mask."""
     count = np.zeros_like(cmasks)
     reversed_ = np.zeros_like(cmasks)
     for b in range(width):

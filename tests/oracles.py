@@ -2,20 +2,28 @@
 
 Everything here is deliberately independent of the library's algorithms:
 permutation and pairing scans instead of the backtracking matcher and the
-assignment solver, breadth-first search instead of union-find, powerset
-unions instead of the closure, and writers that scan every edge bit instead
-of the set bits. The lattice checks are the
-generic O(N^2) pair scans and the per-element loops that the library's
-certificate, blocked masks, level-wise Mobius numbers and blocked Eulerian
-check replace.
+dual certificate (minimum weights, also with one edge forced, are None when
+no perfect matching qualifies), breadth-first search instead of union-find,
+powerset unions and the definitional coverage test instead of the closure,
+and writers and sort keys that scan every edge bit instead of the set bits.
+The lattice checks are order, meet and join read off edge-subset relations
+between elements, and the generic O(N^2) pair scans and per-element loops
+that the library's certificate, blocked masks, level-wise Mobius numbers and
+blocked Eulerian check replace.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from matchcover import Family, Graph, WeightFunction
+from matchcover import Family, Graph, InputError, WeightFunction
 from matchcover.graphs import _iter_bits
+
+
+def canonical_key(G):
+    """The reference canonical order: ascending edge count, then edge ids."""
+    ids = tuple(k for k in range(G.ground.edge_count) if G.edges >> k & 1)
+    return (len(ids), ids)
 
 
 def brute_min_weight(G, w):
@@ -111,6 +119,25 @@ def brute_covered_masks(F):
                 acc |= m
             out.add(acc)
     return out
+
+
+def is_covered(G, F):
+    """True iff G equals the union of the family members it contains.
+
+    Equivalent to the existential definition (some subfamily unions to G)
+    because adding further contained members never shrinks the union.
+    """
+    if len(F) == 0 or any(m.is_empty for m in F):
+        raise InputError("covering needs a nonempty family of nonempty graphs")
+    if G.ground != F.ground:
+        raise InputError("graph and family grounds differ")
+    acc = 0
+    found = False
+    for m in F:
+        if m.edges & ~G.edges == 0:
+            acc |= m.edges
+            found = True
+    return found and acc == G.edges
 
 
 def bfs_component_count(G):
@@ -215,6 +242,29 @@ def pattern_weights(ground, pattern):
     return WeightFunction(ground, [int(ch) for ch in pattern])
 
 
+def leq(lat, x, y):
+    """x <= y among the lattice's elements: the edges of x lie inside y's."""
+    if x not in lat or y not in lat:
+        raise InputError("both graphs must be lattice elements")
+    return x.edges & ~y.edges == 0
+
+
+def meet(lat, x, y):
+    """The greatest common lower bound of x and y, by scanning every element
+    for edge-subset relations; None if there is no unique one."""
+    lower = [z for z in lat.elements if leq(lat, z, x) and leq(lat, z, y)]
+    greatest = [z for z in lower if all(leq(lat, v, z) for v in lower)]
+    return greatest[0] if greatest else None
+
+
+def join(lat, x, y):
+    """The least common upper bound of x and y, by the same scan; None if
+    there is no unique one."""
+    upper = [z for z in lat.elements if leq(lat, x, z) and leq(lat, y, z)]
+    least = [z for z in upper if all(leq(lat, z, v) for v in upper)]
+    return least[0] if least else None
+
+
 def pairwise_is_lattice(lat):
     """Unique meet and join for every incomparable pair, by the O(N^2) scan
     over the lattice's down-set and up-set bitmasks."""
@@ -262,7 +312,7 @@ def mobius_pair(lat, ix, iy):
 
 def eulerian_mobius_check(lat):
     """mu(x, y) == (-1)^(rank difference) on every interval; desk scale only."""
-    if not lat.is_graded:
+    if not lat.rank_labels().graded:
         return False
     ranks = lat._rank_data()[0]
     for i in range(len(lat.elements)):

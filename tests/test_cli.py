@@ -251,6 +251,31 @@ def test_lattice_caps_and_validation(capsys):
     assert code == 2
 
 
+def test_lattice_report_flags_are_refused_where_ignored(monkeypatch, tmp_path, capsys):
+    import matchcover.cli as cli
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr(cli, "enumerate_perfect_matchings", no_enumeration)
+    missing = str(tmp_path / "missing.txt")  # never opened
+    runs = [
+        (["--n", "2", "-f", "json", "--graph", missing],
+         "error: --format json takes no report options, got --graph\n"),
+        (["--n", "2", "-f", "dot", "--mobius", "--graph", missing],
+         "error: --format dot takes no report options, got --graph, --mobius\n"),
+        (["--n", "2", "-f", "json", "--interval", missing, "--find-pentagon"],
+         "error: --format json takes no report options, got --interval, --find-pentagon\n"),
+        (["--mode", "complete", "--n", "6", "-f", "dot", "--find-pentagon"],
+         "error: --format dot takes no report options, got --find-pentagon\n"),
+        (["--n", "2", "--mobius"], "error: --mobius needs --graph to name the element\n"),
+        (["--mode", "complete", "--n", "6", "--mobius", "--find-pentagon"],
+         "error: --mobius needs --graph to name the element\n"),
+    ]
+    for argv, message in runs:
+        assert run(capsys, "lattice", *argv) == (2, "", message)
+
+
 def test_count_covered(capsys, tmp_path):
     code, out, _ = run(capsys, "count-covered", "--n", "2")
     assert code == 0

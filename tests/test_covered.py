@@ -1,33 +1,36 @@
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from matchcover import (
     Family,
     Graph,
-    InfeasibleError,
     InputError,
     WeightFunction,
     bipartite_ground,
-    canonical_key,
     coefficient_query,
     complete_ground,
+    component_count,
     covered_closure,
     cyclomatic_number,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
-    format_covered_set,
     has_perfect_matching,
-    is_covered,
-    is_subgraph,
-    min_weight,
-    min_weight_forced,
     support_union,
     truth_table_transform,
 )
 from matchcover.covered import _bfs_closure_masks, _dense_closure_masks
 from matchcover.subsets import DENSE_BIT_CAP, SupportBits
-from oracles import brute_covered_masks, random_int_weights
+from oracles import (
+    brute_covered_masks,
+    brute_min_weight,
+    brute_min_weight_forced,
+    canonical_key,
+    is_covered,
+    random_int_weights,
+)
 
 
 def canonical_key_of(ground):
@@ -66,7 +69,7 @@ def test_closure_is_union_closed():
     masks = [c.edges for c in cov]
     for a in masks[:10]:
         for b in masks[::5]:
-            assert cov.contains_mask(a | b)
+            assert Graph(cov.ground, a | b) in cov
 
 
 def _random_family(rng, ground, support, size):
@@ -121,9 +124,10 @@ def test_is_covered_matches_powerset_scan():
     g = bipartite_ground(3)
     fam = enumerate_perfect_matchings(g.full_graph())
     want = brute_covered_masks(fam)
+    cov = covered_closure(fam)
     for _ in range(300):
-        mask = rng.getrandbits(g.edge_count)
-        assert is_covered(Graph(g, mask), fam) == (mask in want)
+        graph = Graph(g, rng.getrandbits(g.edge_count))
+        assert is_covered(graph, fam) == (graph.edges in want) == (graph in cov)
 
 
 def test_coefficient_query_examples():
@@ -137,7 +141,7 @@ def test_coefficient_query_examples():
     assert coefficient_query(full) == -1
     oracle_poly = truth_table_transform(
         lambda G: int(
-            any(is_subgraph(m, G) for m in enumerate_perfect_matchings(full))
+            any(m.edges & ~G.edges == 0 for m in enumerate_perfect_matchings(full))
         ),
         g,
     )
@@ -175,23 +179,18 @@ def test_coefficient_query_agrees_with_closure_everywhere():
 
 def test_coefficient_query_agrees_with_forced_edge_rule():
     # covered iff the graph has a matching and every edge's forced minimum
-    # (within the graph) equals the global optimum
+    # (within the graph, by the permutation scan) equals the global optimum
     rng = random.Random(53)
     g = bipartite_ground(3)
     w = random_int_weights(rng, g)
-    best = min_weight(g.full_graph(), w)
+    best = brute_min_weight(g.full_graph(), w)
     for mask in range(1 << g.edge_count):
         graph = Graph(g, mask)
         covered = bool(mask) and has_perfect_matching(graph)
         if covered:
-            for e in graph.edge_ids():
-                try:
-                    if min_weight_forced(graph, w, e) != best:
-                        covered = False
-                        break
-                except InfeasibleError:
-                    covered = False
-                    break
+            covered = all(
+                brute_min_weight_forced(graph, w, e) == best for e in graph.edge_ids()
+            )
         want = (-1 if cyclomatic_number(graph) % 2 else 1) if covered else 0
         assert coefficient_query(graph, w) == want
 
@@ -205,17 +204,53 @@ def test_downward_hull():
             w = random_int_weights(rng, g)
             gw = support_union(w)
             weighted = covered_closure(enumerate_min_weight_pms(w))
-            hull = {c.edges for c in unweighted if is_subgraph(c, gw)}
+            hull = {c.edges for c in unweighted if c.edges & ~gw.edges == 0}
             assert {c.edges for c in weighted} == hull
             assert len(weighted) % 2 == 1
 
 
-def test_format_covered_set():
-    g = bipartite_ground(2)
-    cov = covered_closure(enumerate_perfect_matchings(g.full_graph()))
-    assert format_covered_set(cov) == (
-        "bipartite 2 3\n"
-        "1,1 2,2\n"
-        "1,2 2,1\n"
-        "1,1 1,2 2,1 2,2\n"
-    )
+
+
+def _series_mul(a, b, top):
+    """Product of two series in x and t, held as {(x power, t power): coeff},
+    truncated past x^top."""
+    out = {}
+    for (i, s), u in a.items():
+        for (j, t), v in b.items():
+            if i + j <= top:
+                out[i + j, s + t] = out.get((i + j, s + t), 0) + u * v
+    return out
+
+
+def test_birkhoff_faces_by_blocks():
+    # The covered graphs of K_{n,n} are the faces of the Birkhoff polytope
+    # B_n, of dimension chi. Each splits into its connected blocks, and chi
+    # adds over them, so with f_n(t) counting the covered graphs by chi and
+    # e_k(t) the connected ones, sum f_n(t) x^n/(n!)^2 = exp(sum e_k(t)
+    # x^k/(k!)^2) (Paffenholz, "Faces of Birkhoff polytopes", 2015).
+    top = 4
+    f = {(0, 0): 1}  # (n, chi) -> count; the empty graph on no vertices
+    e = {}
+    for n in range(1, top + 1):
+        for g in covered_closure(enumerate_perfect_matchings(bipartite_ground(n).full_graph())):
+            key = (n, cyclomatic_number(g))
+            f[key] = f.get(key, 0) + 1
+            if component_count(g) == 1:
+                e[key] = e.get(key, 0) + 1
+
+    def total(counts, n):
+        return sum(c for (k, _), c in counts.items() if k == n)
+
+    assert [total(e, n) for n in range(1, top + 1)] == [1, 1, 34, 6785]
+    assert [total(f, n) for n in range(1, top + 1)] == [1, 3, 49, 7443]
+    assert [f[4, chi] for chi in range(10)] == [24, 240, 978, 1968, 2176, 1392, 528, 120, 16, 1]
+
+    blocks = {(k, chi): Fraction(c, factorial(k) ** 2) for (k, chi), c in e.items()}
+    power = {(0, 0): Fraction(1)}
+    exp = dict(power)
+    for m in range(1, top + 1):
+        power = _series_mul(power, blocks, top)
+        for key, c in power.items():
+            exp[key] = exp.get(key, 0) + c / factorial(m)
+    want = {(n, chi): Fraction(c, factorial(n) ** 2) for (n, chi), c in f.items()}
+    assert {key: c for key, c in exp.items() if c} == want

@@ -5,21 +5,17 @@ import pytest
 from matchcover import (
     Family,
     Graph,
+    GroundGraph,
     InputError,
     bipartite_ground,
-    canonical_key,
     complete_ground,
     component_count,
     cyclomatic_number,
     edge_list_str,
-    format_graph,
-    is_subgraph,
     parse_graph,
-    parse_ground,
-    union_graphs,
 )
 from matchcover.graphs import mask_key
-from oracles import bfs_component_count, random_graph
+from oracles import bfs_component_count, canonical_key, random_graph
 
 
 def test_edge_index_bipartite():
@@ -49,9 +45,9 @@ def test_edge_index_rejects_bad_pairs():
     with pytest.raises(InputError):
         complete_ground(4).edge_index(2, 2)
     with pytest.raises(InputError):
-        parse_ground("bipartite 0")
+        GroundGraph("bipartite", 0)
     with pytest.raises(InputError):
-        parse_ground("triangular 3")
+        GroundGraph("triangular", 3)
 
 
 def test_component_count():
@@ -69,42 +65,6 @@ def test_cyclomatic_number():
     assert cyclomatic_number(pm) == 0
     assert cyclomatic_number(bipartite_ground(2).full_graph()) == 1
     assert cyclomatic_number(g33.full_graph()) == 4
-
-
-def test_is_subgraph():
-    g = bipartite_ground(2)
-    m = g.graph_from_edges([(1, 1), (2, 2)])
-    assert is_subgraph(m, m)
-    assert is_subgraph(g.empty_graph(), m)
-    assert not is_subgraph(g.full_graph(), m)
-    assert is_subgraph(m, g.full_graph())
-    with pytest.raises(InputError):
-        is_subgraph(m, bipartite_ground(3).full_graph())
-
-
-def test_union_graphs():
-    g = bipartite_ground(2)
-    m1 = g.graph_from_edges([(1, 1), (2, 2)])
-    m2 = g.graph_from_edges([(1, 2), (2, 1)])
-    assert union_graphs([], ground=g) == g.empty_graph()
-    assert union_graphs([m1, m2]) == g.full_graph()
-    assert union_graphs([m1]) == m1
-    with pytest.raises(InputError):
-        union_graphs([])
-    with pytest.raises(InputError):
-        union_graphs([m1, bipartite_ground(3).empty_graph()])
-
-
-def test_union_laws_on_random_graphs():
-    rng = random.Random(7)
-    g = bipartite_ground(3)
-    for _ in range(200):
-        a, b, c = (random_graph(rng, g) for _ in range(3))
-        assert union_graphs([a, b]) == union_graphs([b, a])
-        assert union_graphs([union_graphs([a, b]), c]) == union_graphs(
-            [a, union_graphs([b, c])]
-        )
-        assert union_graphs([a, a]) == a
 
 
 def test_component_count_matches_bfs():
@@ -149,7 +109,7 @@ def test_family_validation():
 def test_text_format_round_trip():
     g = complete_ground(6)
     graph = g.graph_from_edges([(1, 2), (3, 4), (5, 6)])
-    assert parse_graph(format_graph(graph), g) == graph
+    assert parse_graph("complete 6\n1 2\n3 4\n5 6\n", g) == graph
 
     text = """
     # a comment line

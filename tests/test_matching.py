@@ -5,36 +5,39 @@ import pytest
 
 from matchcover import (
     Graph,
-    InfeasibleError,
     InputError,
     WeightFunction,
     bipartite_ground,
-    canonical_key,
+    coefficient_query,
     complete_ground,
     contains_min_weight_pm,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
-    format_weight_function,
     has_perfect_matching,
-    is_subgraph,
-    min_weight,
-    min_weight_forced,
+    hungarian,
     parse_rational,
     parse_weight_function,
     pm_support,
     support_union,
-    union_graphs,
 )
 from oracles import (
     brute_min_weight,
     brute_min_weight_forced,
     brute_pm_masks_bipartite,
     brute_pm_masks_complete,
+    canonical_key,
     min_weight_family,
     random_graph,
     random_int_weights,
     random_rational_weights,
 )
+
+
+def union_mask(graphs):
+    mask = 0
+    for g in graphs:
+        mask |= g.edges
+    return mask
 
 
 def k6_witness_graph():
@@ -108,43 +111,38 @@ def w22():
 
 def test_min_weight_examples():
     g = bipartite_ground(2)
-    assert min_weight(g.full_graph(), w22()) == 2
-    assert min_weight(g.full_graph(), WeightFunction.unit(g)) == 2
+    assert w22().optimum() == 2
+    assert WeightFunction.unit(g).optimum() == 2
 
     g3 = bipartite_ground(3)
     products = WeightFunction(g3, [i * j for i in (1, 2, 3) for j in (1, 2, 3)])
-    got = min_weight(g3.full_graph(), products)
+    got = products.optimum()
     assert got == brute_min_weight(g3.full_graph(), products)
     assert got == 10
 
 
 def test_min_weight_infeasible():
+    # no perfect matching inside the graph, so none of minimum weight either
     g = bipartite_ground(2)
-    with pytest.raises(InfeasibleError):
-        min_weight(g.graph_from_edges([(1, 1), (2, 1)]), w22())
+    pinched = g.graph_from_edges([(1, 1), (2, 1)])
+    assert brute_min_weight(pinched, w22()) is None
+    assert not contains_min_weight_pm(pinched, w22())
+    assert coefficient_query(pinched, w22()) == 0
 
 
 def test_min_weight_forced_examples():
+    # the forced-edge oracle the support characterizations below rely on
     g = bipartite_ground(2)
     full = g.full_graph()
-    assert min_weight_forced(full, w22(), g.edge_index(1, 2)) == 4
-    assert min_weight_forced(full, w22(), g.edge_index(1, 1)) == 2
+    assert brute_min_weight_forced(full, w22(), g.edge_index(1, 2)) == 4
+    assert brute_min_weight_forced(full, w22(), g.edge_index(1, 1)) == 2
+    lonely = g.graph_from_edges([(1, 1), (2, 1)])
+    assert brute_min_weight_forced(lonely, w22(), g.edge_index(2, 1)) is None
 
     g3 = bipartite_ground(3)
     products = WeightFunction(g3, [i * j for i in (1, 2, 3) for j in (1, 2, 3)])
     e33 = g3.edge_index(3, 3)
-    got = min_weight_forced(g3.full_graph(), products, e33)
-    assert got == brute_min_weight_forced(g3.full_graph(), products, e33)
-    assert got == 13
-
-
-def test_min_weight_forced_errors():
-    g = bipartite_ground(2)
-    with pytest.raises(InputError):
-        min_weight_forced(g.graph_from_edges([(1, 1)]), w22(), g.edge_index(2, 2))
-    lonely = g.graph_from_edges([(1, 1), (2, 1)])
-    with pytest.raises(InfeasibleError):
-        min_weight_forced(lonely, w22(), g.edge_index(2, 1))
+    assert brute_min_weight_forced(g3.full_graph(), products, e33) == 13
 
 
 def test_min_weight_matches_brute_force_on_random_weights():
@@ -153,7 +151,26 @@ def test_min_weight_matches_brute_force_on_random_weights():
         n = rng.choice((1, 2, 3))
         g = bipartite_ground(n)
         w = random_int_weights(rng, g, lo=0, hi=9)
-        assert min_weight(g.full_graph(), w) == brute_min_weight(g.full_graph(), w)
+        assert w.optimum() == brute_min_weight(g.full_graph(), w)
+
+
+def test_hungarian_dual_certificate():
+    # u_i + v_j <= c_ij everywhere, with equality on the returned assignment,
+    # whose cost is the optimum of the permutation scan
+    rng = random.Random(131)
+    for trial in range(150):
+        n = trial % 5 + 1
+        g = bipartite_ground(n)
+        w = (random_int_weights, random_rational_weights)[trial % 2](rng, g)
+        cost = [[w.weights[i * n + j] for j in range(n)] for i in range(n)]
+        best, row_to_col, u, v = hungarian(cost)
+        assert sorted(row_to_col) == list(range(n))
+        for i in range(n):
+            for j in range(n):
+                assert u[i] + v[j] <= cost[i][j]
+            assert u[i] + v[row_to_col[i]] == cost[i][row_to_col[i]]
+        assert best == sum(cost[i][row_to_col[i]] for i in range(n))
+        assert best == brute_min_weight(g.full_graph(), w) == w.optimum()
 
 
 def test_forced_at_least_min_with_equality_somewhere():
@@ -163,8 +180,8 @@ def test_forced_at_least_min_with_equality_somewhere():
         g = bipartite_ground(n)
         full = g.full_graph()
         w = random_int_weights(rng, g, lo=1, hi=9)
-        best = min_weight(full, w)
-        forced = {e: min_weight_forced(full, w, e) for e in full.edge_ids()}
+        best = w.optimum()
+        forced = {e: brute_min_weight_forced(full, w, e) for e in full.edge_ids()}
         assert all(v >= best for v in forced.values())
         for i in range(1, n + 1):
             row = [forced[g.edge_index(i, j)] for j in range(1, n + 1)]
@@ -192,13 +209,13 @@ def test_support_union_characterizations():
         full = g.full_graph()
         w = random_int_weights(rng, g)
         gw = support_union(w)
-        best = min_weight(full, w)
+        best = brute_min_weight(full, w)
         by_forced = [
-            e for e in full.edge_ids() if min_weight_forced(full, w, e) == best
+            e for e in full.edge_ids() if brute_min_weight_forced(full, w, e) == best
         ]
         assert gw.edge_ids() == by_forced
         fam = enumerate_min_weight_pms(w)
-        assert union_graphs(list(fam), ground=g) == gw
+        assert union_mask(fam) == gw.edges
 
 
 def test_support_union_forced_characterization_at_n5():
@@ -209,11 +226,11 @@ def test_support_union_forced_characterization_at_n5():
     full = g.full_graph()
     for _ in range(10):
         w = random_int_weights(rng, g, lo=1, hi=6)
-        best = min_weight(full, w)
+        best = w.optimum()
         assert best == brute_min_weight(full, w)
         gw = support_union(w)
         for e in full.edge_ids():
-            assert (min_weight_forced(full, w, e) == best) == bool(
+            assert (brute_min_weight_forced(full, w, e) == best) == bool(
                 gw.edges >> e & 1
             )
 
@@ -248,7 +265,7 @@ def test_enumerate_min_weight_pms():
         fam = enumerate_min_weight_pms(w)
         masks = [m.edges for m in fam]
         assert masks and len(set(masks)) == len(masks)
-        assert union_graphs(list(fam), ground=g3) == support_union(w)
+        assert union_mask(fam) == support_union(w).edges
 
 
 def test_min_weight_family_equals_permutation_scan():
@@ -274,7 +291,7 @@ def test_contains_min_weight_pm_matches_enumeration():
             fam = enumerate_min_weight_pms(w)
             for mask in range(1 << g.edge_count):
                 graph = Graph(g, mask)
-                want = any(is_subgraph(m, graph) for m in fam)
+                want = any(m.edges & ~graph.edges == 0 for m in fam)
                 assert contains_min_weight_pm(graph, w) == want
 
 
@@ -317,7 +334,10 @@ def test_weight_function_validation():
 def test_weight_file_round_trip():
     g = bipartite_ground(2)
     w = WeightFunction(g, [1, Fraction(1, 2), 2, 1])
-    assert parse_weight_function(format_weight_function(w)) == w
+    text = "".join(
+        f"{i} {j} {w.weights[k]}\n" for k, (i, j) in enumerate(g.edge_pairs())
+    )
+    assert parse_weight_function("bipartite 2\n" + text) == w
 
 
 def test_weight_file_errors():
