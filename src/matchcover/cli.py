@@ -3,14 +3,18 @@
 Subcommands map onto the library one-to-one and write deterministic output:
 identical arguments (and seed) produce byte-identical files. Exit codes:
 0 success, 1 a verification found a mismatch, 2 bad input, 3 an internal
-error (any other exception, such as running out of memory). Output is built
-in memory and written once, so error paths never leave partial files.
+error (any other exception, such as running out of memory). Input is
+checked and results are computed before any output is written; an output
+file is written under a temporary name next to it and renamed over it once
+it is complete, so no error leaves a partial file. stdout gets long outputs
+(polynomials, lattice JSON) chunk by chunk as they are formatted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -54,11 +58,36 @@ LATTICE_ELEMENT_CAP = 7444
 
 
 def _write_output(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _stream_output(args, lambda fh: fh.write(text))
+
+
+def _stream_output(args, write) -> None:
+    """Output of a writer, which writes its text into the file passed to it
+    (and returns the text when called without one). stdout gets the text as
+    it is formatted. --output gets it through a temporary file in the same
+    directory, renamed over the target at the end and removed on error; a
+    target that exists but is no regular file (a pipe, a device) is
+    written in place."""
+    if not args.output:
+        write(sys.stdout)
+        return
+    target = os.path.realpath(args.output)  # through symlinks, as open() writes
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w") as fh:
+            write(fh)
+        return
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(temp, "x")
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, args.output) from None
+    try:
+        with fh:
+            write(fh)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _note(args, msg: str) -> None:
@@ -145,8 +174,7 @@ def cmd_poly(args) -> int:
         poly = pm_polynomial(args.n)
     else:
         poly = min_weight_pm_polynomial(weights)
-    text = poly.to_json() if args.format == "json" else poly.to_text()
-    _write_output(args, text)
+    _stream_output(args, poly.to_json if args.format == "json" else poly.to_text)
     print(f"terms: {len(poly)} ({_parity(len(poly))})", file=sys.stderr)
     return 0
 
@@ -193,7 +221,10 @@ def cmd_verify(args) -> int:
         rng = random.Random(args.seed)
         points = [rng.getrandbits(ground.edge_count) for _ in range(args.samples)]
 
-    values = poly.value_table()  # None on wide grounds and huge coefficients
+    # the table costs 2^E entries, pointwise evaluation points x terms
+    values = None
+    if (1 << ground.edge_count) <= len(points) * len(poly):
+        values = poly.value_table()  # None on wide grounds and huge coefficients
     checked = 0
     for mask in points:
         got = poly.evaluate(mask) if values is None else int(values[mask])
@@ -255,7 +286,7 @@ def cmd_lattice(args) -> int:
         _write_output(args, lat.to_dot())
         return 0
     if args.format == "json":
-        _write_output(args, lat.to_json())
+        _stream_output(args, lat.to_json)
         return 0
 
     lines = [f"elements: {len(lat)}"]

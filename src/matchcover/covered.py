@@ -23,7 +23,13 @@ from .graphs import (
     mask_key,
 )
 from .matching import WeightFunction, pm_support
-from .subsets import SupportBits, _subset_transform, canonical_order, dense_fits
+from .subsets import (
+    SupportBits,
+    _subset_transform,
+    byte_rows,
+    canonical_order,
+    dense_fits,
+)
 
 
 class CoveredSet:
@@ -87,8 +93,8 @@ def _dense_closure_masks(members: list[int], bits: SupportBits) -> list[int]:
     _subset_transform(table, "|")
     covered = np.flatnonzero(table == np.arange(table.size, dtype=np.uint32))
     # index 0 always matches, but the empty graph is not covered
-    covered = covered[1:].astype(np.uint32)
-    return bits.expand(canonical_order(covered, len(bits)))
+    rows = byte_rows(covered[1:], len(bits))
+    return bits.expand(np.take(rows, canonical_order(rows), axis=0)).tolist()
 
 
 def _bfs_closure_masks(members: list[int]) -> set[int]:

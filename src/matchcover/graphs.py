@@ -294,6 +294,28 @@ def parse_graph(text: str, ground: GroundGraph) -> Graph:
     return Graph(ground, mask)
 
 
+class _Written(int):
+    """How many characters a writer put into a file. len() of it is that
+    count too, as len() of the str the writer returns without a file."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return int(self)
+
+
+def _write_chunks(chunks: Iterable[str], file=None) -> str | int:
+    """The chunks joined into one str; or, given a text file, each chunk
+    written to it as it comes, and the number of characters written."""
+    if file is None:
+        return "".join(chunks)
+    total = 0
+    for chunk in chunks:
+        file.write(chunk)
+        total += len(chunk)
+    return _Written(total)
+
+
 def edge_list_str(G: Graph) -> str:
     """One-line form used in reports and exports: 'u,v' pairs, '{}' if empty."""
     if G.is_empty:

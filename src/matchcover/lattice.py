@@ -14,20 +14,28 @@ work on those masks packed into uint64 rows:
 - the Eulerian check counts the even- and odd-ranked elements of the
   intervals of even length in batches of packed up-row / down-row pairs;
 - the JSON export writes its bytes directly instead of through the json
-  encoder.
+  encoder, a chunk of items at a time.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InputError, StructureViolationError
 from .covered import CoveredSet
-from .graphs import Graph, GroundGraph, _iter_bits, edge_list_str, mask_key
+from .graphs import (
+    Graph,
+    GroundGraph,
+    _iter_bits,
+    _write_chunks,
+    edge_list_str,
+    mask_key,
+)
 
 # Words per block of packed down-set rows in the Mobius pass: 2^18 uint64
 # are 2 MB.
@@ -35,6 +43,9 @@ _BLOCK_WORDS = 1 << 18
 # Words per batch of interval tests, and per chunk of packed up-rows, in the
 # Eulerian check: small enough for the cache.
 _BATCH_WORDS = 1 << 16
+# Items per chunk of the JSON export: element lists of a few hundred
+# characters each.
+_CHUNK_ITEMS = 1 << 10
 
 
 def _pack_ints(masks: list[int], words: int) -> np.ndarray:
@@ -43,10 +54,15 @@ def _pack_ints(masks: list[int], words: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint64).reshape(len(masks), words)
 
 
-def _json_array(items: list[str]) -> str:
+def _json_array(items: Iterable[str]) -> Iterator[str]:
     """A list of encoded items as json.dumps writes it at indent 2, one level
-    below the top object."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    below the top object, in chunks of _CHUNK_ITEMS items."""
+    items = iter(items)
+    opening = "[\n    "
+    while chunk := list(islice(items, _CHUNK_ITEMS)):
+        yield opening + ",\n    ".join(chunk)
+        opening = ",\n    "
+    yield "[]" if opening.startswith("[") else "\n  ]"
 
 
 def _set_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -511,29 +527,38 @@ class Lattice:
             "graded": violation is None,
         }
 
-    def to_json(self) -> str:
+    def to_json(self, file=None) -> str | int:
         """The bytes of json.dumps(self.to_json_dict(), indent=2,
         sort_keys=True) plus a newline, written directly rather than by the
-        pure-Python encoder that indent selects."""
+        pure-Python encoder that indent selects. Returns the text, or writes
+        it to file chunk by chunk and returns the number of characters
+        written."""
+        return _write_chunks(self._json_chunks(), file)
+
+    def _json_chunks(self) -> Iterator[str]:
         ranks, violation = self._rank_data()
+        mobius = self.mobius_table().values()  # computed before anything is written
         pairs = [
             f"\n      [\n        {u},\n        {v}\n      ]"
             for (u, v) in self.ground.edge_pairs()
         ]
-        elements = [
+        elements = (
             f"[{','.join(pairs[k] for k in _iter_bits(g.edges))}\n    ]" if g.edges else "[]"
             for g in self.elements
-        ]
-        covers = [f"[\n      {a},\n      {b}\n    ]" for (a, b) in self._covers]
-        mobius = [str(m) for m in self.mobius_table().values()]
-        return (
-            f'{{\n  "covers": {_json_array(covers)},\n  "elements": {_json_array(elements)},'
-            f'\n  "graded": {"true" if violation is None else "false"},'
-            f'\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
-            f'\n    "size": {self.ground.size}\n  }},'
-            f'\n  "mobius": {_json_array(mobius)},'
-            f'\n  "ranks": {_json_array([str(r) for r in ranks])}\n}}\n'
         )
+        yield '{\n  "covers": '
+        yield from _json_array(f"[\n      {a},\n      {b}\n    ]" for (a, b) in self._covers)
+        yield ',\n  "elements": '
+        yield from _json_array(elements)
+        yield (
+            f',\n  "graded": {"true" if violation is None else "false"},'
+            f'\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
+            f'\n    "size": {self.ground.size}\n  }},\n  "mobius": '
+        )
+        yield from _json_array(str(m) for m in mobius)
+        yield ',\n  "ranks": '
+        yield from _json_array(str(r) for r in ranks)
+        yield "\n}\n"
 
 
 def build_lattice(C: CoveredSet) -> Lattice:

@@ -7,13 +7,15 @@ inclusion-exclusion coefficients of the covered-set lattice (general
 families), from the cyclomatic-number sign rule (perfect-matching families,
 weighted or not, whose narrow supports take the Mobius transform of their
 membership table instead), and from an exhaustive truth-table transform that
-serves as the independent oracle at small sizes.
+serves as the independent oracle at small sizes. Every route ends in the
+same arrays (support edges, compressed monomials in canonical order,
+coefficients), which the text and JSON writers format a chunk at a time.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,9 +27,9 @@ from .graphs import (
     GroundGraph,
     _check_ground,
     _iter_bits,
+    _write_chunks,
     bipartite_ground,
     cyclomatic_number,
-    mask_key,
 )
 from .lattice import build_lattice
 from .matching import (
@@ -35,39 +37,88 @@ from .matching import (
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
 )
-from .subsets import DENSE_BIT_CAP, SupportBits, _subset_transform, dense_fits
+from .subsets import (
+    DENSE_BIT_CAP,
+    SupportBits,
+    _subset_transform,
+    byte_rows,
+    canonical_order,
+    dense_fits,
+)
 
 # Widest edge set that exhaustive work (2^E assignments, or the covered
 # graphs of a support of E edges) takes unless told otherwise: the 16 edges
 # of K_{4,4}. truth_table_transform and every CLI cap but the lattice's use it.
 EDGE_CAP = 16
+# Terms formatted per chunk of the writers: a few MB of text.
+_CHUNK_TERMS = 1 << 14
 
 
 class MultilinearPolynomial:
     """Integer multilinear polynomial over the edge variables of one ground.
 
-    Terms map a monomial (edge bitmask) to a nonzero integer coefficient.
+    Held as arrays in one canonical form: the support (the edges that the
+    monomials touch), each monomial as a byte row of its edge mask
+    compressed onto the support, rows in canonical order, and the nonzero
+    coefficients in the same order. terms, the mapping from monomial (edge
+    bitmask) to coefficient, is built on first access and cached.
     """
 
-    __slots__ = ("ground", "terms")
+    __slots__ = ("ground", "_bits", "_rows", "_coeffs", "_terms")
 
     def __init__(self, ground: GroundGraph, terms: dict[int, int]):
-        for mask, coeff in terms.items():
-            if not 0 <= mask < (1 << ground.edge_count):
-                raise InputError(f"monomial mask {mask:#x} out of range")
-            if coeff == 0:
-                raise InputError("zero coefficients must be dropped")
+        """terms maps monomials (edge bitmasks of the ground) to nonzero
+        integer coefficients."""
+        masks = list(terms)
+        if masks and (min(masks) < 0 or max(masks) >> ground.edge_count):
+            bad = next(m for m in masks if not 0 <= m < (1 << ground.edge_count))
+            raise InputError(f"monomial mask {bad:#x} out of range")
+        coeffs = _int_array(list(terms.values()))
+        if (coeffs == 0).any():
+            raise InputError("zero coefficients must be dropped")
+        bits = SupportBits(masks)
+        self._hold(ground, bits, bits.rows(masks, ground.edge_count), coeffs)
+
+    def _hold(
+        self, ground: GroundGraph, bits: SupportBits, rows: np.ndarray, coeffs: np.ndarray
+    ) -> None:
+        """Keep the monomials' byte rows on the support bits, and their
+        coefficients, in canonical order."""
+        order = canonical_order(rows)
         self.ground = ground
-        self.terms = dict(terms)
+        self._bits = bits
+        self._rows = np.take(rows, order, axis=0)  # faster than rows[order]
+        self._coeffs = coeffs[order]
+        self._terms = None
+
+    @classmethod
+    def _from_rows(
+        cls, ground: GroundGraph, bits: SupportBits, rows: np.ndarray, coeffs: np.ndarray
+    ) -> "MultilinearPolynomial":
+        """The polynomial of nonzero coefficients on distinct byte rows whose
+        union is the whole support, in any order."""
+        poly = cls.__new__(cls)
+        poly._hold(ground, bits, rows, coeffs)
+        return poly
+
+    @property
+    def terms(self) -> dict[int, int]:
+        """Monomial (edge bitmask) to coefficient; do not modify it."""
+        if self._terms is None:
+            masks = self._bits.expand(self._rows).tolist()
+            self._terms = dict(zip(masks, self._coeffs.tolist()))
+        return self._terms
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._coeffs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPolynomial)
             and self.ground == other.ground
-            and self.terms == other.terms
+            and self._bits.ids == other._bits.ids
+            and np.array_equal(self._rows, other._rows)
+            and np.array_equal(self._coeffs, other._coeffs)
         )
 
     def coefficient(self, x: Graph | int) -> int:
@@ -99,31 +150,40 @@ class MultilinearPolynomial:
         (None) when the absolute coefficients sum past int32, as well as
         when the ground has more than DENSE_BIT_CAP edges.
         """
+        # object coefficients hold a value past int64; the float64 sum is
+        # exact below 2^53 and cannot fall back under 2^31 above it
         if (
             self.ground.edge_count > DENSE_BIT_CAP
-            or sum(abs(c) for c in self.terms.values()) > np.iinfo(np.int32).max
+            or self._coeffs.dtype == object
+            or np.abs(self._coeffs, dtype=np.float64).sum() > np.iinfo(np.int32).max
         ):
             return None
         table = np.zeros(1 << self.ground.edge_count, dtype=np.int32)
-        count = len(self.terms)
-        table[np.fromiter(self.terms, dtype=np.int64, count=count)] = np.fromiter(
-            self.terms.values(), dtype=np.int64, count=count
-        )
+        table[self._bits.expand(self._rows, np.int64)] = self._coeffs
         return _subset_transform(table, "+")
 
     def sorted_terms(self) -> list[tuple[int, int]]:
         """(mask, coeff) pairs in canonical (degree, edge-id) order."""
-        width = self.ground.edge_count
-        return sorted(self.terms.items(), key=lambda item: mask_key(item[0], width))
+        masks = self._bits.expand(self._rows).tolist()
+        return list(zip(masks, self._coeffs.tolist()))
 
-    def to_text(self) -> str:
-        """One term per line: signed coefficient, then sorted x[u,v] factors."""
-        names = [f"x[{i},{j}]" for (i, j) in self.ground.edge_pairs()]
-        lines = [
-            " ".join([f"{coeff:+d}", *(names[k] for k in _iter_bits(mask))])
-            for mask, coeff in self.sorted_terms()
-        ]
-        return "\n".join(lines) + "\n"
+    def to_text(self, file=None) -> str | int:
+        """One term per line: signed coefficient, then sorted x[u,v] factors.
+        Returns the text, or writes it to file chunk by chunk and returns
+        the number of characters written."""
+        return _write_chunks(self._text_chunks(), file)
+
+    def _text_chunks(self) -> Iterator[str]:
+        names = {k: f" x[{i},{j}]" for k, (i, j) in enumerate(self.ground.edge_pairs())}
+        tables = [np.array(t, dtype=object) for t in self._bits.byte_tables(names, "")]
+        for lo in range(0, len(self), _CHUNK_TERMS):
+            rows = self._rows[lo : lo + _CHUNK_TERMS]
+            lines = _coefficient_strings(self._coeffs[lo : lo + _CHUNK_TERMS], "{:+d}")
+            for b, table in enumerate(tables):
+                lines += table[rows[:, b]]
+            yield "\n".join(lines.tolist()) + "\n"
+        if not len(self):
+            yield "\n"
 
     def to_json_dict(self) -> dict:
         pairs = self.ground.edge_pairs()
@@ -135,26 +195,41 @@ class MultilinearPolynomial:
             ],
         }
 
-    def to_json(self) -> str:
+    def to_json(self, file=None) -> str | int:
         """The bytes of json.dumps(self.to_json_dict(), indent=2) plus a
         newline, written directly rather than by the pure-Python encoder
-        that indent selects."""
-        pairs = [
-            f"\n        [\n          {i},\n          {j}\n        ]"
-            for (i, j) in self.ground.edge_pairs()
-        ]
-        terms = []
-        for mask, coeff in self.sorted_terms():
-            edges = ",".join(pairs[k] for k in _iter_bits(mask))
-            edges = f"[{edges}\n      ]" if mask else "[]"
-            terms.append(
-                f'\n    {{\n      "coeff": {coeff},\n      "edges": {edges}\n    }}'
-            )
-        body = f"[{','.join(terms)}\n  ]" if terms else "[]"
-        return (
+        that indent selects. Returns the text, or writes it to file chunk
+        by chunk and returns the number of characters written."""
+        return _write_chunks(self._json_chunks(), file)
+
+    def _json_chunks(self) -> Iterator[str]:
+        yield (
             f'{{\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
-            f'\n    "size": {self.ground.size}\n  }},\n  "terms": {body}\n}}\n'
+            f'\n    "size": {self.ground.size}\n  }},\n  "terms": '
         )
+        names = {
+            k: f",\n        [\n          {i},\n          {j}\n        ]"
+            for k, (i, j) in enumerate(self.ground.edge_pairs())
+        }
+        # each byte table twice: pairs after a comma, then (for the first
+        # nonzero byte of a monomial) without the comma before its first pair
+        tables = [
+            np.array(t + [s[1:] for s in t], dtype=object)
+            for t in self._bits.byte_tables(names, "")
+        ]
+        ends = np.array(["]\n    }", "\n      ]\n    }"], dtype=object)
+        head = '\n    {{\n      "coeff": {},\n      "edges": ['
+        for lo in range(0, len(self), _CHUNK_TERMS):
+            rows = self._rows[lo : lo + _CHUNK_TERMS]
+            terms = _coefficient_strings(self._coeffs[lo : lo + _CHUNK_TERMS], head)
+            opening = np.ones(len(rows), dtype=np.intp)
+            for b, table in enumerate(tables):
+                half = len(table) // 2
+                terms += table[rows[:, b] + half * opening]
+                opening &= rows[:, b] == 0
+            terms += ends[1 - opening]
+            yield ("[" if lo == 0 else ",") + ",".join(terms.tolist())
+        yield "\n  ]\n}\n" if len(self) else "[]\n}\n"
 
     @classmethod
     def from_json_dict(cls, data: dict, ground: GroundGraph) -> "MultilinearPolynomial":
@@ -188,7 +263,24 @@ class MultilinearPolynomial:
         return cls.from_json_dict(_json_data(text), ground)
 
     def __repr__(self) -> str:
-        return f"MultilinearPolynomial({self.ground.header()!r}, {len(self.terms)} terms)"
+        return f"MultilinearPolynomial({self.ground.header()!r}, {len(self)} terms)"
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Integers as int64, or as Python ints in an object array when one of
+    them does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _coefficient_strings(coeffs: np.ndarray, template: str) -> np.ndarray:
+    """template.format(c) for each coefficient, as an object array; each
+    distinct value is formatted once."""
+    values, inverse = np.unique(coeffs, return_inverse=True)
+    texts = np.array([template.format(v) for v in values.tolist()], dtype=object)
+    return texts[inverse]
 
 
 def _json_data(text: str):
@@ -248,14 +340,20 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
     bits = SupportBits(members)
     if not dense_fits(len(bits), len(members)):
         return _sign_rule_polynomial(F)
-    # int32 holds every partial sum: a Mobius step at most doubles |entry|
-    table = np.zeros(1 << len(bits), dtype=np.int32)
+    # the membership table is 0/1, so its OR pass runs on bytes; int32
+    # holds every partial sum of the Mobius pass, whose steps at most
+    # double |entry|
+    table = np.zeros(1 << len(bits), dtype=np.uint8)
     table[[bits.compress(m) for m in members]] = 1
-    _subset_transform(table, "|")
+    table = _subset_transform(table, "|").astype(np.int32)
     _subset_transform(table, "+", inverse=True)
+    # every covered graph has a nonzero coefficient, the union of all
+    # members too, so the rows span the whole support
     masks = np.flatnonzero(table)
-    return MultilinearPolynomial(
-        F.ground, dict(zip(bits.expand(masks), table[masks].tolist()))
+    coeffs = table[masks]
+    del table  # the sort below needs the room
+    return MultilinearPolynomial._from_rows(
+        F.ground, bits, byte_rows(masks, len(bits)), coeffs
     )
 
 

@@ -7,7 +7,8 @@ question for every subgraph at once: one pass of Yates' butterfly (the fast
 zeta and Mobius transforms; Bjorklund, Husfeldt, Kaski and Koivisto,
 "Fourier meets Mobius", STOC 2007) gives the union of the members inside
 each subgraph, the value of a polynomial at each assignment, or the
-coefficients of a truth table.
+coefficients of a truth table. Masks compressed onto a support travel as
+rows of bytes, which byte lookup tables sort, expand and name.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ import numpy as np
 
 from .graphs import _iter_bits
 
-# Widest support that gets a dense table: 2^22 uint32 entries are 16 MB.
-DENSE_BIT_CAP = 22
+# Widest support that gets a dense table: 2^25 entries of 4 bytes are
+# 128 MB, the 25 edges of K_{5,5}.
+DENSE_BIT_CAP = 25
 # k members have at most 2^k - 1 unions. A closure graph costs the
 # breadth-first route microseconds and a table entry costs nanoseconds a
 # pass, so on random worst-case families (2-core x86-64) the table wins
 # from about 2^s <= 2^(k + 8), and loses by up to 100x on a few members
 # spread over 22 edges.
 DENSE_SLACK_BITS = 8
+
+# Each byte value with its bits in reverse order.
+_REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
 
 _BUTTERFLY = {
     ("+", False): np.add,
@@ -58,8 +63,9 @@ def dense_fits(width: int, members: int) -> bool:
 class SupportBits:
     """The edges that a set of masks touches, renumbered 0..s-1 by edge id.
 
-    The renumbering keeps the order of edge ids, so compressed masks sort in
-    the canonical order of the graphs they stand for.
+    Compressed masks are held as rows of little-endian bytes, one row per
+    mask; the renumbering keeps the order of edge ids, so canonical_order
+    sorts them as the graphs they stand for.
     """
 
     __slots__ = ("ids",)
@@ -76,26 +82,53 @@ class SupportBits:
     def compress(self, mask: int) -> int:
         return sum(1 << b for b, k in enumerate(self.ids) if mask >> k & 1)
 
-    def expand(self, cmasks: np.ndarray) -> list[int]:
-        """Full edge masks of compressed masks, one lookup table per byte."""
-        full = np.zeros(len(cmasks), dtype=object)
+    def rows(self, masks: list[int], width: int) -> np.ndarray:
+        """Masks of a width-edge ground compressed onto the support, as byte
+        rows: every edge bit unpacked, the support's columns packed again."""
+        size = -(-width // 8)
+        data = b"".join(m.to_bytes(size, "little") for m in masks)
+        full = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
+        edges = np.unpackbits(full, axis=1, bitorder="little")
+        return np.packbits(edges[:, self.ids], axis=1, bitorder="little")
+
+    def expand(self, rows: np.ndarray, dtype=object) -> np.ndarray:
+        """Full edge masks of byte rows, one lookup table per byte: Python
+        ints by default, or a numpy integer dtype wide enough for them."""
+        full = np.zeros(len(rows), dtype=dtype)
+        for b, table in enumerate(self.byte_tables({k: 1 << k for k in self.ids}, 0)):
+            full |= np.array(table, dtype=dtype)[rows[:, b]]
+        return full
+
+    def byte_tables(self, names, empty) -> list[list]:
+        """For each byte of the support, a table over the values of that
+        byte: empty plus the names of its set bits, in ascending order.
+        names maps edge ids to strings (or to ints, whose sum is then a mask)."""
+        tables = []
         for lo in range(0, len(self.ids), 8):
             ids = self.ids[lo : lo + 8]
-            lut = [0] * (1 << len(ids))
-            for c in range(1, len(lut)):
-                low = c & -c
-                lut[c] = lut[c ^ low] | 1 << ids[low.bit_length() - 1]
-            full |= np.array(lut, dtype=object)[(cmasks >> lo) & 0xFF]
-        return full.tolist()
+            table = [empty] * (1 << len(ids))
+            for v in range(1, len(table)):
+                top = v.bit_length() - 1
+                table[v] = table[v ^ 1 << top] + names[ids[top]]
+            tables.append(table)
+        return tables
 
 
-def canonical_order(cmasks: np.ndarray, width: int) -> np.ndarray:
-    """Masks of width bits in canonical order, as graphs.mask_key sorts
-    them: by bit count, then by descending bit-reversed mask."""
-    count = np.zeros_like(cmasks)
-    reversed_ = np.zeros_like(cmasks)
-    for b in range(width):
-        bit = (cmasks >> b) & 1
-        count += bit
-        reversed_ |= bit << (width - 1 - b)
-    return cmasks[np.lexsort((~reversed_, count))]
+def byte_rows(masks: np.ndarray, width: int) -> np.ndarray:
+    """Nonnegative integer masks below 2^width (width < 64) as rows of
+    little-endian bytes: a view of int64 masks, no copy."""
+    size = -(-width // 8)
+    return masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :size]
+
+
+def canonical_order(rows: np.ndarray) -> np.ndarray:
+    """The permutation that puts masks given as byte rows in canonical order,
+    as graphs.mask_key sorts them: by bit count, then by their sorted bit
+    positions, so of two masks of one count the one holding the lowest bit
+    of their difference goes first. That is descending bit-reversed bytes,
+    low byte first, with one lookup per byte for the reversal."""
+    # 8- and 16-bit keys take numpy's radix sort; counts past 2^16 need int64
+    count_type = np.uint16 if rows.shape[1] * 8 < 1 << 16 else np.int64
+    count = np.bitwise_count(rows).sum(axis=1, dtype=count_type)
+    keys = [~_REVERSED[rows[:, b]] for b in reversed(range(rows.shape[1]))]
+    return np.lexsort([*keys, count])

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import matchcover
 from matchcover.cli import main
@@ -63,6 +66,82 @@ def test_poly_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == POLY2_TEXT
+
+
+def test_streamed_output_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    from matchcover import MultilinearPolynomial
+
+    def fail_after_first_chunk(self, file=None):
+        file.write("+1 x[1,1]\n")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(MultilinearPolynomial, "to_text", fail_after_first_chunk)
+    target = tmp_path / "poly.txt"
+    code, out, err = run(capsys, "poly", "--n", "2", "-o", str(target))
+    assert (code, out, err) == (3, "", "error: internal RuntimeError: boom\n")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old bytes\n")
+    assert run(capsys, "poly", "--n", "2", "-o", str(target))[0] == 3
+    assert target.read_text() == "old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
+    monkeypatch.undo()
+    assert run(capsys, "poly", "--n", "2", "-f", "json", "-o", str(target))[0] == 0
+    assert target.read_text() == run(capsys, "poly", "--n", "2", "-f", "json")[1]
+    assert list(tmp_path.iterdir()) == [target]
+    code, _, err = run(capsys, "poly", "--n", "2", "-o", str(tmp_path / "no" / "p.txt"))
+    assert code == 2 and str(tmp_path / "no" / "p.txt") in err and ".tmp" not in err
+
+
+def test_lattice_json_streamed_to_a_file(tmp_path, capsys):
+    target = tmp_path / "lattice.json"
+    code, out, _ = run(capsys, "lattice", "--n", "3", "-f", "json", "-o", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_text() == run(capsys, "lattice", "--n", "3", "-f", "json")[1]
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
+    from matchcover import MultilinearPolynomial
+
+    calls = []
+    real = MultilinearPolynomial.value_table
+
+    def counted(self):
+        calls.append(len(self))
+        return real(self)
+
+    monkeypatch.setattr(MultilinearPolynomial, "value_table", counted)
+    # a one-term polynomial on 9 edges: 2^9 entries against 100 points
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("bipartite 3\n" + "".join(
+        f"{i} {j} {0 if i == j else 1}\n" for i in (1, 2, 3) for j in (1, 2, 3)
+    ))
+    argv = ["verify", "--n", "3", "--weights", str(wfile)]
+    assert run(capsys, *argv, "--samples", "100") == (
+        0, "verified 100 assignments: OK\n", ""
+    )
+    assert calls == []
+    assert run(capsys, *argv, "--samples", "512")[:2] == (0, "verified 512 assignments: OK\n")
+    assert run(capsys, *argv, "--exhaustive")[:2] == (0, "verified 512 assignments: OK\n")
+    assert calls == [1, 1]
+
+
+@pytest.mark.slow
+def test_poly_n5_to_a_file(tmp_path, capsys):
+    target = tmp_path / "poly5.txt"
+    code, out, err = run(capsys, "poly", "--n", "5", "-o", str(target))
+    assert (code, out, err) == (0, "", "terms: 6092721 (odd)\n")
+    digest = hashlib.md5()
+    lines = total = 0
+    with open(target, "rb") as fh:
+        for line in fh:
+            digest.update(line)
+            lines += 1
+            total += int(line.split(b" ", 1)[0])
+    assert digest.hexdigest() == "1ec0e1931b414f4c36a80002f2862d58"
+    # one term per face of the Birkhoff polytope B_5, signed (-1)^dim:
+    # Euler's relation makes the coefficients sum to 1
+    assert (lines, total) == (6092721, 1)
 
 
 def test_poly_deterministic(capsys):

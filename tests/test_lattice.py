@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -515,4 +516,18 @@ def test_json_writer_matches_json_dumps():
     for lat in lattices:
         want = json.dumps(lat.to_json_dict(), indent=2, sort_keys=True) + "\n"
         assert lat.to_json() == want
+        out = io.StringIO()
+        assert len(lat.to_json(out)) == len(want)
+        assert out.getvalue() == want
     assert json.loads(lattices[-1].to_json())["covers"] == []
+
+
+def test_json_writer_across_chunks(monkeypatch):
+    from matchcover import lattice
+
+    monkeypatch.setattr(lattice, "_CHUNK_ITEMS", 3)
+    for lat in (pm_lattice(1), pm_lattice(3), k6_lattice()):
+        want = json.dumps(lat.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        out = io.StringIO()
+        lat.to_json(out)
+        assert lat.to_json() == out.getvalue() == want

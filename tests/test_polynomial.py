@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -23,7 +24,9 @@ from matchcover import (
     pm_polynomial,
     truth_table_transform,
 )
-from matchcover.polynomial import _pm_family_polynomial, _sign_rule_polynomial
+from matchcover import polynomial
+from matchcover.graphs import mask_key
+from matchcover.polynomial import _CHUNK_TERMS, _pm_family_polynomial, _sign_rule_polynomial
 from matchcover.subsets import _subset_transform
 from oracles import (
     pattern_weights,
@@ -298,7 +301,7 @@ def test_value_table_refuses_what_int32_cannot_hold():
     assert MultilinearPolynomial(g, {1: 2**31 - 1}).value_table() is not None
     assert MultilinearPolynomial(g, {1: 2**30, 2: -(2**30)}).value_table() is None
     assert MultilinearPolynomial(g, {1: 2**70}).value_table() is None
-    wide = bipartite_ground(5)  # 25 edges, above the dense cap
+    wide = bipartite_ground(6)  # 36 edges, above the dense cap of 25
     assert MultilinearPolynomial(wide, {1: 1}).value_table() is None
 
 
@@ -327,3 +330,93 @@ def test_writers_match_reference_writers():
         assert poly.to_text() == reference_text(poly)
         assert poly.to_json() == json.dumps(reference_json_dict(poly), indent=2) + "\n"
         assert poly.to_json_dict() == reference_json_dict(poly)
+
+
+def _random_terms(rng, ids, count):
+    """count distinct nonzero masks over the edge ids, together touching all
+    of them, with coefficients in -3..3 but 0."""
+    masks = {sum(1 << k for k in ids)}
+    while len(masks) < count:
+        masks.add(sum(1 << k for k in ids if rng.random() < 0.5) or 1 << ids[0])
+    return {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in masks}
+
+
+def _check_writers(poly, terms):
+    """Both writers against the bit-scanning reference writers and the json
+    encoder, returned and streamed; the lazy terms and sorted_terms against
+    the dict the polynomial was built from and the mask_key sort."""
+    assert poly.terms == terms
+    width = poly.ground.edge_count
+    assert poly.sorted_terms() == sorted(terms.items(), key=lambda t: mask_key(t[0], width))
+    text, data = poly.to_text(), poly.to_json()
+    assert text == reference_text(poly)
+    assert data == json.dumps(reference_json_dict(poly), indent=2) + "\n"
+    assert data == json.dumps(poly.to_json_dict(), indent=2) + "\n"
+    for writer, want in ((poly.to_text, text), (poly.to_json, data)):
+        out = io.StringIO()
+        assert len(writer(out)) == len(want)
+        assert out.getvalue() == want
+
+
+def test_writers_at_every_support_width():
+    rng = random.Random(113)
+    g1, g3, g5, g20 = (bipartite_ground(n) for n in (1, 3, 5, 20))
+    cases = [
+        (g1, {1: -2}),
+        (g3, _random_terms(rng, list(range(8)), 40)),  # one full byte
+        (g3, _random_terms(rng, list(range(9)), 60)),  # a byte and one bit
+        (g5, _random_terms(rng, list(range(25)), 300)),
+        (g20, _random_terms(rng, rng.sample(range(400), 90), 200)),
+    ]
+    for ground, terms in cases:
+        poly = MultilinearPolynomial(ground, terms)
+        assert poly._rows.shape[1] * 8 >= len(poly._bits) > poly._rows.shape[1] * 8 - 8
+        _check_writers(poly, terms)
+    # lattice inclusion-exclusion over four disjoint perfect matchings of
+    # K_{20,20}: 80 support edges, every union of members a term
+    family = Family(
+        g20,
+        [
+            g20.graph_from_edges([(i, (i + k) % 20 + 1) for i in range(1, 21)])
+            for k in range(4)
+        ],
+    )
+    poly = membership_polynomial_general(family)
+    assert len(poly) == 15 and len(poly._bits) == 80
+    _check_writers(poly, dict(poly.terms))
+
+
+def test_writers_at_chunk_boundaries(monkeypatch):
+    g1, g4 = bipartite_ground(1), bipartite_ground(4)
+    _check_writers(MultilinearPolynomial(g1, {}), {})
+    rng = random.Random(127)
+    for count in (_CHUNK_TERMS, _CHUNK_TERMS + 1):
+        terms = {m: rng.choice([-1, 1, 2**70]) for m in rng.sample(range(1, 1 << 16), count)}
+        poly = MultilinearPolynomial(g4, terms)
+        assert poly.to_text() == reference_text(poly)
+        assert json.loads(poly.to_json()) == reference_json_dict(poly)
+        out = io.StringIO()
+        poly.to_json(out)
+        assert out.getvalue() == poly.to_json()
+    # the same boundaries, byte for byte, with chunks of four terms
+    monkeypatch.setattr(polynomial, "_CHUNK_TERMS", 4)
+    for count in (1, 4, 5, 9):
+        terms = {m: rng.choice([-1, 1, 2**70]) for m in rng.sample(range(1, 1 << 16), count)}
+        _check_writers(MultilinearPolynomial(g4, terms), terms)
+
+
+def test_refusals_read_the_arrays():
+    g = bipartite_ground(2)
+    with pytest.raises(InputError, match="monomial mask 0x10 out of range"):
+        MultilinearPolynomial(g, {1: 1, 16: 1})
+    with pytest.raises(InputError, match="out of range"):
+        MultilinearPolynomial(g, {-1: 1})
+    with pytest.raises(InputError, match="zero coefficients"):
+        MultilinearPolynomial(g, {1: 1, 2: 0})
+    with pytest.raises(InputError, match="zero coefficients"):
+        MultilinearPolynomial(g, {1: 2**70, 2: 0})
+    # one canonical form: equal however the terms were ordered or stored
+    a = MultilinearPolynomial(g, {1: 1, 6: -1, 9: 2**70})
+    assert a == MultilinearPolynomial(g, {9: 2**70, 6: -1, 1: 1})
+    assert a != MultilinearPolynomial(g, {9: 2**70, 6: -1, 1: 2})
+    assert a != MultilinearPolynomial(g, {9: 2**70, 6: -1})
