@@ -84,12 +84,16 @@ class SupportBits:
 
     def rows(self, masks: list[int], width: int) -> np.ndarray:
         """Masks of a width-edge ground compressed onto the support, as byte
-        rows: every edge bit unpacked, the support's columns packed again."""
+        rows: the bytes that hold support bits unpacked, the support's
+        columns packed again."""
         size = -(-width // 8)
         data = b"".join(m.to_bytes(size, "little") for m in masks)
         full = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
-        edges = np.unpackbits(full, axis=1, bitorder="little")
-        return np.packbits(edges[:, self.ids], axis=1, bitorder="little")
+        cols = sorted({k >> 3 for k in self.ids})
+        slot = {c: 8 * i for i, c in enumerate(cols)}
+        edges = np.unpackbits(full[:, cols], axis=1, bitorder="little")
+        picked = [slot[k >> 3] + (k & 7) for k in self.ids]
+        return np.packbits(edges[:, picked], axis=1, bitorder="little")
 
     def expand(self, rows: np.ndarray, dtype=object) -> np.ndarray:
         """Full edge masks of byte rows, one lookup table per byte: Python

@@ -1,8 +1,5 @@
 """Test configuration: Hypothesis runs derandomized, so that the suite draws
-the same examples on every run and a pass or a failure can be repeated.
-Tests marked slow run only with --run-slow."""
-
-import pytest
+the same examples on every run and a pass or a failure can be repeated."""
 
 try:
     from hypothesis import settings
@@ -13,18 +10,3 @@ else:
         "deterministic", derandomize=True, database=None, deadline=None, max_examples=60
     )
     settings.load_profile("deterministic")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-slow", action="store_true", default=False, help="also run the tests marked slow"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-slow"):
-        return
-    skip = pytest.mark.skip(reason="slow; run with --run-slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -92,6 +91,76 @@ def test_streamed_output_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert code == 2 and str(tmp_path / "no" / "p.txt") in err and ".tmp" not in err
 
 
+def test_output_refusals_keep_the_old_target(tmp_path, monkeypatch, capsys):
+    import matchcover.cli as cli
+
+    target = tmp_path / "poly.txt"
+    target.write_text("old bytes\n")
+
+    def no_temporary(name, mode="r", *rest):  # as in a read-only directory
+        if mode == "x":
+            raise PermissionError(13, "Permission denied", name)
+        return open(name, mode, *rest)
+
+    monkeypatch.setattr(cli, "open", no_temporary, raising=False)
+    code, out, err = run(capsys, "poly", "--n", "2", "-o", str(target))
+    assert (code, out) == (2, "") and str(target) in err and ".tmp" not in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.os, "access", lambda name, mode: False)  # a read-only file
+    code, out, err = run(capsys, "poly", "--n", "2", "-o", str(target))
+    assert (code, out) == (2, "") and str(target) in err
+    assert target.read_text() == "old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def _cli(*argv, **kwargs):
+    src = str(Path(matchcover.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "matchcover.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs,
+    )
+
+
+def test_output_to_dev_stdout(tmp_path):
+    result = _cli("poly", "--n", "2", "-o", "/dev/stdout", capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, POLY2_TEXT)
+    # stdout appending to a file: the run continues the stream in that file
+    log = tmp_path / "log.txt"
+    log.write_text("head\n")
+    inode = log.stat().st_ino
+    with open(log, "a") as fh:
+        assert _cli("poly", "--n", "2", "-o", "/dev/stdout", stdout=fh).returncode == 0
+    assert log.read_text() == "head\n" + POLY2_TEXT
+    assert log.stat().st_ino == inode
+    assert list(tmp_path.iterdir()) == [log]
+
+
+def test_output_to_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE, text=True)
+    try:
+        assert _cli("poly", "--n", "2", "-o", str(fifo)).returncode == 0
+        assert reader.communicate(timeout=30)[0] == POLY2_TEXT
+    finally:
+        reader.kill()
+        reader.wait()
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_output_through_a_symlink(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old bytes\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert _cli("poly", "--n", "2", "-o", str(link)).returncode == 0
+    assert link.is_symlink() and real.read_text() == POLY2_TEXT
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
 def test_lattice_json_streamed_to_a_file(tmp_path, capsys):
     target = tmp_path / "lattice.json"
     code, out, _ = run(capsys, "lattice", "--n", "3", "-f", "json", "-o", str(target))
@@ -111,37 +180,21 @@ def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
         return real(self)
 
     monkeypatch.setattr(MultilinearPolynomial, "value_table", counted)
-    # a one-term polynomial on 9 edges: 2^9 entries against 100 points
-    wfile = tmp_path / "w.txt"
-    wfile.write_text("bipartite 3\n" + "".join(
-        f"{i} {j} {0 if i == j else 1}\n" for i in (1, 2, 3) for j in (1, 2, 3)
-    ))
-    argv = ["verify", "--n", "3", "--weights", str(wfile)]
-    assert run(capsys, *argv, "--samples", "100") == (
-        0, "verified 100 assignments: OK\n", ""
-    )
-    assert calls == []
-    assert run(capsys, *argv, "--samples", "512")[:2] == (0, "verified 512 assignments: OK\n")
+    # one-term polynomials: the 2^25-entry table of n = 5 outweighs 1,000
+    # points, the 512 entries of n = 3 outweigh 8 points but not 100
+    for n, pointwise in ((5, 1000), (3, 8)):
+        wfile = tmp_path / f"w{n}.txt"
+        wfile.write_text(f"bipartite {n}\n" + "".join(
+            f"{i} {j} {0 if i == j else 1}\n" for i in range(1, n + 1) for j in range(1, n + 1)
+        ))
+        argv = ["verify", "--n", str(n), "--weights", str(wfile)]
+        assert run(capsys, *argv, "--samples", str(pointwise)) == (
+            0, f"verified {pointwise} assignments: OK\n", ""
+        )
+        assert calls == []
+    assert run(capsys, *argv, "--samples", "100")[:2] == (0, "verified 100 assignments: OK\n")
     assert run(capsys, *argv, "--exhaustive")[:2] == (0, "verified 512 assignments: OK\n")
     assert calls == [1, 1]
-
-
-@pytest.mark.slow
-def test_poly_n5_to_a_file(tmp_path, capsys):
-    target = tmp_path / "poly5.txt"
-    code, out, err = run(capsys, "poly", "--n", "5", "-o", str(target))
-    assert (code, out, err) == (0, "", "terms: 6092721 (odd)\n")
-    digest = hashlib.md5()
-    lines = total = 0
-    with open(target, "rb") as fh:
-        for line in fh:
-            digest.update(line)
-            lines += 1
-            total += int(line.split(b" ", 1)[0])
-    assert digest.hexdigest() == "1ec0e1931b414f4c36a80002f2862d58"
-    # one term per face of the Birkhoff polytope B_5, signed (-1)^dim:
-    # Euler's relation makes the coefficients sum to 1
-    assert (lines, total) == (6092721, 1)
 
 
 def test_poly_deterministic(capsys):

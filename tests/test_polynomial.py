@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +388,26 @@ def test_writers_at_every_support_width():
     _check_writers(poly, dict(poly.terms))
 
 
+def test_wide_ground_rows_unpack_only_the_support_bytes():
+    # 40,000 edges, 12 support edges spread over them: one byte per edge of
+    # the ground and mask would be 8 MB, the masks' own bytes are 1 MB
+    ground = bipartite_ground(200)
+    rng = random.Random(131)
+    ids = sorted(rng.sample(range(ground.edge_count), 11) + [ground.edge_count - 1])
+    terms = _random_terms(rng, ids, 200)
+    tracemalloc.start()
+    try:
+        poly = MultilinearPolynomial(ground, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert poly._bits.ids == ids and poly.terms == terms
+    assert poly.sorted_terms() == sorted(
+        terms.items(), key=lambda t: mask_key(t[0], ground.edge_count)
+    )
+
+
 def test_writers_at_chunk_boundaries(monkeypatch):
     g1, g4 = bipartite_ground(1), bipartite_ground(4)
     _check_writers(MultilinearPolynomial(g1, {}), {})
@@ -403,6 +425,25 @@ def test_writers_at_chunk_boundaries(monkeypatch):
     for count in (1, 4, 5, 9):
         terms = {m: rng.choice([-1, 1, 2**70]) for m in rng.sample(range(1, 1 << 16), count)}
         _check_writers(MultilinearPolynomial(g4, terms), terms)
+
+
+def test_pm_polynomial_5_text():
+    # the dense route at its widest, 25 edges: the text hashed as it streams
+    class Sink:
+        def __init__(self):
+            self.md5, self.lines, self.signs = hashlib.md5(), 0, 0
+
+        def write(self, chunk):
+            self.md5.update(chunk.encode())
+            self.lines += chunk.count("\n")
+            self.signs += chunk.count("+") - chunk.count("-")
+
+    sink = Sink()
+    pm_polynomial(5).to_text(sink)
+    assert sink.md5.hexdigest() == "1ec0e1931b414f4c36a80002f2862d58"
+    # one term per face of the Birkhoff polytope B_5, signed (-1)^dim, every
+    # coefficient +-1 (the hash pins them): Euler's relation makes them sum to 1
+    assert (sink.lines, sink.signs) == (6092721, 1)
 
 
 def test_refusals_read_the_arrays():
