@@ -15,13 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError
-from .graphs import (
-    Family,
-    Graph,
-    GroundGraph,
-    cyclomatic_number,
-    mask_key,
-)
+from .graphs import Family, Graph, GroundGraph, cyclomatic_number
 from .matching import WeightFunction, pm_support
 from .subsets import (
     SupportBits,
@@ -33,27 +27,39 @@ from .subsets import (
 
 
 class CoveredSet:
-    """All graphs covered by a family, in canonical order."""
+    """All graphs covered by a family, in canonical order.
 
-    __slots__ = ("ground", "family", "graphs", "_masks")
+    Held as a polynomial holds its monomials: the support's edge ids (bits)
+    and one byte row per graph, its edge mask compressed onto the support
+    (rows). The Graph objects are built on first access.
+    """
 
-    def __init__(self, ground: GroundGraph, family: Family, graphs: tuple[Graph, ...]):
+    __slots__ = ("ground", "bits", "rows", "_graphs")
+
+    def __init__(self, ground: GroundGraph, bits: SupportBits, rows: np.ndarray):
         self.ground = ground
-        self.family = family
-        self.graphs = graphs
-        self._masks = frozenset(g.edges for g in graphs)
+        self.bits = bits
+        self.rows = rows
+        self._graphs: tuple[Graph, ...] | None = None
+
+    @property
+    def graphs(self) -> tuple[Graph, ...]:
+        if self._graphs is None:
+            masks = self.bits.expand(self.rows).tolist()
+            self._graphs = tuple(Graph(self.ground, m) for m in masks)
+        return self._graphs
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Graph]:
         return iter(self.graphs)
 
     def __contains__(self, g: Graph) -> bool:
-        return g.ground == self.ground and g.edges in self._masks
+        return g.ground == self.ground and self.bits.find(self.rows, g.edges) is not None
 
     def __repr__(self) -> str:
-        return f"CoveredSet({self.ground.header()!r}, {len(self.graphs)} graphs)"
+        return f"CoveredSet({self.ground.header()!r}, {len(self)} graphs)"
 
 
 def _check_family(F: Family) -> None:
@@ -67,22 +73,22 @@ def covered_closure(F: Family) -> CoveredSet:
     """The set of all distinct unions of nonempty subfamilies of F.
 
     A narrow support (see dense_fits) gets the dense table of
-    _dense_closure_masks; a wide one the breadth-first search, whose cost
+    _dense_closure_rows; a wide one the breadth-first search, whose cost
     follows the size of the closure rather than of the support.
     """
     _check_family(F)
     members = [g.edges for g in F]
     bits = SupportBits(members)
     if dense_fits(len(bits), len(members)):
-        masks = _dense_closure_masks(members, bits)
+        rows = _dense_closure_rows(members, bits)
     else:
-        width = F.ground.edge_count
-        masks = sorted(_bfs_closure_masks(members), key=lambda m: mask_key(m, width))
-    return CoveredSet(F.ground, F, tuple(Graph(F.ground, m) for m in masks))
+        rows = bits.rows(list(_bfs_closure_masks(members)))
+    return CoveredSet(F.ground, bits, np.take(rows, canonical_order(rows), axis=0))
 
 
-def _dense_closure_masks(members: list[int], bits: SupportBits) -> list[int]:
-    """Covered masks in canonical order, by one OR pass over the support.
+def _dense_closure_rows(members: list[int], bits: SupportBits) -> np.ndarray:
+    """Byte rows of the covered masks, in index order, by one OR pass over
+    the support.
 
     After the pass, table[S] is the union of the members inside S, and S is
     covered exactly when that union is S itself.
@@ -91,10 +97,13 @@ def _dense_closure_masks(members: list[int], bits: SupportBits) -> list[int]:
     table = np.zeros(1 << len(bits), dtype=np.uint32)
     table[cmembers] = cmembers
     _subset_transform(table, "|")
-    covered = np.flatnonzero(table == np.arange(table.size, dtype=np.uint32))
+    index = np.arange(min(table.size, 1 << 16), dtype=np.uint32)  # 256 KB a block
+    covered = []
+    for block in table.reshape(-1, index.size):
+        covered.append(index[block == index])
+        index += index.size
     # index 0 always matches, but the empty graph is not covered
-    rows = byte_rows(covered[1:], len(bits))
-    return bits.expand(np.take(rows, canonical_order(rows), axis=0)).tolist()
+    return byte_rows(np.concatenate(covered)[1:], len(bits))
 
 
 def _bfs_closure_masks(members: list[int]) -> set[int]:

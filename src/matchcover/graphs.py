@@ -161,16 +161,6 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_key(mask: int, width: int) -> tuple[int, int]:
-    """Sort key on raw edge masks of a width-edge ground for the canonical
-    order used everywhere: ascending edge count, then the sorted edge ids.
-
-    Among masks of one edge count, the one holding the smallest edge id of
-    their difference comes first, so it has the larger bit-reversed mask.
-    """
-    return (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2))
-
-
 def component_count(G: Graph) -> int:
     """Connected components of the spanning subgraph; isolated vertices count."""
     parent = list(range(G.ground.vertex_count))

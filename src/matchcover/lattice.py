@@ -34,8 +34,8 @@ from .graphs import (
     _iter_bits,
     _write_chunks,
     edge_list_str,
-    mask_key,
 )
+from .subsets import canonical_sorted
 
 # Words per block of packed down-set rows in the Mobius pass: 2^18 uint64
 # are 2 MB.
@@ -163,10 +163,9 @@ class Lattice:
         for g in elements:
             if g.ground != ground:
                 raise InputError("lattice elements must share one ground")
-        width = ground.edge_count
-        elements = sorted(set(elements), key=lambda g: mask_key(g.edges, width))
+        by_mask = {g.edges: g for g in elements}
         self.ground: GroundGraph = ground
-        self.elements: tuple[Graph, ...] = tuple(elements)
+        self.elements: tuple[Graph, ...] = tuple(map(by_mask.get, canonical_sorted([*by_mask])))
         self._index = {g.edges: k for k, g in enumerate(self.elements)}
         n = len(self.elements)
         self._down, self._up = self._order_masks()
@@ -516,23 +515,12 @@ class Lattice:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        ranks, violation = self._rank_data()
-        return {
-            "ground": {"mode": self.ground.mode, "size": self.ground.size},
-            "elements": [g.edge_pairs() for g in self.elements],
-            "covers": [[a, b] for (a, b) in self._covers],
-            "mobius": list(self.mobius_table().values()),
-            "ranks": ranks,
-            "graded": violation is None,
-        }
-
     def to_json(self, file=None) -> str | int:
-        """The bytes of json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True) plus a newline, written directly rather than by the
-        pure-Python encoder that indent selects. Returns the text, or writes
-        it to file chunk by chunk and returns the number of characters
-        written."""
+        """json.dumps(..., indent=2, sort_keys=True) of "covers" (index
+        pairs), "elements" ([u, v] edge lists), "graded", "ground", "mobius"
+        and "ranks" (per element), plus a newline, written directly. Returns
+        the text, or writes it to file chunk by chunk and returns the number
+        of characters written."""
         return _write_chunks(self._json_chunks(), file)
 
     def _json_chunks(self) -> Iterator[str]:

@@ -29,8 +29,8 @@ from .graphs import (
     _content_lines,
     _iter_bits,
     _parse_header,
-    mask_key,
 )
+from .subsets import canonical_sorted
 
 
 def _require_bipartite(ground: GroundGraph, what: str) -> None:
@@ -120,8 +120,7 @@ def has_perfect_matching(G: Graph) -> bool:
 def enumerate_perfect_matchings(G: Graph) -> Family:
     """All perfect matchings of G, in canonical (edge-count, edge-id) order."""
     _require_even(G.ground)
-    width = G.ground.edge_count
-    masks = sorted(_pm_masks(G), key=lambda m: mask_key(m, width))
+    masks = canonical_sorted(list(_pm_masks(G)))
     return Family(G.ground, [Graph(G.ground, m) for m in masks])
 
 

@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     GroundGraph,
     _check_ground,
-    _iter_bits,
     _write_chunks,
     bipartite_ground,
     cyclomatic_number,
@@ -77,7 +76,7 @@ class MultilinearPolynomial:
         if (coeffs == 0).any():
             raise InputError("zero coefficients must be dropped")
         bits = SupportBits(masks)
-        self._hold(ground, bits, bits.rows(masks, ground.edge_count), coeffs)
+        self._hold(ground, bits, bits.rows(masks), coeffs)
 
     def _hold(
         self, ground: GroundGraph, bits: SupportBits, rows: np.ndarray, coeffs: np.ndarray
@@ -122,8 +121,9 @@ class MultilinearPolynomial:
         )
 
     def coefficient(self, x: Graph | int) -> int:
-        mask = self._mask_of(x)
-        return self.terms.get(mask, 0)
+        """Coefficient of x's monomial, searched in the rows, not in terms."""
+        k = self._bits.find(self._rows, self._mask_of(x))
+        return 0 if k is None else int(self._coeffs[k])
 
     def _mask_of(self, x: Graph | int) -> int:
         if isinstance(x, Graph):
@@ -162,11 +162,6 @@ class MultilinearPolynomial:
         table[self._bits.expand(self._rows, np.int64)] = self._coeffs
         return _subset_transform(table, "+")
 
-    def sorted_terms(self) -> list[tuple[int, int]]:
-        """(mask, coeff) pairs in canonical (degree, edge-id) order."""
-        masks = self._bits.expand(self._rows).tolist()
-        return list(zip(masks, self._coeffs.tolist()))
-
     def to_text(self, file=None) -> str | int:
         """One term per line: signed coefficient, then sorted x[u,v] factors.
         Returns the text, or writes it to file chunk by chunk and returns
@@ -185,21 +180,11 @@ class MultilinearPolynomial:
         if not len(self):
             yield "\n"
 
-    def to_json_dict(self) -> dict:
-        pairs = self.ground.edge_pairs()
-        return {
-            "ground": {"mode": self.ground.mode, "size": self.ground.size},
-            "terms": [
-                {"coeff": coeff, "edges": [list(pairs[k]) for k in _iter_bits(mask)]}
-                for mask, coeff in self.sorted_terms()
-            ],
-        }
-
     def to_json(self, file=None) -> str | int:
-        """The bytes of json.dumps(self.to_json_dict(), indent=2) plus a
-        newline, written directly rather than by the pure-Python encoder
-        that indent selects. Returns the text, or writes it to file chunk
-        by chunk and returns the number of characters written."""
+        """json.dumps(..., indent=2) of "ground" and "terms" (each with its
+        "coeff" and "edges" as [u, v] pairs, in canonical order), plus a
+        newline, written directly. Returns the text, or writes it to file
+        chunk by chunk and returns the number of characters written."""
         return _write_chunks(self._json_chunks(), file)
 
     def _json_chunks(self) -> Iterator[str]:
@@ -322,10 +307,9 @@ def membership_polynomial_general(F: Family) -> MultilinearPolynomial:
 
 def _sign_rule_polynomial(F: Family) -> MultilinearPolynomial:
     """One term per covered graph, signed by its cyclomatic number."""
-    terms = {
-        g.edges: (-1 if cyclomatic_number(g) % 2 else 1) for g in covered_closure(F)
-    }
-    return MultilinearPolynomial(F.ground, terms)
+    cov = covered_closure(F)
+    signs = np.array([-1 if cyclomatic_number(g) % 2 else 1 for g in cov], dtype=np.int64)
+    return MultilinearPolynomial._from_rows(F.ground, cov.bits, cov.rows, signs)
 
 
 def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
@@ -395,7 +379,5 @@ def truth_table_transform(
         count=size,
     )
     _subset_transform(table, "+", inverse=True)
-    terms = {
-        int(mask): int(table[mask]) for mask in np.nonzero(table)[0]
-    }
-    return MultilinearPolynomial(ground, terms)
+    masks = np.flatnonzero(table)
+    return MultilinearPolynomial(ground, dict(zip(masks.tolist(), table[masks].tolist())))

@@ -13,6 +13,7 @@ rows of bytes, which byte lookup tables sort, expand and name.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +32,8 @@ DENSE_SLACK_BITS = 8
 
 # Each byte value with its bits in reverse order.
 _REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
+# The same, complemented, as a bytes.translate table for _order_key.
+_KEY_BYTES = (~_REVERSED).tobytes()
 
 _BUTTERFLY = {
     ("+", False): np.add,
@@ -82,11 +85,11 @@ class SupportBits:
     def compress(self, mask: int) -> int:
         return sum(1 << b for b, k in enumerate(self.ids) if mask >> k & 1)
 
-    def rows(self, masks: list[int], width: int) -> np.ndarray:
-        """Masks of a width-edge ground compressed onto the support, as byte
-        rows: the bytes that hold support bits unpacked, the support's
-        columns packed again."""
-        size = -(-width // 8)
+    def rows(self, masks: list[int]) -> np.ndarray:
+        """Masks inside the support compressed onto it, as byte rows: the
+        bytes that hold support bits unpacked, the support's columns packed
+        again."""
+        size = (self.ids[-1] >> 3) + 1 if self.ids else 0
         data = b"".join(m.to_bytes(size, "little") for m in masks)
         full = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
         cols = sorted({k >> 3 for k in self.ids})
@@ -94,6 +97,16 @@ class SupportBits:
         edges = np.unpackbits(full[:, cols], axis=1, bitorder="little")
         picked = [slot[k >> 3] + (k & 7) for k in self.ids]
         return np.packbits(edges[:, picked], axis=1, bitorder="little")
+
+    def find(self, rows: np.ndarray, mask: int) -> int | None:
+        """Index of mask's row among byte rows in canonical order, by binary
+        search; None when it is not there or has edges off the support."""
+        compressed = self.compress(mask)
+        if compressed.bit_count() != mask.bit_count():
+            return None
+        row = np.frombuffer(compressed.to_bytes(rows.shape[1], "little"), dtype=np.uint8)
+        k = bisect_left(rows, _order_key(row), key=_order_key)
+        return k if k < len(rows) and np.array_equal(rows[k], row) else None
 
     def expand(self, rows: np.ndarray, dtype=object) -> np.ndarray:
         """Full edge masks of byte rows, one lookup table per byte: Python
@@ -126,13 +139,25 @@ def byte_rows(masks: np.ndarray, width: int) -> np.ndarray:
 
 
 def canonical_order(rows: np.ndarray) -> np.ndarray:
-    """The permutation that puts masks given as byte rows in canonical order,
-    as graphs.mask_key sorts them: by bit count, then by their sorted bit
-    positions, so of two masks of one count the one holding the lowest bit
-    of their difference goes first. That is descending bit-reversed bytes,
-    low byte first, with one lookup per byte for the reversal."""
+    """The permutation that puts masks given as byte rows in canonical order:
+    by bit count, then by their sorted bit positions, so of two masks of one
+    count the one holding the lowest bit of their difference goes first.
+    That is descending bit-reversed bytes, low byte first, with one lookup
+    per byte for the reversal."""
     # 8- and 16-bit keys take numpy's radix sort; counts past 2^16 need int64
     count_type = np.uint16 if rows.shape[1] * 8 < 1 << 16 else np.int64
     count = np.bitwise_count(rows).sum(axis=1, dtype=count_type)
     keys = [~_REVERSED[rows[:, b]] for b in reversed(range(rows.shape[1]))]
     return np.lexsort([*keys, count])
+
+
+def _order_key(row: np.ndarray) -> tuple[int, bytes]:
+    """The key of one byte row in canonical order, as canonical_order sorts."""
+    data = row.tobytes()
+    return int.from_bytes(data, "little").bit_count(), data.translate(_KEY_BYTES)
+
+
+def canonical_sorted(masks: list[int]) -> list[int]:
+    """Distinct int masks in canonical order."""
+    order = canonical_order(SupportBits(masks).rows(masks))
+    return [masks[k] for k in order.tolist()]

@@ -237,6 +237,25 @@ def reference_json_dict(poly):
     }
 
 
+def reference_lattice_json_dict(lat):
+    """The data of the lattice JSON format, from the public queries, with
+    the edges of each element found bit by bit."""
+    ground = lat.ground
+    index = {g: k for k, g in enumerate(lat.elements)}
+    labels = lat.rank_labels()
+    return {
+        "ground": {"mode": ground.mode, "size": ground.size},
+        "elements": [
+            [list(ground.edge_endpoints(k)) for k in range(ground.edge_count) if g.edges >> k & 1]
+            for g in lat.elements
+        ],
+        "covers": [[index[a], index[b]] for a, b in lat.covers()],
+        "mobius": [lat.mobius(g) for g in lat.elements],
+        "ranks": [labels.ranks[g] for g in lat.elements],
+        "graded": labels.graded,
+    }
+
+
 def pattern_weights(ground, pattern):
     """0/1 weights from a row-major string of '0' and '1'."""
     return WeightFunction(ground, [int(ch) for ch in pattern])

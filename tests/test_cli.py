@@ -9,6 +9,7 @@ import pytest
 
 import matchcover
 from matchcover.cli import main
+from oracles import reference_json_dict
 
 W22 = "bipartite 2\n1 1 1\n1 2 2\n2 1 2\n2 2 1\n"
 C4 = "bipartite 2\n1 1\n1 2\n2 1\n2 2\n"
@@ -295,7 +296,7 @@ def test_verify_caps(capsys):
 def test_verify_tampered_polynomial(tmp_path, capsys):
     from matchcover import pm_polynomial
 
-    data = pm_polynomial(2).to_json_dict()
+    data = reference_json_dict(pm_polynomial(2))
     data["terms"][0]["coeff"] = -1  # flip one sign
     check = tmp_path / "poly.json"
     check.write_text(json.dumps(data))
@@ -422,6 +423,12 @@ def test_count_covered(capsys, tmp_path):
     assert out == "count: 1\nparity: odd\n"
     code, _, err = run(capsys, "count-covered", "--n", "5")
     assert code == 2 and "capped" in err
+
+
+def test_count_covered_n5(capsys):
+    # the dense closure over all 25 edges of K_{5,5}: the faces of B_5
+    out = "count: 6092721\nparity: odd\n"
+    assert run(capsys, "count-covered", "--n", "5", "--unsafe-caps") == (0, out, "")
 
 
 def _weight_file(path, n, weight):
@@ -582,7 +589,7 @@ def test_mismatched_inputs_are_refused_before_the_n_ground(tmp_path, capsys):
 def test_malformed_numbers_exit_2(tmp_path, capsys):
     from matchcover import pm_polynomial
 
-    data = pm_polynomial(2).to_json_dict()
+    data = reference_json_dict(pm_polynomial(2))
     data["terms"][0]["edges"][0] = [1, 1, 1]
     check = tmp_path / "edge.json"
     check.write_text(json.dumps(data))

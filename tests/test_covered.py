@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -21,7 +22,7 @@ from matchcover import (
     support_union,
     truth_table_transform,
 )
-from matchcover.covered import _bfs_closure_masks, _dense_closure_masks
+from matchcover import covered
 from matchcover.subsets import DENSE_BIT_CAP, SupportBits
 from oracles import (
     brute_covered_masks,
@@ -77,7 +78,14 @@ def _random_family(rng, ground, support, size):
     return Family(ground, [Graph(ground, m) for m in sorted(masks - {0})])
 
 
-def test_closure_dense_matches_bfs():
+def _closure(fam, monkeypatch, dense):
+    """The closure by the dense or the breadth-first route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(covered, "dense_fits", lambda width, members: dense)
+        return covered_closure(fam)
+
+
+def test_closure_dense_matches_bfs(monkeypatch):
     rng = random.Random(61)
     cases = [
         (bipartite_ground(3), None),
@@ -90,14 +98,45 @@ def test_closure_dense_matches_bfs():
         support = ground.full_graph().edges if support is None else support
         for size in (1, 3, 7, 12):
             fam = _random_family(rng, ground, support, size)
-            members = [m.edges for m in fam]
-            bits = SupportBits(members)
-            assert len(bits) <= DENSE_BIT_CAP
-            dense = _dense_closure_masks(members, bits)
-            bfs = sorted(_bfs_closure_masks(members), key=canonical_key_of(ground))
-            assert dense == bfs
-            assert set(dense) == brute_covered_masks(fam)
-            assert [g.edges for g in covered_closure(fam)] == dense
+            assert len(SupportBits([m.edges for m in fam])) <= DENSE_BIT_CAP
+            want = brute_covered_masks(fam)
+            # membership is searched in the rows: covered graphs, random
+            # graphs inside the support, and graphs with one more edge,
+            # often one off the family's support
+            probes = [0, support, *want]
+            probes += [rng.getrandbits(ground.edge_count) & support for _ in range(100)]
+            probes += [m | 1 << rng.randrange(ground.edge_count) for m in want]
+            dense, bfs = (_closure(fam, monkeypatch, route) for route in (True, False))
+            for cov in (dense, bfs):
+                assert len(cov) == len(want)
+                for mask in probes:
+                    assert (Graph(ground, mask) in cov) == (mask in want)
+                assert cov._graphs is None  # no Graph objects built so far
+                assert Graph(bipartite_ground(2), 1) not in cov
+            masks = [g.edges for g in dense]
+            assert masks == [g.edges for g in bfs] == sorted(masks, key=canonical_key_of(ground))
+            assert set(masks) == want
+            assert [g.edges for g in covered_closure(fam)] == masks
+
+
+def test_closure_of_k55_is_held_in_rows():
+    # the dense route at its widest, 2^25 table entries; the 6,092,721
+    # covered graphs are held as rows of 4 bytes, with no Graph objects
+    fam = enumerate_perfect_matchings(bipartite_ground(5).full_graph())
+    tracemalloc.start()
+    try:
+        cov = covered_closure(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 << 20, peak
+    assert cov.rows.shape == (6092721, 4)
+    # canonical order: the matchings first, in the family's order
+    assert cov.bits.expand(cov.rows[:120]).tolist() == [m.edges for m in fam]
+    g = fam.ground
+    assert fam[7] in cov and g.full_graph() in cov
+    assert Graph(g, 0b11) not in cov and g.empty_graph() not in cov
+    assert cov._graphs is None
 
 
 def test_closure_rejects_bad_families():

@@ -14,7 +14,7 @@ from matchcover import (
     edge_list_str,
     parse_graph,
 )
-from matchcover.graphs import mask_key
+from matchcover.subsets import canonical_sorted
 from oracles import bfs_component_count, canonical_key, random_graph
 
 
@@ -140,14 +140,19 @@ def test_parse_graph_errors():
         parse_graph("bipartite 2\n1 1\n")  # the expected ground is required
 
 
-def test_mask_key_orders_like_canonical_key():
+def test_canonical_sorted_orders_like_canonical_key():
     rng = random.Random(127)
-    for ground in (bipartite_ground(3), complete_ground(6), bipartite_ground(20)):
+    for ground, pool_size in (
+        (bipartite_ground(3), 7),
+        (complete_ground(6), 7),
+        (bipartite_ground(20), 7),
+        (bipartite_ground(20), 90),  # a support wider than 64 bits
+    ):
         # few edges from a small pool, so that edge counts tie often
-        pool = rng.sample(range(ground.edge_count), 7)
-        graphs = [
-            Graph(ground, sum(1 << k for k in rng.sample(pool, rng.randint(0, 4))))
-            for _ in range(300)
-        ]
-        by_mask = sorted(graphs, key=lambda g: mask_key(g.edges, ground.edge_count))
-        assert by_mask == sorted(graphs, key=canonical_key)
+        pool = rng.sample(range(ground.edge_count), pool_size)
+        masks = {sum(1 << k for k in rng.sample(pool, rng.randint(1, 4))) for _ in range(300)}
+        masks = [0, *masks]  # the empty mask too
+        rng.shuffle(masks)
+        want = sorted(masks, key=lambda m: canonical_key(Graph(ground, m)))
+        assert canonical_sorted(masks) == want
+    assert canonical_sorted([]) == [] and canonical_sorted([0]) == [0]

@@ -27,13 +27,13 @@ from matchcover import (
     truth_table_transform,
 )
 from matchcover import polynomial
-from matchcover.graphs import mask_key
 from matchcover.polynomial import _CHUNK_TERMS, _pm_family_polynomial, _sign_rule_polynomial
 from matchcover.subsets import _subset_transform
 from oracles import (
     pattern_weights,
     random_int_weights,
     reference_json_dict,
+    reference_sorted_terms,
     reference_text,
 )
 
@@ -222,7 +222,7 @@ def test_json_round_trip():
     g3 = bipartite_ground(3)
     again = MultilinearPolynomial.from_json(poly.to_json(), g3)
     assert again == poly
-    data = poly.to_json_dict()
+    data = json.loads(poly.to_json())
     assert data["ground"] == {"mode": "bipartite", "size": 3}
     assert data["terms"][0]["coeff"] in (1, -1)
 
@@ -331,7 +331,7 @@ def test_writers_match_reference_writers():
     for poly in polys:
         assert poly.to_text() == reference_text(poly)
         assert poly.to_json() == json.dumps(reference_json_dict(poly), indent=2) + "\n"
-        assert poly.to_json_dict() == reference_json_dict(poly)
+        assert list(poly.terms.items()) == reference_sorted_terms(poly)
 
 
 def _random_terms(rng, ids, count):
@@ -345,15 +345,13 @@ def _random_terms(rng, ids, count):
 
 def _check_writers(poly, terms):
     """Both writers against the bit-scanning reference writers and the json
-    encoder, returned and streamed; the lazy terms and sorted_terms against
-    the dict the polynomial was built from and the mask_key sort."""
+    encoder, returned and streamed; the lazy terms against the dict the
+    polynomial was built from, in the bit-scanning canonical order."""
     assert poly.terms == terms
-    width = poly.ground.edge_count
-    assert poly.sorted_terms() == sorted(terms.items(), key=lambda t: mask_key(t[0], width))
+    assert list(poly.terms.items()) == reference_sorted_terms(poly)
     text, data = poly.to_text(), poly.to_json()
     assert text == reference_text(poly)
     assert data == json.dumps(reference_json_dict(poly), indent=2) + "\n"
-    assert data == json.dumps(poly.to_json_dict(), indent=2) + "\n"
     for writer, want in ((poly.to_text, text), (poly.to_json, data)):
         out = io.StringIO()
         assert len(writer(out)) == len(want)
@@ -403,9 +401,9 @@ def test_wide_ground_rows_unpack_only_the_support_bytes():
         tracemalloc.stop()
     assert peak < 4 << 20, peak
     assert poly._bits.ids == ids and poly.terms == terms
-    assert poly.sorted_terms() == sorted(
-        terms.items(), key=lambda t: mask_key(t[0], ground.edge_count)
-    )
+    # the canonical key, scanning only the support's bits of the wide masks
+    key = lambda t: (t[0].bit_count(), [k for k in ids if t[0] >> k & 1])
+    assert list(poly.terms.items()) == sorted(terms.items(), key=key)
 
 
 def test_writers_at_chunk_boundaries(monkeypatch):
@@ -439,11 +437,50 @@ def test_pm_polynomial_5_text():
             self.signs += chunk.count("+") - chunk.count("-")
 
     sink = Sink()
-    pm_polynomial(5).to_text(sink)
+    poly = pm_polynomial(5)
+    poly.to_text(sink)
     assert sink.md5.hexdigest() == "1ec0e1931b414f4c36a80002f2862d58"
     # one term per face of the Birkhoff polytope B_5, signed (-1)^dim, every
     # coefficient +-1 (the hash pins them): Euler's relation makes them sum to 1
     assert (sink.lines, sink.signs) == (6092721, 1)
+    # coefficients are searched in the rows, without the 6 M-entry terms dict
+    g = poly.ground
+    queries = [g.full_graph(), Graph(g, 0b1000001), 0b11, 0, 1 << 24 | 1 << 18 | 1 << 12 | 1 << 6 | 1]
+    tracemalloc.start()
+    try:
+        found = [poly.coefficient(x) for x in queries]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # chi(K_{5,5}) = 25 - 10 + 1 = 16; a matching is a vertex, chi = 0
+    assert found == [1, 0, 0, 0, 1]
+    assert peak < 1 << 20, peak
+    assert poly._terms is None
+
+
+def test_coefficient_searches_the_rows():
+    rng = random.Random(137)
+    g1, g3, g20 = (bipartite_ground(n) for n in (1, 3, 20))
+    cases = [
+        (g1, {}),
+        (g1, {0: 2**70}),
+        (g3, _random_terms(rng, list(range(9)), 60)),
+        (g3, pm_polynomial(3).terms),
+        (g20, _random_terms(rng, rng.sample(range(400), 90), 200)),  # 12-byte rows
+    ]
+    for ground, terms in cases:
+        poly = MultilinearPolynomial(ground, terms)
+        width = ground.edge_count
+        probes = [0, *terms, *(rng.getrandbits(width) for _ in range(100))]
+        probes += [m | 1 << rng.randrange(width) for m in terms]  # often off the support
+        for mask in probes:
+            assert poly.coefficient(mask) == terms.get(mask, 0)
+            assert poly.coefficient(Graph(ground, mask)) == terms.get(mask, 0)
+        assert poly._terms is None
+    with pytest.raises(InputError):
+        poly.coefficient(1 << 400)
+    with pytest.raises(InputError):
+        poly.coefficient(bipartite_ground(2).full_graph())
 
 
 def test_refusals_read_the_arrays():
