@@ -68,11 +68,6 @@ class GroundGraph:
             raise InputError(f"({u}, {v}) is not an edge of {self.header()}")
         return k
 
-    def edge_endpoints(self, edge_id: int) -> tuple[int, int]:
-        if not 0 <= edge_id < len(self._pairs):
-            raise InputError(f"edge id {edge_id} out of range for {self.header()}")
-        return self._pairs[edge_id]
-
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return self._pairs
 

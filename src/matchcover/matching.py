@@ -2,15 +2,18 @@
 
 One backtracking search enumerates the perfect matchings of either ground,
 and decides their existence on complete grounds at desk scale. Bipartite
-grounds get polynomial-time algorithms for everything else: augmenting paths
-for existence, and alternating-reachability for the set of edges that lie in
-some perfect matching. Minimum weights rest on one dual certificate: an
-O(n^3) potential-based assignment solver over exact rationals solves the
-full K_{n,n} once, and a perfect matching is minimum-weight exactly when all
-its edges are tight for its potentials. So the minimum-weight matchings are
-the perfect matchings of the tight subgraph, and every minimum-weight
-question is a plain matching question there. All weights are
-fractions.Fraction, so weight equality is decided exactly.
+grounds get polynomial-time algorithms for everything else, all on the
+graph's row bitmasks: augmenting paths for existence, and for the set of
+edges that lie in some perfect matching, the transitive closure of the
+alternating digraph that one perfect matching defines on the columns (an
+edge is used iff it lies on an alternating cycle). Minimum weights rest on
+one dual certificate: an O(n^3) potential-based assignment solver over exact
+rationals solves the full K_{n,n} once, and a perfect matching is
+minimum-weight exactly when all its edges are tight for its potentials. So
+the minimum-weight matchings are the perfect matchings of the tight
+subgraph, and every minimum-weight question is a plain matching question
+there. All weights are fractions.Fraction, so weight equality is decided
+exactly.
 """
 
 from __future__ import annotations
@@ -48,27 +51,45 @@ def _row_masks(G: Graph) -> list[int]:
 def _kuhn_matching(rows: list[int]) -> tuple[int, list[int]]:
     """Maximum bipartite matching; returns (size, match_right).
 
-    match_right[j] is the left partner of right j, or -1.
+    match_right[j] is the left partner of right j, or -1. A greedy pass gives
+    each row its lowest free column; the rows left over then search for
+    augmenting paths depth first, on an explicit stack, so path length is
+    not bounded by the recursion limit.
     """
     n = len(rows)
     match_right = [-1] * n
-
-    def augment(i: int, visited: list[bool]) -> bool:
-        cols = rows[i]
-        while cols:
-            j = (cols & -cols).bit_length() - 1
-            cols &= cols - 1
-            if not visited[j]:
-                visited[j] = True
-                if match_right[j] < 0 or augment(match_right[j], visited):
-                    match_right[j] = i
-                    return True
-        return False
-
-    size = 0
-    for i in range(n):
-        if augment(i, [False] * n):
-            size += 1
+    free = (1 << n) - 1
+    unmatched = []
+    for i, cols in enumerate(rows):
+        cols &= free
+        if cols:
+            low = cols & -cols
+            free ^= low
+            match_right[low.bit_length() - 1] = i
+        else:
+            unmatched.append(i)
+    size = n - len(unmatched)
+    for i in unmatched:
+        path = [i]  # rows of the alternating path
+        via: list[int] = []  # via[k]: the column from path[k] to path[k + 1]
+        seen = 0
+        while path:
+            cols = rows[path[-1]] & ~seen
+            if not cols:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            low = cols & -cols
+            seen |= low
+            j = low.bit_length() - 1
+            via.append(j)
+            if match_right[j] < 0:
+                for r, c in zip(path, via):
+                    match_right[c] = r
+                size += 1
+                break
+            path.append(match_right[j])
     return size, match_right
 
 
@@ -183,16 +204,6 @@ class WeightFunction:
     @classmethod
     def unit(cls, ground: GroundGraph) -> "WeightFunction":
         return cls(ground, [1] * ground.edge_count)
-
-    def weight_of(self, x: Graph | int) -> Fraction:
-        """Total weight of a graph or raw edge mask."""
-        mask = x.edges if isinstance(x, Graph) else x
-        total = Fraction(0)
-        while mask:
-            k = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            total += self.weights[k]
-        return total
 
     def _solve(self):
         if self._solution is None:
@@ -327,77 +338,38 @@ def hungarian(cost: list[list]) -> tuple[Fraction, list[int], list, list]:
 # Support graphs
 # ---------------------------------------------------------------------------
 
-def _scc_ids(nvert: int, arcs: list[list[int]]) -> list[int]:
-    """Kosaraju strongly connected components; returns component id per vertex."""
-    order: list[int] = []
-    seen = [False] * nvert
-    for s in range(nvert):
-        if seen[s]:
-            continue
-        stack = [(s, 0)]
-        seen[s] = True
-        while stack:
-            x, k = stack[-1]
-            if k < len(arcs[x]):
-                stack[-1] = (x, k + 1)
-                y = arcs[x][k]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append((y, 0))
-            else:
-                order.append(x)
-                stack.pop()
-    rev: list[list[int]] = [[] for _ in range(nvert)]
-    for x in range(nvert):
-        for y in arcs[x]:
-            rev[y].append(x)
-    comp = [-1] * nvert
-    cid = 0
-    for s in reversed(order):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            x = stack.pop()
-            for y in rev[x]:
-                if comp[y] < 0:
-                    comp[y] = cid
-                    stack.append(y)
-        cid += 1
-    return comp
-
-
 def pm_support(G: Graph) -> Graph:
     """Edges of G lying in at least one perfect matching of G.
 
-    Empty if G has no perfect matching. An edge outside a fixed perfect
-    matching M is usable iff it closes an M-alternating cycle, i.e. iff its
-    endpoints share a strongly connected component of the orientation that
-    sends unmatched edges left-to-right and matched edges right-to-left.
+    Empty if G has no perfect matching. Otherwise fix one, M, and read G's
+    rows as a digraph on the columns: column j leads to every column of its
+    M-partner row, rows[match_right[j]]. An edge (i, j) lies in a perfect
+    matching iff it is in M or closes an M-alternating cycle, that is iff j
+    reaches back to c, the partner column of row i; since c leads to j, that
+    says j and c share a strongly connected component. Warshall's closure of
+    the n column bitmasks (n^2 steps on n-bit ints) gives every column its
+    reach set, and two columns share a component iff their reach sets are
+    equal. So row i keeps the columns whose reach set equals c's, and the
+    result is assembled one row at a time.
     """
     _require_bipartite(G.ground, "pm_support")
     n = G.ground.size
-    size, match_right = _kuhn_matching(_row_masks(G))
+    rows = _row_masks(G)
+    size, match_right = _kuhn_matching(rows)
     if size < n:
         return Graph(G.ground, 0)
-    arcs: list[list[int]] = [[] for _ in range(2 * n)]
-    for k in range(G.ground.edge_count):
-        if not G.edges >> k & 1:
-            continue
-        i, j = divmod(k, n)
-        if match_right[j] == i:
-            arcs[n + j].append(i)
-        else:
-            arcs[i].append(n + j)
-    comp = _scc_ids(2 * n, arcs)
+    reach = [rows[i] for i in match_right]  # column j reaches itself via M
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        reach = [r | via if r & bit else r for r in reach]
+    blocks: dict[int, int] = {}
+    partner = [0] * n
+    for j, (i, r) in enumerate(zip(match_right, reach)):
+        blocks[r] = blocks.get(r, 0) | 1 << j
+        partner[i] = j
     mask = 0
-    for k in range(G.ground.edge_count):
-        if not G.edges >> k & 1:
-            continue
-        i, j = divmod(k, n)
-        if match_right[j] == i or comp[i] == comp[n + j]:
-            mask |= 1 << k
+    for i in reversed(range(n)):
+        mask = mask << n | rows[i] & blocks[reach[partner[i]]]
     return Graph(G.ground, mask)
 
 

@@ -3,9 +3,11 @@
 Everything here is deliberately independent of the library's algorithms:
 permutation and pairing scans instead of the backtracking matcher and the
 dual certificate (minimum weights, also with one edge forced, are None when
-no perfect matching qualifies), breadth-first search instead of union-find,
-powerset unions and the definitional coverage test instead of the closure,
-and writers and sort keys that scan every edge bit instead of the set bits.
+no perfect matching qualifies), one existence test per edge instead of the
+reachability closure behind pm_support, breadth-first search instead of
+union-find, powerset unions and the definitional coverage test instead of
+the closure, and writers and sort keys that scan every edge bit instead of
+the set bits.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's certificate, blocked masks, level-wise Mobius numbers and
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from matchcover import Family, Graph, InputError, WeightFunction
+from matchcover import Family, Graph, InputError, WeightFunction, has_perfect_matching
 from matchcover.graphs import _iter_bits
 
 
@@ -24,6 +26,12 @@ def canonical_key(G):
     """The reference canonical order: ascending edge count, then edge ids."""
     ids = tuple(k for k in range(G.ground.edge_count) if G.edges >> k & 1)
     return (len(ids), ids)
+
+
+def weight_of(w, x):
+    """Total weight of a graph or raw edge mask under w, edge by edge."""
+    mask = x.edges if isinstance(x, Graph) else x
+    return sum((w.weights[k] for k in _iter_bits(mask)), Fraction(0))
 
 
 def brute_min_weight(G, w):
@@ -40,7 +48,7 @@ def brute_min_weight(G, w):
                 break
             mask |= 1 << k
         if ok:
-            total = w.weight_of(mask)
+            total = weight_of(w, mask)
             if best is None or total < best:
                 best = total
     return best
@@ -62,7 +70,7 @@ def brute_min_weight_forced(G, w, edge_id):
                 break
             mask |= 1 << k
         if ok:
-            total = w.weight_of(mask)
+            total = weight_of(w, mask)
             if best is None or total < best:
                 best = total
     return best
@@ -83,6 +91,24 @@ def brute_pm_masks_bipartite(G):
         if ok:
             out.append(mask)
     return out
+
+
+def brute_pm_support(G):
+    """Edges (i, j) of a bipartite G that some perfect matching uses: G keeps
+    a perfect matching once the other edges of row i and column j are gone.
+    One existence test per edge, so it reaches grounds where the scans above
+    cannot."""
+    n = G.ground.size
+    row, col = (1 << n) - 1, 0
+    for i in range(n):
+        col |= 1 << (i * n)
+    keep = 0
+    for k in _iter_bits(G.edges):
+        i, j = divmod(k, n)
+        others = (row << (i * n) | col << j) & ~(1 << k)
+        if has_perfect_matching(Graph(G.ground, G.edges & ~others)):
+            keep |= 1 << k
+    return keep
 
 
 @lru_cache(maxsize=None)
@@ -188,9 +214,9 @@ def min_weight_family(ground, w):
     """Minimum-weight perfect matchings straight from the permutation scan."""
     full = ground.full_graph()
     masks = brute_pm_masks_bipartite(full)
-    best = min(w.weight_of(m) for m in masks)
+    best = min(weight_of(w, m) for m in masks)
     graphs = sorted(
-        (Graph(ground, m) for m in masks if w.weight_of(m) == best),
+        (Graph(ground, m) for m in masks if weight_of(w, m) == best),
         key=lambda g: (g.edge_count, tuple(g.edge_ids())),
     )
     return Family(ground, graphs)
@@ -221,13 +247,14 @@ def reference_text(poly):
 
 def reference_json_dict(poly):
     """The data of the polynomial JSON format, written bit by bit."""
+    pairs = poly.ground.edge_pairs()
     return {
         "ground": {"mode": poly.ground.mode, "size": poly.ground.size},
         "terms": [
             {
                 "coeff": coeff,
                 "edges": [
-                    list(poly.ground.edge_endpoints(k))
+                    list(pairs[k])
                     for k in range(poly.ground.edge_count)
                     if mask >> k & 1
                 ],
@@ -241,12 +268,13 @@ def reference_lattice_json_dict(lat):
     """The data of the lattice JSON format, from the public queries, with
     the edges of each element found bit by bit."""
     ground = lat.ground
+    pairs = ground.edge_pairs()
     index = {g: k for k, g in enumerate(lat.elements)}
     labels = lat.rank_labels()
     return {
         "ground": {"mode": ground.mode, "size": ground.size},
         "elements": [
-            [list(ground.edge_endpoints(k)) for k in range(ground.edge_count) if g.edges >> k & 1]
+            [list(pairs[k]) for k in range(ground.edge_count) if g.edges >> k & 1]
             for g in lat.elements
         ],
         "covers": [[index[a], index[b]] for a, b in lat.covers()],

@@ -23,7 +23,7 @@ def test_edge_index_bipartite():
     assert g.edge_index(1, 1) == 0
     assert g.edge_index(2, 3) == 5
     assert g.edge_index(3, 3) == 8
-    assert g.edge_endpoints(5) == (2, 3)
+    assert g.edge_pairs()[5] == (2, 3)
 
 
 def test_edge_index_complete():
@@ -32,7 +32,7 @@ def test_edge_index_complete():
     assert g.edge_index(2, 1) == 0
     assert g.edge_index(3, 4) == 5
     assert g.edge_count == 6
-    assert [g.edge_endpoints(k) for k in range(6)] == [
+    assert list(g.edge_pairs()) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
 

@@ -20,16 +20,19 @@ from matchcover import (
     pm_support,
     support_union,
 )
+from matchcover.matching import _kuhn_matching
 from oracles import (
     brute_min_weight,
     brute_min_weight_forced,
     brute_pm_masks_bipartite,
     brute_pm_masks_complete,
+    brute_pm_support,
     canonical_key,
     min_weight_family,
     random_graph,
     random_int_weights,
     random_rational_weights,
+    weight_of,
 )
 
 
@@ -56,6 +59,30 @@ def test_has_perfect_matching():
     # a near-miss: left vertices 1 and 2 both only see right vertex 1
     pinched = g.graph_from_edges([(1, 1), (2, 1), (3, 1), (3, 2), (3, 3)])
     assert not has_perfect_matching(pinched)
+
+
+def test_bipartite_existence_matches_permutation_scan():
+    g = bipartite_ground(3)
+    for mask in range(1 << g.edge_count):
+        graph = Graph(g, mask)
+        assert has_perfect_matching(graph) == bool(brute_pm_masks_bipartite(graph))
+    rng = random.Random(59)
+    for n in range(1, 7):
+        g = bipartite_ground(n)
+        for _ in range(40):
+            graph = random_graph(rng, g)
+            assert has_perfect_matching(graph) == bool(brute_pm_masks_bipartite(graph))
+
+
+def test_kuhn_follows_an_augmenting_path_through_every_row():
+    # row i sees columns i and i + 1, the last row only column 0: the greedy
+    # pass leaves the last row to one augmenting path through all the others
+    n = 3000
+    rows = [0b11 << i for i in range(n - 1)] + [1]
+    size, match_right = _kuhn_matching(rows)
+    assert size == n
+    assert sorted(match_right) == list(range(n))
+    assert all(rows[i] >> j & 1 for j, i in enumerate(match_right))
 
 
 def test_perfect_matching_needs_even_complete_ground():
@@ -244,7 +271,7 @@ def test_every_matching_inside_support_is_minimum():
         gw = support_union(w)
         best = w.optimum()
         for m in enumerate_perfect_matchings(gw):
-            assert w.weight_of(m) == best
+            assert weight_of(w, m) == best
 
 
 def test_enumerate_min_weight_pms():
@@ -295,17 +322,81 @@ def test_contains_min_weight_pm_matches_enumeration():
                 assert contains_min_weight_pm(graph, w) == want
 
 
+def _matching(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return sum(1 << (i * n + j) for i, j in enumerate(perm))
+
+
+def _planted(rng, n):
+    """Union of 1 to 4 random perfect matchings of K_{n,n}."""
+    mask = 0
+    for _ in range(rng.randint(1, 4)):
+        mask |= _matching(rng, n)
+    return mask
+
+
+def _block_union(rng, n):
+    """Random blocks along a shuffled diagonal, with random edges from each
+    block's rows to the columns of later blocks; no perfect matching uses
+    those, since the later blocks need all their columns for their rows."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    cols = list(range(n))
+    rng.shuffle(cols)
+    mask = 0
+    for start, size in zip(starts, sizes):
+        for i in range(start, start + size):
+            mask |= 1 << (i * n + cols[i])  # each block keeps a perfect matching
+            for jj in range(start, n):
+                if rng.random() < (0.6 if jj < start + size else 0.2):
+                    mask |= 1 << (i * n + cols[jj])
+    return mask
+
+
+def _pm_support_cases(rng, n, count):
+    """Random graphs, unions of planted matchings, a matching minus an edge,
+    block unions and graphs without a perfect matching on K_{n,n}."""
+    g = bipartite_ground(n)
+    full_row = (1 << n) - 1
+    for _ in range(count):
+        yield random_graph(rng, g)
+        yield Graph(g, _planted(rng, n))
+        yield Graph(g, _block_union(rng, n))
+        # no perfect matching: a matching less its edge in row r1, a random
+        # graph with row r1 empty, then with rows r1 and r2 on one column
+        r1, r2 = rng.sample(range(n), 2)
+        c = rng.randrange(n)
+        yield Graph(g, _matching(rng, n) & ~(full_row << (r1 * n)))
+        mask = rng.getrandbits(g.edge_count) & ~(full_row << (r1 * n))
+        yield Graph(g, mask)
+        mask &= ~(full_row << (r2 * n))
+        yield Graph(g, mask | 1 << (r1 * n + c) | 1 << (r2 * n + c))
+
+
 def test_pm_support_equals_union_of_matchings():
     rng = random.Random(41)
-    for n in (2, 3):
-        g = bipartite_ground(n)
-        for _ in range(60):
-            graph = random_graph(rng, g)
-            fam = enumerate_perfect_matchings(graph)
+    for n in range(2, 7):
+        for graph in _pm_support_cases(rng, n, 12 if n < 6 else 4):
             want = 0
-            for m in fam:
-                want |= m.edges
-            assert pm_support(graph).edges == want
+            for m in brute_pm_masks_bipartite(graph):
+                want |= m
+            assert pm_support(graph).edges == want == brute_pm_support(graph)
+
+
+def test_pm_support_on_planted_matchings_in_k20():
+    rng = random.Random(47)
+    g = bipartite_ground(20)
+    for _ in range(30):
+        planted = _planted(rng, 20)
+        extra = 0
+        for _ in range(rng.randint(0, 6)):
+            extra |= 1 << rng.randrange(g.edge_count)
+        for mask in (planted, planted | extra, planted & ~extra):
+            graph = Graph(g, mask)
+            assert pm_support(graph).edges == brute_pm_support(graph)
 
 
 def test_parse_rational():
