@@ -156,8 +156,70 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _row_masks(G: Graph) -> list[int]:
+    """rows[i] = bitmask of right vertices j (0-based) adjacent to left i."""
+    n = G.ground.size
+    full_row = (1 << n) - 1
+    return [(G.edges >> (i * n)) & full_row for i in range(n)]
+
+
+def _components(rows: list[int]) -> list[tuple[int, int]]:
+    """Connected components of the bipartite graph whose row i meets the
+    columns in the bitmask rows[i], as (row set, column set) bitmask pairs.
+    Columns that no row meets are left out.
+
+    Each row in turn is merged with every component that already holds one
+    of its columns; a column's component is found through a union-find over
+    the components. Each merge removes a component and each column is
+    labelled once, so the number of steps is linear in the rows and
+    columns, not in the edges, and each step is one operation on n-bit ints.
+    """
+    parent: list[int] = []
+    members: list[int] = []
+    cols: list[int] = []
+    label = [0] * len(rows)  # a component that holds the column
+    seen = 0
+    for i, row in enumerate(rows):
+        k = len(parent)
+        parent.append(k)
+        members.append(1 << i)
+        cols.append(row)
+        old = row & seen
+        while old:
+            r = label[(old & -old).bit_length() - 1]
+            while parent[r] != r:  # find, halving the path
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            old &= ~cols[r]
+            parent[r] = k
+            members[k] |= members[r]
+            cols[k] |= cols[r]
+        new = row & ~seen
+        seen |= row
+        while new:
+            low = new & -new
+            label[low.bit_length() - 1] = k
+            new ^= low
+    return [(members[k], cols[k]) for k in range(len(parent)) if parent[k] == k]
+
+
+def _blocks(G: Graph) -> list[tuple[int, int]]:
+    """The connected components of a bipartite graph that have an edge, as
+    (row count, edge mask) pairs, in order of their highest row."""
+    n = G.ground.size
+    rows = _row_masks(G)
+    return [
+        (members.bit_count(), sum(rows[i] << i * n for i in _iter_bits(members)))
+        for members, cols in _components(rows)
+        if cols
+    ]
+
+
 def component_count(G: Graph) -> int:
     """Connected components of the spanning subgraph; isolated vertices count."""
+    if G.ground.mode == BIPARTITE:
+        comps = _components(_row_masks(G))
+        return len(comps) + G.ground.size - sum(cols.bit_count() for _, cols in comps)
     parent = list(range(G.ground.vertex_count))
 
     def find(x: int) -> int:

@@ -32,6 +32,7 @@ from .graphs import (
     _content_lines,
     _iter_bits,
     _parse_header,
+    _row_masks,
 )
 from .subsets import canonical_sorted
 
@@ -39,13 +40,6 @@ from .subsets import canonical_sorted
 def _require_bipartite(ground: GroundGraph, what: str) -> None:
     if ground.mode != BIPARTITE:
         raise InputError(f"{what} requires a bipartite ground, got {ground.header()}")
-
-
-def _row_masks(G: Graph) -> list[int]:
-    """rows[i] = bitmask of right vertices j (0-based) adjacent to left i."""
-    n = G.ground.size
-    full_row = (1 << n) - 1
-    return [(G.edges >> (i * n)) & full_row for i in range(n)]
 
 
 def _kuhn_matching(rows: list[int]) -> tuple[int, list[int]]:

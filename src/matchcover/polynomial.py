@@ -6,7 +6,8 @@ raw masks). Membership polynomials are built three ways: from the
 inclusion-exclusion coefficients of the covered-set lattice (general
 families), from the cyclomatic-number sign rule (perfect-matching families,
 weighted or not, whose narrow supports take the Mobius transform of their
-membership table instead), and from an exhaustive truth-table transform that
+membership table instead; a minimum-weight family is split into the blocks
+of its support and the blocks' polynomials multiplied), and from an exhaustive truth-table transform that
 serves as the independent oracle at small sizes. Every route ends in the
 same arrays (support edges, compressed monomials in canonical order,
 coefficients), which the text and JSON writers format a chunk at a time.
@@ -25,7 +26,9 @@ from .graphs import (
     Family,
     Graph,
     GroundGraph,
+    _blocks,
     _check_ground,
+    _row_masks,
     _write_chunks,
     bipartite_ground,
     cyclomatic_number,
@@ -33,8 +36,10 @@ from .graphs import (
 from .lattice import build_lattice
 from .matching import (
     WeightFunction,
+    _kuhn_matching,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
+    support_union,
 )
 from .subsets import (
     DENSE_BIT_CAP,
@@ -352,11 +357,49 @@ def pm_polynomial(n: int) -> MultilinearPolynomial:
 def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
     """Membership polynomial of the minimum-weight perfect matchings under w.
 
-    Same sign rule as the unweighted case; every monomial lies inside the
-    union of the minimum-weight matchings.
+    Same sign rule as the unweighted case; every monomial lies inside G_w,
+    the union of the minimum-weight matchings. Each connected component of
+    G_w is a block: a graph is covered exactly when its part in every block
+    is covered there, and cyclomatic numbers add over blocks, so the
+    polynomial is the product of the blocks' polynomials. A one-edge block
+    is a forced edge, in every term. A G_w of one block takes the family's
+    route whole.
     """
-    family = enumerate_min_weight_pms(w)
-    return _pm_family_polynomial(family)
+    support, blocks = _min_weight_blocks(w)
+    if len(blocks) == 1:
+        return _pm_family_polynomial(enumerate_min_weight_pms(w))
+    bits = SupportBits([support.edges])
+    rows = bits.rows([sum(edges for size, edges in blocks if size == 1)])
+    coeffs = np.ones(1, dtype=np.int64)
+    for family in _block_families(support, blocks):
+        block = _pm_family_polynomial(family)
+        block_rows = block._bits.widen(block._rows, bits)
+        rows = (rows[:, None] | block_rows[None]).reshape(-1, rows.shape[1])
+        coeffs = np.multiply.outer(coeffs, block._coeffs).reshape(-1)
+    return MultilinearPolynomial._from_rows(w.ground, bits, rows, coeffs)
+
+
+def _min_weight_blocks(w: WeightFunction) -> tuple[Graph, list[tuple[int, int]]]:
+    """G_w and its blocks, as (row count, edge mask) pairs."""
+    support = support_union(w)
+    return support, _blocks(support)
+
+
+def _block_families(support: Graph, blocks: list[tuple[int, int]]) -> Iterator[Family]:
+    """The perfect matchings of each block of two or more rows, given as
+    (row count, edge mask) pairs, of a graph that has a perfect matching,
+    cut down to the block. The rows outside the block keep the edges of one
+    fixed perfect matching, so the matchings of the rest are those of the
+    block, on the same ground."""
+    ground = support.ground
+    n = ground.size
+    _, match_right = _kuhn_matching(_row_masks(support))
+    fixed = sum(1 << (i * n + j) for j, i in enumerate(match_right))
+    for size, edges in blocks:
+        if size == 1:
+            continue
+        matchings = enumerate_perfect_matchings(Graph(ground, edges | fixed & ~edges))
+        yield Family(ground, [Graph(ground, g.edges & edges) for g in matchings])
 
 
 def truth_table_transform(

@@ -454,24 +454,40 @@ def test_weighted_caps_follow_the_support(tmp_path, capsys):
     assert code == 2 and "capped" in err
 
 
-def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
-    # zero diagonal blocks of sizes 2, 2, 2, 2 leave a 16-edge support,
-    # blocks of 3, 2, 2 a 17-edge one; every other edge weighs 1
-    def blocks(*sizes):
-        start = [sum(sizes[:k]) for k in range(len(sizes))]
-        block = [b for b, s in zip(start, sizes) for _ in range(s)]
-        n = sum(sizes)
-        return _weight_file(tmp_path / f"{n}.txt", n,
-                            lambda i, j: 0 if block[i - 1] == block[j - 1] else 1)
+def _zero_blocks(path, *sizes):
+    """Zero diagonal blocks of these sizes; every other edge weighs 1."""
+    start = [sum(sizes[:k]) for k in range(len(sizes))]
+    block = [b for b, s in zip(start, sizes) for _ in range(s)]
+    return _weight_file(path, sum(sizes), lambda i, j: 0 if block[i - 1] == block[j - 1] else 1)
 
-    code, out, _ = run(capsys, "count-covered", "--n", "8", "--weights", blocks(2, 2, 2, 2))
+
+def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
+    # weighted count-covered caps each block of G_w, lattice the whole G_w:
+    # blocks of 2, 2, 2, 2 leave a 16-edge support, blocks of 3, 2, 2 a
+    # 17-edge one whose widest block has 9 edges
+    code, out, _ = run(capsys, "count-covered", "--n", "8", "--weights",
+                       _zero_blocks(tmp_path / "8.txt", 2, 2, 2, 2))
     assert code == 0 and out == "count: 81\nparity: odd\n"
-    wide = blocks(3, 2, 2)
-    message = ("error: count-covered is capped at 16 support edges, this one has 17"
+    wide = _zero_blocks(tmp_path / "7.txt", 3, 2, 2)
+    assert run(capsys, "count-covered", "--n", "7", "--weights", wide) == (
+        0, "count: 441\nparity: odd\n", "")
+    message = ("error: a bipartite lattice is capped at 16 support edges, this one has 17"
                " (override with --unsafe-caps)\n")
-    assert run(capsys, "count-covered", "--n", "7", "--weights", wide) == (2, "", message)
-    code, out, _ = run(capsys, "count-covered", "--n", "7", "--weights", wide, "--unsafe-caps")
-    assert code == 0 and out == "count: 441\nparity: odd\n"
+    assert run(capsys, "lattice", "--n", "7", "--weights", wide) == (2, "", message)
+    code, out, _ = run(capsys, "lattice", "--n", "7", "--weights", wide, "--unsafe-caps")
+    assert code == 0 and out.startswith("elements: 442\n")
+    # one block: the 16 edges of K_{4,4} pass, an elementary 17-edge graph
+    # on K_{5,5} (rows i ~ columns i, i+1, i+2 mod 5, and two chords) does not
+    code, out, _ = run(capsys, "count-covered", "--n", "4", "--weights",
+                       _zero_blocks(tmp_path / "4.txt", 4))
+    assert code == 0 and out == "count: 7443\nparity: odd\n"
+    zeros = {(i, (i + d) % 5) for i in range(5) for d in range(3)} | {(0, 3), (1, 4)}
+    block = _weight_file(tmp_path / "5.txt", 5, lambda i, j: int((i - 1, j - 1) not in zeros))
+    message = ("error: count-covered is capped at 16 support edges per block, this one"
+               " has 17 (override with --unsafe-caps)\n")
+    assert run(capsys, "count-covered", "--n", "5", "--weights", block) == (2, "", message)
+    code, out, _ = run(capsys, "count-covered", "--n", "5", "--weights", block, "--unsafe-caps")
+    assert code == 0 and out.endswith("parity: odd\n")
     # unweighted runs: K_{5,5} has 25 edges, K_8 28
     for argv, what, width in [
         (["count-covered", "--n", "5"], "count-covered", 25),
@@ -484,6 +500,35 @@ def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
             2, "", f"error: {what} is capped at 16 support edges, this one has {width}"
             " (override with --unsafe-caps)\n"
         )
+
+
+def test_count_covered_multiplies_the_blocks(tmp_path, capsys):
+    # five zero K_{4,4} blocks on K_{20,20}: 7443^5 covered graphs, counted
+    # block by block, each block under the cap
+    wfile = _zero_blocks(tmp_path / "w.txt", 4, 4, 4, 4, 4)
+    out = "count: 22842313880435845443\nparity: odd\n"
+    assert 7443**5 == 22842313880435845443
+    assert run(capsys, "count-covered", "--n", "20", "--weights", wfile) == (0, out, "")
+    assert run(capsys, "count-covered", "--n", "20", "--weights", wfile, "-v") == (
+        0, out, "support: 80 edges in 5 blocks (4,4,4,4,4)\n")
+
+
+def test_verbose_names_the_blocks(tmp_path, capsys):
+    # blocks of 2, 1 and 3 rows: 4 + 1 + 9 edges, 3 * 1 * 49 terms
+    wfile = _zero_blocks(tmp_path / "w.txt", 2, 1, 3)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "poly", "--n", "6", "--weights", wfile, "-f", fmt)
+        assert (code, err) == (0, "terms: 147 (odd)\n")
+        assert run(capsys, "poly", "--n", "6", "--weights", wfile, "-f", fmt, "-v") == (
+            0, out, "support: 14 edges in 3 blocks (3,2,1)\n" + err)
+        target = tmp_path / f"out.{fmt}"
+        assert run(capsys, "poly", "--n", "6", "--weights", wfile, "-f", fmt, "-v",
+                   "-o", str(target))[1] == ""
+        assert target.read_text() == out
+    assert run(capsys, "poly", "--n", "2", "-v") == (
+        0, POLY2_TEXT, "support: 4 edges in 1 block (2)\nterms: 3 (odd)\n")
+    assert run(capsys, "count-covered", "--n", "2", "-v") == (
+        0, "count: 3\nparity: odd\n", "support: 4 edges in 1 block (2)\n")
 
 
 def test_lattice_element_cap(monkeypatch, capsys):

@@ -73,6 +73,13 @@ def test_component_count_matches_bfs():
     for trial in range(1000):
         g = random_graph(rng, grounds[trial % len(grounds)])
         assert component_count(g) == bfs_component_count(g)
+    # K_{40,40} at densities from a few components to hundreds
+    k40 = bipartite_ground(40)
+    for trial in range(200):
+        density = (0.005, 0.02, 0.05, 0.2)[trial % 4]
+        edges = sum(1 << k for k in range(1600) if rng.random() < density)
+        g = Graph(k40, edges)
+        assert component_count(g) == bfs_component_count(g)
 
 
 def test_cyclomatic_vs_spanning_forest():

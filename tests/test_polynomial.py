@@ -498,3 +498,79 @@ def test_refusals_read_the_arrays():
     assert a == MultilinearPolynomial(g, {9: 2**70, 6: -1, 1: 1})
     assert a != MultilinearPolynomial(g, {9: 2**70, 6: -1, 1: 2})
     assert a != MultilinearPolynomial(g, {9: 2**70, 6: -1})
+
+
+def _planted_block_weights(rng, n):
+    """Weights whose optimal matchings are the unions of 1 to 3 random
+    perfect matchings of each of a few diagonal blocks (so G_w has one
+    block or many), plus dual potentials."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    order = rng.sample(range(n), n)
+    zero, start = set(), 0
+    for s in sizes:
+        block = order[start : start + s]
+        for _ in range(rng.randint(1, 3)):
+            zero.update(zip(block, rng.sample(block, s)))
+        start += s
+    u = [rng.randint(0, 3) for _ in range(n)]
+    v = [rng.randint(0, 3) for _ in range(n)]
+    return WeightFunction(bipartite_ground(n), [
+        (0 if (i, j) in zero else rng.randint(1, 3)) + u[i] + v[j]
+        for i in range(n) for j in range(n)
+    ])
+
+
+def _assert_factoring_holds(w):
+    # the whole family, through routes that never split it into blocks
+    family = enumerate_min_weight_pms(w)
+    poly = min_weight_pm_polynomial(w)
+    whole = _sign_rule_polynomial(family)
+    assert poly == whole
+    assert poly.to_text() == whole.to_text() and poly.to_json() == whole.to_json()
+    if w.ground.size <= 4:
+        assert poly == membership_polynomial_general(family)
+    return poly
+
+
+def test_factored_polynomial_matches_the_whole_family():
+    rng = random.Random(113)
+    for trial in range(150):
+        n = 1 + trial % 6
+        if trial % 3:
+            w = _planted_block_weights(rng, n)
+        else:
+            w = random_int_weights(rng, bipartite_ground(n), 0, 1)
+        _assert_factoring_holds(w)
+
+
+def test_factoring_on_one_block_takes_the_whole_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a G_w of one block was split")
+
+    monkeypatch.setattr(polynomial, "_block_families", refuse)
+    for n in (1, 2, 3, 4):
+        poly = _assert_factoring_holds(WeightFunction.unit(bipartite_ground(n)))
+        assert poly == pm_polynomial(n)
+
+
+def test_factoring_with_every_edge_forced():
+    # a unique optimum: G_w is five one-edge blocks, and the polynomial is
+    # that one matching
+    g = bipartite_ground(5)
+    w = WeightFunction(g, [0 if k % 6 == 0 else 1 for k in range(25)])
+    diagonal = g.graph_from_edges([(i, i) for i in range(1, 6)])
+    assert _assert_factoring_holds(w).terms == {diagonal.edges: 1}
+
+
+def test_factoring_a_block_wider_than_the_dense_cap():
+    # a Hamilton cycle on rows and columns 1..13 of K_{15,15} (26 edges, two
+    # matchings) and the forced edges (14, 14), (15, 15)
+    g = bipartite_ground(15)
+    zero = {(i, i % 13 + 1) for i in range(1, 14)} | {(i, i) for i in range(1, 16)}
+    w = WeightFunction(g, [int((i, j) not in zero) for (i, j) in g.edge_pairs()])
+    assert len(zero) == 28 and 26 > polynomial.DENSE_BIT_CAP
+    poly = _assert_factoring_holds(w)
+    cycle = g.graph_from_edges(zero)
+    assert len(poly) == 3 and poly.coefficient(cycle) == -1
