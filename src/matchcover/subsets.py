@@ -116,17 +116,6 @@ class SupportBits:
             full |= np.array(table, dtype=dtype)[rows[:, b]]
         return full
 
-    def widen(self, rows: np.ndarray, wider: "SupportBits") -> np.ndarray:
-        """Byte rows on these bits as byte rows on wider bits, which hold
-        them all: one lookup table per byte."""
-        width = -(-len(wider) // 8)
-        place = {k: 1 << b for b, k in enumerate(wider.ids)}
-        out = np.zeros((len(rows), width), dtype=np.uint8)
-        for b, table in enumerate(self.byte_tables(place, 0)):
-            data = b"".join(v.to_bytes(width, "little") for v in table)
-            out |= np.frombuffer(data, dtype=np.uint8).reshape(-1, width)[rows[:, b]]
-        return out
-
     def byte_tables(self, names, empty) -> list[list]:
         """For each byte of the support, a table over the values of that
         byte: empty plus the names of its set bits, in ascending order.

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -483,7 +484,7 @@ def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
     assert code == 0 and out == "count: 7443\nparity: odd\n"
     zeros = {(i, (i + d) % 5) for i in range(5) for d in range(3)} | {(0, 3), (1, 4)}
     block = _weight_file(tmp_path / "5.txt", 5, lambda i, j: int((i - 1, j - 1) not in zeros))
-    message = ("error: count-covered is capped at 16 support edges per block, this one"
+    message = ("error: a count-covered block is capped at 16 support edges, this one"
                " has 17 (override with --unsafe-caps)\n")
     assert run(capsys, "count-covered", "--n", "5", "--weights", block) == (2, "", message)
     code, out, _ = run(capsys, "count-covered", "--n", "5", "--weights", block, "--unsafe-caps")
@@ -500,6 +501,18 @@ def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
             2, "", f"error: {what} is capped at 16 support edges, this one has {width}"
             " (override with --unsafe-caps)\n"
         )
+
+
+def test_unweighted_cap_comes_before_the_ground(capsys):
+    # K_{100000,100000} has 10^10 edges: refused from --n alone, -v or not,
+    # before a mask or ground of that width is built
+    start = time.perf_counter()
+    message = ("error: count-covered is capped at 16 support edges, this one has"
+               " 10000000000 (override with --unsafe-caps)\n")
+    assert run(capsys, "count-covered", "--n", "100000") == (2, "", message)
+    assert run(capsys, "count-covered", "--n", "100000", "-v") == (
+        2, "", "support: 10000000000 edges in 1 block (100000)\n" + message)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_covered_multiplies_the_blocks(tmp_path, capsys):
