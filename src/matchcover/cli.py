@@ -23,12 +23,9 @@ import sys
 from .errors import CapExceededError, InputError
 from .covered import coefficient_query, covered_closure
 from .graphs import (
-    BIPARTITE,
     Family,
     Graph,
     GroundGraph,
-    _content_lines,
-    _parse_header,
     bipartite_ground,
     complete_ground,
     edge_list_str,
@@ -48,8 +45,6 @@ from .polynomial import (
     EDGE_CAP,
     MultilinearPolynomial,
     _block_families,
-    _json_data,
-    _json_ground,
     _min_weight_blocks,
     min_weight_pm_polynomial,
     pm_polynomial,
@@ -140,42 +135,20 @@ def _note_blocks(args, width: int, sizes: list[int]) -> None:
                 f" ({','.join(map(str, sizes))})")
 
 
-# Input files are compared with --n from their headers, before a ground of
-# either size is built.
+# Each input file must name the ground of --n. A graph or polynomial file is
+# compared by its header, before its edges are read; a weight file, which
+# holds all n^2 edges of its own ground, once it is read.
 
 def _load_weights(args) -> WeightFunction | None:
     if not getattr(args, "weights", None):
         return None
     with open(args.weights) as fh:
-        weights = parse_weight_function(fh.read())  # builds only its own ground
+        weights = parse_weight_function(fh.read())
     if weights.ground.size != args.n:
         raise InputError(
             f"weight file ground {weights.ground.header()} does not match --n {args.n}"
         )
     return weights
-
-
-def _load_query_graph(args, weights: WeightFunction | None) -> Graph:
-    with open(args.graph) as fh:
-        text = fh.read()
-    lines = _content_lines(text)
-    if lines:  # parse_graph refuses an empty file
-        mode, size = _parse_header(lines[0][1])
-        if (mode, size) != (BIPARTITE, args.n):
-            raise InputError(
-                f"graph ground {mode} {size} does not match {BIPARTITE} {args.n}"
-            )
-    ground = bipartite_ground(args.n) if weights is None else weights.ground
-    return parse_graph(text, ground)
-
-
-def _load_polynomial(args) -> MultilinearPolynomial:
-    with open(args.check_file) as fh:
-        data = _json_data(fh.read())
-    mode, size = _json_ground(data)
-    if (mode, size) != (BIPARTITE, args.n):
-        raise InputError(f"polynomial ground {mode} {size} does not match --n {args.n}")
-    return MultilinearPolynomial.from_json_dict(data, bipartite_ground(args.n))
 
 
 def _load_graph(path: str, ground: GroundGraph) -> Graph:
@@ -218,7 +191,8 @@ def cmd_poly(args) -> int:
 
 def cmd_coeff(args) -> int:
     weights = _load_weights(args)
-    graph = _load_query_graph(args, weights)
+    ground = bipartite_ground(args.n) if weights is None else weights.ground
+    graph = _load_graph(args.graph, ground)
     coeff = coefficient_query(graph, weights)
     if args.format == "json":
         _write_output(args, json.dumps({"coefficient": coeff}) + "\n")
@@ -237,7 +211,8 @@ def cmd_verify(args) -> int:
         _cap(args, args.n * args.n, "unweighted verification")
 
     if args.check_file:
-        poly = _load_polynomial(args)
+        with open(args.check_file) as fh:
+            poly = MultilinearPolynomial.from_json(fh.read(), bipartite_ground(args.n))
     elif weights is None:
         poly = pm_polynomial(args.n)
     else:

@@ -9,6 +9,7 @@ hashing, union, and subset tests are single integer operations. Vertices are
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -27,33 +28,18 @@ def _check_ground(mode: str, size: int) -> None:
 class GroundGraph:
     """Host graph K_{n,n} (mode "bipartite") or K_m (mode "complete").
 
-    Edge ids are fixed at construction: bipartite edge (i, j) has id
-    (i-1)*n + (j-1); complete edge {u, v} with u < v has its lexicographic
-    rank among all unordered pairs of 1..m.
+    Edge ids are arithmetic, so a ground of any size holds no per-edge table:
+    bipartite edge (i, j) has id (i-1)*n + (j-1); complete edge {u, v} with
+    u < v has its lexicographic rank among all unordered pairs of 1..m.
     """
 
-    __slots__ = ("mode", "size", "_pairs", "_index", "_ends")
+    __slots__ = ("mode", "size", "edge_count")
 
     def __init__(self, mode: str, size: int):
         _check_ground(mode, size)
         self.mode = mode
         self.size = size
-        if mode == BIPARTITE:
-            self._pairs = tuple(
-                (i, j) for i in range(1, size + 1) for j in range(1, size + 1)
-            )
-            # internal vertex ids: left i -> i-1, right j -> size + j - 1
-            self._ends = tuple((i - 1, size + j - 1) for (i, j) in self._pairs)
-        else:
-            self._pairs = tuple(
-                (u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)
-            )
-            self._ends = tuple((u - 1, v - 1) for (u, v) in self._pairs)
-        self._index = {p: k for k, p in enumerate(self._pairs)}
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._pairs)
+        self.edge_count = size * size if mode == BIPARTITE else size * (size - 1) // 2
 
     @property
     def vertex_count(self) -> int:
@@ -61,27 +47,40 @@ class GroundGraph:
 
     def edge_index(self, u: int, v: int) -> int:
         """Edge id of bipartite (left u, right v) or complete {u, v}."""
-        if self.mode == COMPLETE and u > v:
-            u, v = v, u
-        k = self._index.get((u, v))
-        if k is None:
-            raise InputError(f"({u}, {v}) is not an edge of {self.header()}")
-        return k
+        n = self.size
+        if type(u) is int and type(v) is int:  # not bool, float or str
+            if self.mode == BIPARTITE:
+                if 0 < u <= n and 0 < v <= n:
+                    return (u - 1) * n + v - 1
+            else:
+                u, v = min(u, v), max(u, v)
+                if 0 < u < v <= n:  # (u-1)(2n-u)/2 pairs start below u
+                    return (u - 1) * (2 * n - u) // 2 + v - u - 1
+        raise InputError(f"({u!r}, {v!r}) is not an edge of {self.header()}")
 
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._pairs
+    def edge_pair(self, k: int) -> tuple[int, int]:
+        """The edge with id k: (left, right), or {u, v} as (u, v) with u < v."""
+        if not 0 <= k < self.edge_count:
+            raise InputError(f"edge id {k} out of range for {self.header()}")
+        n = self.size
+        if self.mode == BIPARTITE:
+            i, j = divmod(k, n)
+            return i + 1, j + 1
+        # counted from the last pair, the row of u = n - d holds ranks
+        # d(d-1)/2 up to d(d+1)/2 - 1, its pairs in descending v
+        t = self.edge_count - 1 - k
+        d = (isqrt(8 * t + 1) + 1) // 2
+        return n - d, n - t + d * (d - 1) // 2
 
     def empty_graph(self) -> "Graph":
         return Graph(self, 0)
 
     def full_graph(self) -> "Graph":
-        return Graph(self, (1 << len(self._pairs)) - 1)
+        return Graph(self, (1 << self.edge_count) - 1)
 
     def graph_from_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        mask = 0
-        for (u, v) in pairs:
-            mask |= 1 << self.edge_index(u, v)
-        return Graph(self, mask)
+        ids = [self.edge_index(u, v) for (u, v) in pairs]
+        return Graph(self, _mask_of_ids(ids, self.edge_count))
 
     def header(self) -> str:
         return f"{self.mode} {self.size}"
@@ -114,7 +113,7 @@ class Graph:
     __slots__ = ("ground", "edges")
 
     def __init__(self, ground: GroundGraph, edges: int):
-        if not 0 <= edges < (1 << ground.edge_count):
+        if edges < 0 or edges.bit_length() > ground.edge_count:
             raise InputError(f"edge mask {edges:#x} out of range for {ground.header()}")
         self.ground = ground
         self.edges = edges
@@ -131,8 +130,7 @@ class Graph:
         return list(_iter_bits(self.edges))
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        pairs = self.ground.edge_pairs()
-        return [pairs[k] for k in self.edge_ids()]
+        return [self.ground.edge_pair(k) for k in _iter_bits(self.edges)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -154,6 +152,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask_of_ids(ids: list[int], width: int) -> int:
+    """The mask of a list of edge ids below width, set in one bytearray
+    rather than by one width-bit OR an id."""
+    buf = bytearray((width + 7) >> 3)
+    for k in ids:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _row_masks(G: Graph) -> list[int]:
@@ -228,13 +235,9 @@ def component_count(G: Graph) -> int:
             x = parent[x]
         return x
 
-    ends = G.ground._ends
-    mask = G.edges
-    while mask:
-        k = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        a, b = ends[k]
-        ra, rb = find(a), find(b)
+    for k in _iter_bits(G.edges):
+        u, v = G.ground.edge_pair(k)
+        ra, rb = find(u - 1), find(v - 1)
         if ra != rb:
             parent[ra] = rb
     return sum(1 for x in range(len(parent)) if find(x) == x)
@@ -295,8 +298,7 @@ class Family:
 # ---------------------------------------------------------------------------
 
 def _parse_header(header: str) -> tuple[str, int]:
-    """Mode and size of a ground header, checked without building the ground,
-    so that a file can be compared with what it should hold first."""
+    """Mode and size of a ground header, checked."""
     parts = header.split()
     if len(parts) != 2:
         raise InputError(f"bad ground header {header!r}")
@@ -319,16 +321,15 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_graph(text: str, ground: GroundGraph) -> Graph:
-    """Parse the text format of a graph on the expected ground. The header
-    must name that ground; it is compared before anything is built, so a
-    header naming a huge ground costs nothing."""
+    """Parse the text format of a graph on the expected ground, which the
+    header must name."""
     lines = _content_lines(text)
     if not lines:
         raise InputError("empty graph file")
     mode, size = _parse_header(lines[0][1])
     if (mode, size) != (ground.mode, ground.size):
         raise InputError(f"graph ground {mode} {size} does not match {ground.header()}")
-    mask = 0
+    ids = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -337,8 +338,8 @@ def parse_graph(text: str, ground: GroundGraph) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        mask |= 1 << ground.edge_index(u, v)
-    return Graph(ground, mask)
+        ids.append(ground.edge_index(u, v))
+    return Graph(ground, _mask_of_ids(ids, ground.edge_count))
 
 
 class _Written(int):

@@ -526,10 +526,11 @@ class Lattice:
     def _json_chunks(self) -> Iterator[str]:
         ranks, violation = self._rank_data()
         mobius = self.mobius_table().values()  # computed before anything is written
-        pairs = [
-            f"\n      [\n        {u},\n        {v}\n      ]"
-            for (u, v) in self.ground.edge_pairs()
-        ]
+        ids = list(_iter_bits(self.top.edges))  # every element lies below the top
+        pairs = {
+            k: f"\n      [\n        {u},\n        {v}\n      ]"
+            for k, (u, v) in zip(ids, map(self.ground.edge_pair, ids))
+        }
         elements = (
             f"[{','.join(pairs[k] for k in _iter_bits(g.edges))}\n    ]" if g.edges else "[]"
             for g in self.elements

@@ -102,13 +102,14 @@ def _pm_masks(G: Graph) -> Iterator[int]:
     level of the search fixes the partner of one row.
     """
     ground = G.ground
-    ends = ground._ends
+    # vertex ids: left i -> i-1 and right j -> n+j-1, or complete u -> u-1
+    offset = ground.size if ground.mode == BIPARTITE else 0
     # up[a]: (vertex bit, edge bit) of each edge {a, b} of G with a < b; the
     # lowest free vertex has only higher partners, so the lower end suffices
     up: list[list[tuple[int, int]]] = [[] for _ in range(ground.vertex_count)]
     for k in _iter_bits(G.edges):
-        a, b = ends[k]
-        up[a].append((1 << b, 1 << k))
+        u, v = ground.edge_pair(k)
+        up[u - 1].append((1 << offset + v - 1, 1 << k))
 
     def rec(free: int, acc: int) -> Iterator[int]:
         if not free:

@@ -75,7 +75,7 @@ class MultilinearPolynomial:
         integer coefficients."""
         masks = list(terms)
         if masks and (min(masks) < 0 or max(masks) >> ground.edge_count):
-            bad = next(m for m in masks if not 0 <= m < (1 << ground.edge_count))
+            bad = next(m for m in masks if m < 0 or m >> ground.edge_count)
             raise InputError(f"monomial mask {bad:#x} out of range")
         coeffs = _int_array(list(terms.values()))
         if (coeffs == 0).any():
@@ -135,7 +135,7 @@ class MultilinearPolynomial:
             if x.ground != self.ground:
                 raise InputError("assignment ground does not match the polynomial")
             return x.edges
-        if not 0 <= x < (1 << self.ground.edge_count):
+        if x < 0 or x.bit_length() > self.ground.edge_count:
             raise InputError(f"assignment mask {x:#x} out of range")
         return x
 
@@ -174,7 +174,8 @@ class MultilinearPolynomial:
         return _write_chunks(self._text_chunks(), file)
 
     def _text_chunks(self) -> Iterator[str]:
-        names = {k: f" x[{i},{j}]" for k, (i, j) in enumerate(self.ground.edge_pairs())}
+        pairs = {k: self.ground.edge_pair(k) for k in self._bits.ids}
+        names = {k: f" x[{i},{j}]" for k, (i, j) in pairs.items()}
         tables = [np.array(t, dtype=object) for t in self._bits.byte_tables(names, "")]
         for lo in range(0, len(self), _CHUNK_TERMS):
             rows = self._rows[lo : lo + _CHUNK_TERMS]
@@ -197,9 +198,10 @@ class MultilinearPolynomial:
             f'{{\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
             f'\n    "size": {self.ground.size}\n  }},\n  "terms": '
         )
+        pairs = {k: self.ground.edge_pair(k) for k in self._bits.ids}
         names = {
             k: f",\n        [\n          {i},\n          {j}\n        ]"
-            for k, (i, j) in enumerate(self.ground.edge_pairs())
+            for k, (i, j) in pairs.items()
         }
         # each byte table twice: pairs after a comma, then (for the first
         # nonzero byte of a monomial) without the comma before its first pair
@@ -222,15 +224,17 @@ class MultilinearPolynomial:
         yield "\n  ]\n}\n" if len(self) else "[]\n}\n"
 
     @classmethod
-    def from_json_dict(cls, data: dict, ground: GroundGraph) -> "MultilinearPolynomial":
-        """The polynomial of decoded JSON on the expected ground. The header
-        must name that ground; it is compared before anything is built."""
-        mode, size = _json_ground(data)
-        if (mode, size) != (ground.mode, ground.size):
-            raise InputError(
-                f"polynomial ground {mode} {size} does not match {ground.header()}"
-            )
+    def from_json(cls, text: str, ground: GroundGraph) -> "MultilinearPolynomial":
+        """The polynomial of JSON text on the expected ground, which its
+        header must name."""
         try:
+            data = json.loads(text)
+            mode, size = data["ground"]["mode"], data["ground"]["size"]
+            _check_ground(mode, size)
+            if (mode, size) != (ground.mode, ground.size):
+                raise InputError(
+                    f"polynomial ground {mode} {size} does not match {ground.header()}"
+                )
             terms: dict[int, int] = {}
             for item in data["terms"]:
                 coeff = item["coeff"]
@@ -244,13 +248,11 @@ class MultilinearPolynomial:
                 terms[mask] = int(coeff)  # JSON true is an int, written back as 1
         except InputError:  # a ValueError already worded for the user
             raise
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: an edge not a pair
+        # ValueError: text that is no JSON, a number past int()'s digit
+        # limit, or an edge that is not a pair
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from None
         return cls(ground, terms)
-
-    @classmethod
-    def from_json(cls, text: str, ground: GroundGraph) -> "MultilinearPolynomial":
-        return cls.from_json_dict(_json_data(text), ground)
 
     def __repr__(self) -> str:
         return f"MultilinearPolynomial({self.ground.header()!r}, {len(self)} terms)"
@@ -271,26 +273,6 @@ def _coefficient_strings(coeffs: np.ndarray, template: str) -> np.ndarray:
     values, inverse = np.unique(coeffs, return_inverse=True)
     texts = np.array([template.format(v) for v in values.tolist()], dtype=object)
     return texts[inverse]
-
-
-def _json_data(text: str):
-    """Decoded polynomial JSON, malformed text refused as InputError."""
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or more digits than int() converts
-        raise InputError(f"malformed polynomial JSON: {exc}") from None
-
-
-def _json_ground(data) -> tuple[str, int]:
-    """Mode and size of the ground that decoded polynomial JSON names,
-    checked without building the ground, so that they can be compared with
-    what the data should hold first."""
-    try:
-        mode, size = data["ground"]["mode"], data["ground"]["size"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed polynomial JSON: {exc}") from None
-    _check_ground(mode, size)
-    return mode, size
 
 
 def membership_oracle(F: Family, G: Graph) -> int:

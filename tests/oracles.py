@@ -6,8 +6,9 @@ dual certificate (minimum weights, also with one edge forced, are None when
 no perfect matching qualifies), one existence test per edge instead of the
 reachability closure behind pm_support, breadth-first search instead of
 union-find, powerset unions and the definitional coverage test instead of
-the closure, and writers and sort keys that scan every edge bit instead of
-the set bits.
+the closure, writers and sort keys that scan every edge bit instead of
+the set bits, and an enumeration of a ground's edges instead of the id
+formulas.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's certificate, blocked masks, level-wise Mobius numbers and
@@ -20,6 +21,15 @@ from itertools import combinations, permutations
 
 from matchcover import Family, Graph, InputError, WeightFunction, has_perfect_matching
 from matchcover.graphs import _iter_bits
+
+
+def ground_pairs(ground):
+    """The edges of a ground in id order, enumerated: (i, j) row by row on
+    K_{n,n}, and the pairs u < v in lexicographic order on K_m."""
+    vertices = range(1, ground.size + 1)
+    if ground.mode == "bipartite":
+        return [(i, j) for i in vertices for j in vertices]
+    return list(combinations(vertices, 2))
 
 
 def canonical_key(G):
@@ -168,9 +178,11 @@ def is_covered(G, F):
 
 def bfs_component_count(G):
     ground = G.ground
+    pairs = ground_pairs(ground)
+    offset = ground.size if ground.mode == "bipartite" else 0  # right j is n + j
     adj = [[] for _ in range(ground.vertex_count)]
     for k in G.edge_ids():
-        a, b = ground._ends[k]
+        a, b = pairs[k][0] - 1, offset + pairs[k][1] - 1
         adj[a].append(b)
         adj[b].append(a)
     seen = [False] * ground.vertex_count
@@ -233,7 +245,7 @@ def reference_sorted_terms(poly):
 
 def reference_text(poly):
     """The polynomial text format, written term by term and bit by bit."""
-    pairs = poly.ground.edge_pairs()
+    pairs = ground_pairs(poly.ground)
     lines = []
     for mask, coeff in reference_sorted_terms(poly):
         factors = [
@@ -247,7 +259,7 @@ def reference_text(poly):
 
 def reference_json_dict(poly):
     """The data of the polynomial JSON format, written bit by bit."""
-    pairs = poly.ground.edge_pairs()
+    pairs = ground_pairs(poly.ground)
     return {
         "ground": {"mode": poly.ground.mode, "size": poly.ground.size},
         "terms": [
@@ -268,7 +280,7 @@ def reference_lattice_json_dict(lat):
     """The data of the lattice JSON format, from the public queries, with
     the edges of each element found bit by bit."""
     ground = lat.ground
-    pairs = ground.edge_pairs()
+    pairs = ground_pairs(ground)
     index = {g: k for k, g in enumerate(lat.elements)}
     labels = lat.rank_labels()
     return {

@@ -622,7 +622,8 @@ def assert_refused_small(capsys, argv, message):
 
 
 def test_mismatched_inputs_are_refused_before_the_n_ground(tmp_path, capsys):
-    # K_{3000,3000} has 9 * 10^6 edges; building it first took 2.7 GB
+    # K_{3000,3000} has 9 * 10^6 edges; a file that names the wrong ground is
+    # refused before any mask of that width is made
     wfile = tmp_path / "w.txt"
     wfile.write_text(W22)
     gfile = tmp_path / "g.txt"
@@ -635,13 +636,31 @@ def test_mismatched_inputs_are_refused_before_the_n_ground(tmp_path, capsys):
         (["coeff", "--n", "3000", "--graph", str(gfile)],
          "error: graph ground bipartite 2 does not match bipartite 3000\n"),
         (["verify", "--n", "2", "--check-file", str(pfile)],
-         "error: polynomial ground bipartite 3000 does not match --n 2\n"),
+         "error: polynomial ground bipartite 3000 does not match bipartite 2\n"),
         (["verify", "--n", "3000"],
          "error: unweighted verification is capped at 16 support edges, this one has"
          " 9000000 (override with --unsafe-caps)\n"),
     ]
     for argv, message in runs:
         assert_refused_small(capsys, argv, message)
+
+
+def test_coefficient_on_a_wide_ground_costs_its_graph(tmp_path, capsys):
+    # a 6,000-edge Hamilton cycle of K_{3000,3000}: row i meets columns i and
+    # i + 1, row n columns n and 1. Its 9 * 10^6-bit mask is about 1.1 MB, and
+    # a table of the ground's edges took 2.7 GB.
+    n = 3000
+    edges = [(i, j) for i in range(1, n) for j in (i, i + 1)] + [(n, n), (n, 1)]
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(f"bipartite {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "coeff", "--n", str(n), "--graph", str(gfile))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "-1\n", "")  # one cycle, chi = 1
+    assert peak < 64 * 2**20
 
 
 def test_malformed_numbers_exit_2(tmp_path, capsys):
@@ -664,6 +683,14 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
     wfile.write_text("bipartite 1\n1 1 " + "9" * 5000 + "\n")
     code, _, err = run(capsys, "poly", "--n", "1", "--weights", str(wfile))
     assert code == 2 and err.startswith("error: bad weight:")
+    # vertices are JSON integers, not floats, booleans or strings
+    for bad, shown in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
+        data = reference_json_dict(pm_polynomial(2))
+        data["terms"][0]["edges"][0] = [bad, 1]
+        check.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--n", "2", "--check-file", str(check))
+        assert (code, out) == (2, "")
+        assert err == f"error: ({shown}, 1) is not an edge of bipartite 2\n"
 
 
 def test_internal_errors_exit_3(monkeypatch, capsys):

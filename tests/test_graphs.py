@@ -15,7 +15,7 @@ from matchcover import (
     parse_graph,
 )
 from matchcover.subsets import canonical_sorted
-from oracles import bfs_component_count, canonical_key, random_graph
+from oracles import bfs_component_count, canonical_key, ground_pairs, random_graph
 
 
 def test_edge_index_bipartite():
@@ -23,7 +23,7 @@ def test_edge_index_bipartite():
     assert g.edge_index(1, 1) == 0
     assert g.edge_index(2, 3) == 5
     assert g.edge_index(3, 3) == 8
-    assert g.edge_pairs()[5] == (2, 3)
+    assert g.edge_pair(5) == (2, 3)
 
 
 def test_edge_index_complete():
@@ -32,9 +32,38 @@ def test_edge_index_complete():
     assert g.edge_index(2, 1) == 0
     assert g.edge_index(3, 4) == 5
     assert g.edge_count == 6
-    assert list(g.edge_pairs()) == [
+    assert [g.edge_pair(k) for k in range(6)] == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
+
+
+def test_edge_pair_inverts_edge_index():
+    grounds = [bipartite_ground(n) for n in range(1, 6)]
+    grounds += [complete_ground(m) for m in range(1, 8)]
+    for ground in grounds:
+        pairs = ground_pairs(ground)
+        assert ground.edge_count == len(pairs)
+        for k, (u, v) in enumerate(pairs):
+            assert ground.edge_index(u, v) == k
+            assert ground.edge_pair(k) == (u, v)
+            if ground.mode == "complete":
+                assert ground.edge_index(v, u) == k
+        for k in (-1, len(pairs)):
+            with pytest.raises(InputError):
+                ground.edge_pair(k)
+
+
+def test_a_huge_ground_holds_no_edge_table():
+    # 10^12 edges: a table of them could not be built at all
+    g = bipartite_ground(10**6)
+    assert g.edge_count == 10**12
+    assert g.edge_index(10**6, 10**6) == 10**12 - 1
+    assert g.edge_pair(10**12 - 1) == (10**6, 10**6)
+    assert g.edge_pair(g.edge_index(12345, 678901)) == (12345, 678901)
+    with pytest.raises(InputError):
+        g.edge_index(10**6 + 1, 1)
+    k = complete_ground(10**6)
+    assert k.edge_pair(k.edge_index(999999, 3)) == (3, 999999)
 
 
 def test_edge_index_rejects_bad_pairs():
@@ -44,6 +73,11 @@ def test_edge_index_rejects_bad_pairs():
         bipartite_ground(3).edge_index(1, 4)
     with pytest.raises(InputError):
         complete_ground(4).edge_index(2, 2)
+    for bad in (1.0, True, "1"):  # vertices are ints, not their look-alikes
+        with pytest.raises(InputError, match=rf"\({bad!r}, 1\) is not an edge"):
+            bipartite_ground(3).edge_index(bad, 1)
+        with pytest.raises(InputError):
+            complete_ground(4).edge_index(2, bad)
     with pytest.raises(InputError):
         GroundGraph("bipartite", 0)
     with pytest.raises(InputError):
@@ -98,8 +132,12 @@ def test_graph_value_semantics():
     b = g.graph_from_edges([(1, 1)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    with pytest.raises(InputError):
-        Graph(g, 1 << 4)
+    # the range check takes exactly the masks below 2^E, booleans included
+    assert Graph(g, (1 << 4) - 1) == g.full_graph()
+    assert Graph(g, True).edges == 1 and Graph(g, False).is_empty
+    for bad in (1 << 4, -1, -(1 << 4)):
+        with pytest.raises(InputError):
+            Graph(g, bad)
 
 
 def test_family_validation():

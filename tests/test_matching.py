@@ -28,6 +28,7 @@ from oracles import (
     brute_pm_masks_complete,
     brute_pm_support,
     canonical_key,
+    ground_pairs,
     min_weight_family,
     random_graph,
     random_int_weights,
@@ -426,7 +427,7 @@ def test_weight_file_round_trip():
     g = bipartite_ground(2)
     w = WeightFunction(g, [1, Fraction(1, 2), 2, 1])
     text = "".join(
-        f"{i} {j} {w.weights[k]}\n" for k, (i, j) in enumerate(g.edge_pairs())
+        f"{i} {j} {w.weights[k]}\n" for k, (i, j) in enumerate(ground_pairs(g))
     )
     assert parse_weight_function("bipartite 2\n" + text) == w
 

@@ -30,6 +30,7 @@ from matchcover import polynomial
 from matchcover.polynomial import _CHUNK_TERMS, _pm_family_polynomial, _sign_rule_polynomial
 from matchcover.subsets import _subset_transform
 from oracles import (
+    ground_pairs,
     pattern_weights,
     random_int_weights,
     reference_json_dict,
@@ -324,7 +325,7 @@ def test_writers_match_reference_writers():
     zero |= {(i, i) for i in range(5, 21)}
     polys.append(
         min_weight_pm_polynomial(
-            WeightFunction(g20, [0 if p in zero else 1 for p in g20.edge_pairs()])
+            WeightFunction(g20, [0 if p in zero else 1 for p in ground_pairs(g20)])
         )
     )
     assert [len(p) for p in polys[-2:]] == [909, 9]
@@ -569,7 +570,7 @@ def test_factoring_a_block_wider_than_the_dense_cap():
     # matchings) and the forced edges (14, 14), (15, 15)
     g = bipartite_ground(15)
     zero = {(i, i % 13 + 1) for i in range(1, 14)} | {(i, i) for i in range(1, 16)}
-    w = WeightFunction(g, [int((i, j) not in zero) for (i, j) in g.edge_pairs()])
+    w = WeightFunction(g, [int(p not in zero) for p in ground_pairs(g)])
     assert len(zero) == 28 and 26 > polynomial.DENSE_BIT_CAP
     poly = _assert_factoring_holds(w)
     cycle = g.graph_from_edges(zero)
