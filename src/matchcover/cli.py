@@ -20,6 +20,8 @@ import random
 import stat
 import sys
 
+import numpy as np
+
 from .errors import CapExceededError, InputError
 from .covered import coefficient_query, covered_closure
 from .graphs import (
@@ -34,6 +36,7 @@ from .graphs import (
 from .lattice import build_lattice
 from .matching import (
     WeightFunction,
+    _has_perfect_matchings,
     contains_min_weight_pm,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
@@ -54,6 +57,11 @@ from .polynomial import (
 # N^2 bits each (7 MB apiece at this N), and the Eulerian check counts an
 # interval for every comparable pair of equal rank parity (255,000 at this N).
 LATTICE_ELEMENT_CAP = 7444
+
+# Points per step of `verify`. Its int64 arrays then take 64 KB, below the
+# 128 KB from which glibc's malloc maps each block on its own; 2^14 points
+# measured 0.5 MB more peak RSS on a weighted `verify --n 4 --exhaustive`.
+_VERIFY_CHUNK = 1 << 13
 
 
 def _write_output(args, text: str) -> None:
@@ -220,30 +228,48 @@ def cmd_verify(args) -> int:
     ground = poly.ground
     _note(args, f"polynomial has {len(poly)} terms")
 
-    if weights is None:
-        def oracle(mask: int) -> int:
-            return int(has_perfect_matching(Graph(ground, mask)))
-    else:
-        def oracle(mask: int) -> int:
-            return int(contains_min_weight_pm(Graph(ground, mask), weights))
-
-    if args.exhaustive:
-        points = range(1 << ground.edge_count)
-    else:
-        rng = random.Random(args.seed)
-        points = [rng.getrandbits(ground.edge_count) for _ in range(args.samples)]
-
+    width, n = ground.edge_count, ground.size
+    total = 1 << width if args.exhaustive else args.samples
+    rng = random.Random(args.seed)
     # Measured at n = 5 on a 2-core x86-64: the table costs about 25 ns an
     # entry (its E passes included), pointwise evaluation about 1 us a point
     # plus 100 ns a term at each point.
     values = None
-    if 25 * (1 << ground.edge_count) <= len(points) * (1000 + 100 * len(poly)):
+    if 25 * (1 << width) <= total * (1000 + 100 * len(poly)):
         values = poly.value_table()  # None on wide grounds and huge coefficients
-    checked = 0
-    for mask in points:
-        got = poly.evaluate(mask) if values is None else int(values[mask])
-        want = oracle(mask)
-        if got != want:
+    tight = None if weights is None else weights.tight_mask()
+
+    def oracle(points: np.ndarray) -> np.ndarray:
+        """The oracle's answer at each point: the row DP on grounds it
+        covers, a matching test point by point above them."""
+        if n <= 6:
+            return _has_perfect_matchings(points if tight is None else points & tight, n)
+        if weights is None:
+            want = [has_perfect_matching(Graph(ground, m)) for m in points.tolist()]
+        else:
+            want = [contains_min_weight_pm(Graph(ground, m), weights) for m in points.tolist()]
+        return np.array(want)
+
+    # Chunk by chunk in assignment order, so the first mismatch found is the
+    # first point where the two sides differ.
+    for lo in range(0, total, _VERIFY_CHUNK):
+        size = min(_VERIFY_CHUNK, total - lo)
+        if args.exhaustive:
+            points = np.arange(lo, lo + size, dtype=np.int64)
+        else:  # a mask of 64 edges or more can exceed int64
+            points = np.array([rng.getrandbits(width) for _ in range(size)],
+                              dtype=np.int64 if width < 64 else object)
+        want = oracle(points)
+        if values is None:  # stops at the first mismatch, as evaluate is slow
+            bad = (k for k, (m, w) in enumerate(zip(points.tolist(), want.tolist()))
+                   if poly.evaluate(m) != w)
+        else:
+            bad = iter(np.flatnonzero(values[points] != want))
+        k = next(bad, None)
+        if k is not None:
+            mask = int(points[k])
+            got = poly.evaluate(mask) if values is None else int(values[mask])
+            want = int(want[k])
             witness = edge_list_str(Graph(ground, mask))
             if args.format == "json":
                 report = {
@@ -260,11 +286,10 @@ def cmd_verify(args) -> int:
                     f" polynomial {got}, oracle {want}\n",
                 )
             return 1
-        checked += 1
     if args.format == "json":
-        _write_output(args, json.dumps({"ok": True, "checked": checked}) + "\n")
+        _write_output(args, json.dumps({"ok": True, "checked": total}) + "\n")
     else:
-        _write_output(args, f"verified {checked} assignments: OK\n")
+        _write_output(args, f"verified {total} assignments: OK\n")
     return 0
 
 

@@ -21,7 +21,7 @@ COMPLETE = "complete"
 def _check_ground(mode: str, size: int) -> None:
     if mode not in (BIPARTITE, COMPLETE):
         raise InputError(f"unknown ground mode {mode!r}")
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:  # not bool, float or str
         raise InputError(f"ground size must be a positive integer, got {size!r}")
 
 

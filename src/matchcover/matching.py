@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import InputError
 from .graphs import (
     BIPARTITE,
@@ -131,6 +133,31 @@ def has_perfect_matching(G: Graph) -> bool:
         return size == G.ground.size
     _require_even(G.ground)
     return next(_pm_masks(G), None) is not None
+
+
+def _has_perfect_matchings(masks: np.ndarray, n: int) -> np.ndarray:
+    """has_perfect_matching of each K_{n,n} edge mask in an int64 array, for
+    n <= 6, as a bool array: a DP over the rows, vectorized over the masks.
+
+    Each mask has a state word of 2^n bits, bit S set when the rows seen so
+    far can be matched onto exactly the column set S. Row i moves S to
+    S + {j} for each column j not in S where edge (i, j) is present, so the
+    last row reaches the full set iff the graph has a perfect matching. No
+    matching is enumerated and no subset transform is run, so this oracle
+    shares nothing with the polynomial's construction.
+    """
+    dtype = np.uint16 if n <= 4 else np.uint32 if n == 5 else np.uint64
+    # keep[j]: the bits of the column sets that lack j
+    keep = [dtype(sum(1 << s for s in range(1 << n) if not s >> j & 1)) for j in range(n)]
+    one = dtype(1)
+    state = np.ones(len(masks), dtype)
+    for i in range(n):
+        row = ((masks >> (i * n)) & ((1 << n) - 1)).astype(dtype)
+        reached = np.zeros_like(state)
+        for j in range(n):
+            reached |= ((state & keep[j]) << dtype(1 << j)) * (row >> dtype(j) & one)
+        state = reached
+    return (state >> dtype((1 << n) - 1)).astype(bool)
 
 
 def enumerate_perfect_matchings(G: Graph) -> Family:

@@ -581,6 +581,72 @@ def test_verify_huge_coefficient_matches_pointwise(tmp_path, capsys):
     }
 
 
+def test_verify_reports_the_first_mismatch_past_the_first_chunk(tmp_path, capsys):
+    from matchcover import (
+        Graph,
+        MultilinearPolynomial,
+        WeightFunction,
+        bipartite_ground,
+        contains_min_weight_pm,
+        edge_list_str,
+        min_weight_pm_polynomial,
+    )
+
+    # the identity is the one minimum-weight matching; the check file adds a
+    # term for the full graph, so it is wrong only at the last of 2^16 points
+    g = bipartite_ground(4)
+    weights = [0 if i == j else 1 for i in range(4) for j in range(4)]
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("bipartite 4\n" + "".join(
+        f"{k // 4 + 1} {k % 4 + 1} {w}\n" for k, w in enumerate(weights)
+    ))
+    w = WeightFunction(g, weights)
+    terms = dict(min_weight_pm_polynomial(w).terms)
+    full = (1 << g.edge_count) - 1
+    assert full not in terms
+    terms[full] = 1
+    poly = MultilinearPolynomial(g, terms)
+    check = tmp_path / "poly.json"
+    check.write_text(poly.to_json())
+    for mask in range(1 << g.edge_count):
+        got, want = poly.evaluate(mask), int(contains_min_weight_pm(Graph(g, mask), w))
+        if got != want:
+            break
+    assert mask == full
+    witness = edge_list_str(Graph(g, mask))
+    argv = ["verify", "--n", "4", "--weights", str(wfile), "--exhaustive",
+            "--check-file", str(check)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == f"MISMATCH at assignment {witness}: polynomial {got}, oracle {want}\n"
+    code, out, _ = run(capsys, *argv, "-f", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False, "assignment": witness, "polynomial": got, "oracle": want
+    }
+
+
+def test_verify_sampled_past_six_rows_tests_each_point(tmp_path, monkeypatch, capsys):
+    import matchcover.cli as cli
+
+    # K_{7,7} is past the row DP of verify, so each point gets the oracle
+    calls = []
+    real = cli.contains_min_weight_pm
+
+    def counted(G, w):
+        calls.append(G.edges)
+        return real(G, w)
+
+    monkeypatch.setattr(cli, "contains_min_weight_pm", counted)
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("bipartite 7\n" + "".join(
+        f"{i} {j} {0 if i == j else 1}\n" for i in range(1, 8) for j in range(1, 8)
+    ))
+    argv = ["verify", "--n", "7", "--weights", str(wfile), "--samples", "300", "--seed", "3"]
+    assert run(capsys, *argv) == (0, "verified 300 assignments: OK\n", "")
+    assert len(calls) == 300
+
+
 def test_check_file_ground_mismatch(tmp_path, capsys):
     from matchcover import pm_polynomial
 
@@ -679,6 +745,11 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
                      + "1" * 5000 + ', "edges": [[1, 1]]}]}')
     code, _, err = run(capsys, "verify", "--n", "1", "--check-file", str(check))
     assert code == 2 and err.startswith("error: malformed polynomial JSON:")
+    # a ground size is a JSON integer too, though a coefficient may be true
+    check.write_text('{"ground": {"mode": "bipartite", "size": true}, "terms": []}')
+    code, out, err = run(capsys, "verify", "--n", "1", "--check-file", str(check))
+    assert (code, out) == (2, "")
+    assert err == "error: ground size must be a positive integer, got True\n"
     wfile = tmp_path / "w.txt"
     wfile.write_text("bipartite 1\n1 1 " + "9" * 5000 + "\n")
     code, _, err = run(capsys, "poly", "--n", "1", "--weights", str(wfile))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matchcover import (
@@ -20,7 +21,7 @@ from matchcover import (
     pm_support,
     support_union,
 )
-from matchcover.matching import _kuhn_matching
+from matchcover.matching import _has_perfect_matchings, _kuhn_matching
 from oracles import (
     brute_min_weight,
     brute_min_weight_forced,
@@ -73,6 +74,32 @@ def test_bipartite_existence_matches_permutation_scan():
         for _ in range(40):
             graph = random_graph(rng, g)
             assert has_perfect_matching(graph) == bool(brute_pm_masks_bipartite(graph))
+
+
+def test_row_dp_matches_has_perfect_matching():
+    # every subgraph up to K_{4,4}; above it seeded masks of densities 1/2
+    # and 1/4, so both answers occur
+    rng = random.Random(61)
+    for n in range(1, 7):
+        g = bipartite_ground(n)
+        if n <= 4:
+            masks = list(range(1 << g.edge_count))
+        else:
+            masks = [rng.getrandbits(g.edge_count) for _ in range(300)]
+            masks += [rng.getrandbits(g.edge_count) & m for m in masks]
+        got = _has_perfect_matchings(np.array(masks, dtype=np.int64), n)
+        want = [has_perfect_matching(Graph(g, m)) for m in masks]
+        assert got.tolist() == want
+        if n > 4:
+            assert 0 < sum(want) < len(want)
+    # on the tight edges of a tie-heavy weighting (a band of zeros, with
+    # five minimum-weight matchings), it is the minimum-weight oracle
+    g = bipartite_ground(4)
+    w = WeightFunction(g, [0 if abs(i - j) <= 1 else 1 for i in range(4) for j in range(4)])
+    assert len(enumerate_min_weight_pms(w)) == 5
+    masks = np.arange(1 << g.edge_count, dtype=np.int64)
+    got = _has_perfect_matchings(masks & w.tight_mask(), 4)
+    assert got.tolist() == [contains_min_weight_pm(Graph(g, m), w) for m in range(len(masks))]
 
 
 def test_kuhn_follows_an_augmenting_path_through_every_row():
