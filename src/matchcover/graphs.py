@@ -163,11 +163,46 @@ def _mask_of_ids(ids: list[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+# Rows per piece that _row_masks and _mask_of_rows shift row by row. Longer
+# runs of rows are halved first, so no shift spans more than this many rows
+# plus the halving's O(log n) passes over the whole mask: O(n^2 log n) bit
+# work for n rows, where shifting the whole mask once a row is O(n^3).
+_ROW_RUN = 32
+
+
 def _row_masks(G: Graph) -> list[int]:
     """rows[i] = bitmask of right vertices j (0-based) adjacent to left i."""
     n = G.ground.size
     full_row = (1 << n) - 1
-    return [(G.edges >> (i * n)) & full_row for i in range(n)]
+    rows: list[int] = []
+
+    def split(mask: int, count: int) -> None:
+        if count <= _ROW_RUN:
+            rows.extend([mask >> (i * n) & full_row for i in range(count)])
+            return
+        half = count // 2
+        split(mask & (1 << half * n) - 1, half)
+        split(mask >> half * n, count - half)
+
+    split(G.edges, n)
+    return rows
+
+
+def _mask_of_rows(rows: list[int]) -> int:
+    """The edge mask whose row i is rows[i], each below 2^n for n rows: the
+    inverse of _row_masks, joined by halves the same way."""
+    n = len(rows)
+
+    def join(lo: int, hi: int) -> int:
+        if hi - lo <= _ROW_RUN:
+            mask = 0
+            for i in reversed(range(lo, hi)):
+                mask = mask << n | rows[i]
+            return mask
+        mid = (lo + hi) // 2
+        return join(mid, hi) << (mid - lo) * n | join(lo, mid)
+
+    return join(0, n)
 
 
 def _components(rows: list[int]) -> list[tuple[int, int]]:

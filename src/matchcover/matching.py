@@ -7,20 +7,21 @@ graph's row bitmasks: augmenting paths for existence, and for the set of
 edges that lie in some perfect matching, the transitive closure of the
 alternating digraph that one perfect matching defines on the columns (an
 edge is used iff it lies on an alternating cycle). Minimum weights rest on
-one dual certificate: an O(n^3) potential-based assignment solver over exact
-rationals solves the full K_{n,n} once, and a perfect matching is
-minimum-weight exactly when all its edges are tight for its potentials. So
-the minimum-weight matchings are the perfect matchings of the tight
-subgraph, and every minimum-weight question is a plain matching question
-there. All weights are fractions.Fraction, so weight equality is decided
-exactly.
+one dual certificate: an O(n^3) potential-based assignment solver solves the
+full K_{n,n} once, and a perfect matching is minimum-weight exactly when all
+its edges are tight for its potentials. So the minimum-weight matchings are
+the perfect matchings of the tight subgraph, and every minimum-weight
+question is a plain matching question there. All weights are
+fractions.Fraction, so weight equality is decided exactly; the solver runs
+on the integers that the weights become when scaled by the lcm of their
+denominators, which keeps every comparison and so every result.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,6 +34,7 @@ from .graphs import (
     GroundGraph,
     _content_lines,
     _iter_bits,
+    _mask_of_rows,
     _parse_header,
     _row_masks,
 )
@@ -228,17 +230,23 @@ class WeightFunction:
         return cls(ground, [1] * ground.edge_count)
 
     def _solve(self):
+        """The assignment solution of the weights scaled to integers, by L,
+        the lcm of their denominators: (scaled weights, L, optimum, row_to_col,
+        u, v), the optimum and the potentials scaled by L too. A positive
+        factor keeps every comparison of the solver, so its ties, matching
+        and potentials are those of the rational weights."""
         if self._solution is None:
             n = self.ground.size
-            cost = [
-                [self.weights[i * n + j] for j in range(n)] for i in range(n)
-            ]
-            self._solution = hungarian(cost)
+            scale = lcm(*(w.denominator for w in self.weights))
+            ints = [w.numerator * (scale // w.denominator) for w in self.weights]
+            total, row_to_col, u, v = hungarian([ints[i * n : i * n + n] for i in range(n)])
+            self._solution = ints, scale, total, row_to_col, u, v
         return self._solution
 
     def optimum(self) -> Fraction:
         """Minimum weight of a perfect matching of the full ground."""
-        return self._solve()[0]
+        _, scale, total, *_ = self._solve()
+        return total / scale
 
     def tight_mask(self) -> int:
         """Edges whose weight meets its dual bound u_i + v_j.
@@ -247,13 +255,13 @@ class WeightFunction:
         every perfect matching inside it is minimum-weight.
         """
         if self._tight is None:
-            _, _, u, v = self._solve()
+            ints, _, _, _, u, v = self._solve()
             n = self.ground.size
             mask = 0
             for i in range(n):
                 wrow = i * n
                 for j in range(n):
-                    if self.weights[wrow + j] == u[i] + v[j]:
+                    if ints[wrow + j] == u[i] + v[j]:
                         mask |= 1 << (wrow + j)
             self._tight = mask
         return self._tight
@@ -371,8 +379,7 @@ def pm_support(G: Graph) -> Graph:
     says j and c share a strongly connected component. Warshall's closure of
     the n column bitmasks (n^2 steps on n-bit ints) gives every column its
     reach set, and two columns share a component iff their reach sets are
-    equal. So row i keeps the columns whose reach set equals c's, and the
-    result is assembled one row at a time.
+    equal. So row i keeps the columns whose reach set equals c's.
     """
     _require_bipartite(G.ground, "pm_support")
     n = G.ground.size
@@ -389,10 +396,8 @@ def pm_support(G: Graph) -> Graph:
     for j, (i, r) in enumerate(zip(match_right, reach)):
         blocks[r] = blocks.get(r, 0) | 1 << j
         partner[i] = j
-    mask = 0
-    for i in reversed(range(n)):
-        mask = mask << n | rows[i] & blocks[reach[partner[i]]]
-    return Graph(G.ground, mask)
+    kept = [rows[i] & blocks[reach[partner[i]]] for i in range(n)]
+    return Graph(G.ground, _mask_of_rows(kept))
 
 
 def support_union(w: WeightFunction) -> Graph:

@@ -54,8 +54,10 @@ from .subsets import (
 # graphs of a support of E edges) takes unless told otherwise: the 16 edges
 # of K_{4,4}. truth_table_transform and every CLI cap but the lattice's use it.
 EDGE_CAP = 16
-# Terms formatted per chunk of the writers: a few MB of text.
-_CHUNK_TERMS = 1 << 14
+# Support-edge slots formatted per chunk of the writers: a chunk takes
+# 2^14 // s terms of a polynomial on s support edges, so it formats at most
+# about 2^14 edge names, however wide the monomials are.
+_CHUNK_SLOTS = 1 << 14
 
 
 class MultilinearPolynomial:
@@ -149,23 +151,34 @@ class MultilinearPolynomial:
         return total
 
     def value_table(self) -> np.ndarray | None:
-        """Values at all 2^m assignments, indexed by mask, by one zeta pass.
+        """Values at all 2^s assignments of the s support edges, by one zeta
+        pass, indexed by the assignment compressed onto the support (see
+        SupportBits.compress_array); edges off the support do not change a
+        value.
 
         The int32 table holds partial sums of coefficients, so it is refused
         (None) when the absolute coefficients sum past int32, as well as
-        when the ground has more than DENSE_BIT_CAP edges.
+        when the support has more than DENSE_BIT_CAP edges.
         """
         # object coefficients hold a value past int64; the float64 sum is
         # exact below 2^53 and cannot fall back under 2^31 above it
         if (
-            self.ground.edge_count > DENSE_BIT_CAP
+            len(self._bits) > DENSE_BIT_CAP
             or self._coeffs.dtype == object
             or np.abs(self._coeffs, dtype=np.float64).sum() > np.iinfo(np.int32).max
         ):
             return None
-        table = np.zeros(1 << self.ground.edge_count, dtype=np.int32)
-        table[self._bits.expand(self._rows, np.int64)] = self._coeffs
+        # each byte row, read as a little-endian integer, is its own index
+        index = np.zeros(len(self), dtype=np.int64)
+        for b in range(self._rows.shape[1]):
+            index |= self._rows[:, b].astype(np.int64) << 8 * b
+        table = np.zeros(1 << len(self._bits), dtype=np.int32)
+        table[index] = self._coeffs
         return _subset_transform(table, "+")
+
+    def _chunk_terms(self) -> int:
+        """Terms per chunk of the writers."""
+        return max(1, _CHUNK_SLOTS // max(1, len(self._bits)))
 
     def to_text(self, file=None) -> str | int:
         """One term per line: signed coefficient, then sorted x[u,v] factors.
@@ -177,9 +190,10 @@ class MultilinearPolynomial:
         pairs = {k: self.ground.edge_pair(k) for k in self._bits.ids}
         names = {k: f" x[{i},{j}]" for k, (i, j) in pairs.items()}
         tables = [np.array(t, dtype=object) for t in self._bits.byte_tables(names, "")]
-        for lo in range(0, len(self), _CHUNK_TERMS):
-            rows = self._rows[lo : lo + _CHUNK_TERMS]
-            lines = _coefficient_strings(self._coeffs[lo : lo + _CHUNK_TERMS], "{:+d}")
+        step = self._chunk_terms()
+        for lo in range(0, len(self), step):
+            rows = self._rows[lo : lo + step]
+            lines = _coefficient_strings(self._coeffs[lo : lo + step], "{:+d}")
             for b, table in enumerate(tables):
                 lines += table[rows[:, b]]
             yield "\n".join(lines.tolist()) + "\n"
@@ -211,9 +225,10 @@ class MultilinearPolynomial:
         ]
         ends = np.array(["]\n    }", "\n      ]\n    }"], dtype=object)
         head = '\n    {{\n      "coeff": {},\n      "edges": ['
-        for lo in range(0, len(self), _CHUNK_TERMS):
-            rows = self._rows[lo : lo + _CHUNK_TERMS]
-            terms = _coefficient_strings(self._coeffs[lo : lo + _CHUNK_TERMS], head)
+        step = self._chunk_terms()
+        for lo in range(0, len(self), step):
+            rows = self._rows[lo : lo + step]
+            terms = _coefficient_strings(self._coeffs[lo : lo + step], head)
             opening = np.ones(len(rows), dtype=np.intp)
             for b, table in enumerate(tables):
                 half = len(table) // 2

@@ -85,6 +85,19 @@ class SupportBits:
     def compress(self, mask: int) -> int:
         return sum(1 << b for b, k in enumerate(self.ids) if mask >> k & 1)
 
+    def compress_array(self, masks: np.ndarray) -> np.ndarray:
+        """compress of each mask of an int64 array, as int64: one 256-entry
+        lookup per byte of the ground that holds support bits."""
+        values = np.arange(256, dtype=np.int64)
+        out = np.zeros(len(masks), dtype=np.int64)
+        for c in sorted({k >> 3 for k in self.ids}):
+            table = np.zeros(256, dtype=np.int64)
+            for b, k in enumerate(self.ids):
+                if k >> 3 == c:
+                    table |= (values >> (k & 7) & 1) << b
+            out |= table[masks >> 8 * c & 255]
+        return out
+
     def rows(self, masks: list[int]) -> np.ndarray:
         """Masks inside the support compressed onto it, as byte rows: the
         bytes that hold support bits unpacked, the support's columns packed
@@ -108,12 +121,12 @@ class SupportBits:
         k = bisect_left(rows, _order_key(row), key=_order_key)
         return k if k < len(rows) and np.array_equal(rows[k], row) else None
 
-    def expand(self, rows: np.ndarray, dtype=object) -> np.ndarray:
-        """Full edge masks of byte rows, one lookup table per byte: Python
-        ints by default, or a numpy integer dtype wide enough for them."""
-        full = np.zeros(len(rows), dtype=dtype)
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """Full edge masks of byte rows, as Python ints in an object array,
+        one lookup table per byte."""
+        full = np.zeros(len(rows), dtype=object)
         for b, table in enumerate(self.byte_tables({k: 1 << k for k in self.ids}, 0)):
-            full |= np.array(table, dtype=dtype)[rows[:, b]]
+            full |= np.array(table, dtype=object)[rows[:, b]]
         return full
 
     def byte_tables(self, names, empty) -> list[list]:

@@ -171,6 +171,14 @@ def test_lattice_json_streamed_to_a_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def _zero_weight_file(path, n, zero) -> str:
+    """A weight file of K_{n,n}: 0 on the edges (i, j) where zero(i, j), else 1."""
+    path.write_text(f"bipartite {n}\n" + "".join(
+        f"{i} {j} {0 if zero(i, j) else 1}\n" for i in range(1, n + 1) for j in range(1, n + 1)
+    ))
+    return str(path)
+
+
 def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
     from matchcover import MultilinearPolynomial
 
@@ -182,21 +190,103 @@ def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
         return real(self)
 
     monkeypatch.setattr(MultilinearPolynomial, "value_table", counted)
-    # one-term polynomials: the 2^25-entry table of n = 5 outweighs 1,000
-    # points, the 512 entries of n = 3 outweigh 8 points but not 100
-    for n, pointwise in ((5, 1000), (3, 8)):
-        wfile = tmp_path / f"w{n}.txt"
-        wfile.write_text(f"bipartite {n}\n" + "".join(
-            f"{i} {j} {0 if i == j else 1}\n" for i in range(1, n + 1) for j in range(1, n + 1)
-        ))
-        argv = ["verify", "--n", str(n), "--weights", str(wfile)]
-        assert run(capsys, *argv, "--samples", str(pointwise)) == (
-            0, f"verified {pointwise} assignments: OK\n", ""
+
+    def verify(n, zero, *argv):
+        wfile = _zero_weight_file(tmp_path / f"w{n}.txt", n, zero)
+        calls.clear()
+        return run(capsys, "verify", "--n", str(n), "--weights", wfile, *argv)
+
+    # the table of s support edges costs 25 x 2^s, evaluation point by point
+    # points x (1000 + 100 x terms). Three zero K_{2,2} blocks of K_{6,6} give
+    # 27 terms on 12 edges: 102,400 against 27 x 3,700 = 99,900 or 28 x 3,700
+    blocks = lambda i, j: (i - 1) // 2 == (j - 1) // 2
+    for samples, want in ((27, []), (28, [27])):
+        assert verify(6, blocks, "--samples", str(samples)) == (
+            0, f"verified {samples} assignments: OK\n", ""
         )
-        assert calls == []
-    assert run(capsys, *argv, "--samples", "100")[:2] == (0, "verified 100 assignments: OK\n")
-    assert run(capsys, *argv, "--exhaustive")[:2] == (0, "verified 512 assignments: OK\n")
-    assert calls == [1, 1]
+        assert calls == want
+    # one term on the diagonal: the 32 entries of its 5 edges, not the 2^25
+    # of the ground, cost less than one point; exhaustive runs take the table
+    diagonal = lambda i, j: i == j
+    assert verify(5, diagonal, "--samples", "1") == (0, "verified 1 assignments: OK\n", "")
+    assert calls == [1]
+    assert verify(3, diagonal, "--exhaustive")[:2] == (0, "verified 512 assignments: OK\n")
+    assert calls == [1]
+    # masks of 64 edges or more do not fit the table's int64 index
+    assert verify(8, diagonal, "--samples", "50")[:2] == (0, "verified 50 assignments: OK\n")
+    assert calls == []
+
+
+def test_verify_through_the_support_table_equals_pointwise(tmp_path, monkeypatch, capsys):
+    """Each run gives the same exit code and bytes through the value table as
+    by evaluate at each point, whether it verifies or reports a mismatch."""
+    import random
+
+    from matchcover import Graph, MultilinearPolynomial, WeightFunction, bipartite_ground
+    from matchcover import edge_list_str, min_weight_pm_polynomial
+    from matchcover.cli import _VERIFY_CHUNK
+
+    real = MultilinearPolynomial.value_table
+    tables = []
+
+    def counted(self):
+        tables.append(real(self))
+        return tables[-1]
+
+    def both(*argv):
+        """The run through the table, checked to have taken it, and again
+        point by point."""
+        monkeypatch.setattr(MultilinearPolynomial, "value_table", counted)
+        tables.clear()
+        table_run = run(capsys, *argv)
+        assert len(tables) == 1 and tables[0] is not None
+        monkeypatch.setattr(MultilinearPolynomial, "value_table", lambda self: None)
+        assert run(capsys, *argv) == table_run
+        return table_run
+
+    rng = random.Random(151)
+    codes = []
+    for trial in range(10):
+        n = trial % 5 + 2  # 2..6
+        weights = [rng.randint(0, 2) for _ in range(n * n)]
+        wfile = tmp_path / f"w{trial}.txt"
+        wfile.write_text(f"bipartite {n}\n" + "".join(
+            f"{k // n + 1} {k % n + 1} {w}\n" for k, w in enumerate(weights)
+        ))
+        poly = min_weight_pm_polynomial(WeightFunction(bipartite_ground(n), weights))
+        check = tmp_path / f"p{trial}.json"
+        check.write_text(poly.to_json())
+        sampled = ["--samples", "300", "--seed", str(trial)]
+        both("verify", "--n", str(n), "--weights", str(wfile), *sampled)
+        # the polynomial of G_w, narrower than the ground, against the
+        # unweighted oracle, which it fails unless G_w is the whole ground
+        unweighted = ["verify", "--n", str(n), "--check-file", str(check), "--unsafe-caps"]
+        for mode in (sampled, ["--exhaustive"] if n <= 3 else sampled + ["-f", "json"]):
+            codes.append(both(*unweighted, *mode)[0])
+        both("verify", "--n", str(n), "--weights", str(wfile), "--check-file", str(check), *sampled)
+    assert set(codes) == {0, 1}
+    # the identity is the one minimum-weight matching of these weights; a
+    # term for 14 of the 16 edges of K_{4,4} makes the check file wrong at the
+    # points that hold them, the first at sample 11,958, in the second chunk
+    g = bipartite_ground(4)
+    wfile = _zero_weight_file(tmp_path / "diagonal.txt", 4, lambda i, j: i == j)
+    extra = (1 << 16) - 1 & ~0b110
+    terms = {0b1000010000100001: 1, extra: 1}
+    check = tmp_path / "wrong.json"
+    check.write_text(MultilinearPolynomial(g, terms).to_json())
+    sampler = random.Random(4)
+    points = [sampler.getrandbits(16) for _ in range(20000)]
+    first = next(k for k, x in enumerate(points) if x & extra == extra)
+    assert first == 11958 and first >= _VERIFY_CHUNK
+    witness = edge_list_str(Graph(g, points[first]))  # holds the identity too
+    argv = ["verify", "--n", "4", "--weights", wfile, "--check-file", str(check),
+            "--samples", "20000", "--seed", "4"]
+    assert both(*argv) == (
+        1, f"MISMATCH at assignment {witness}: polynomial 2, oracle 1\n", ""
+    )
+    code, out, _ = both(*argv, "-f", "json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "assignment": witness, "polynomial": 2, "oracle": 1}
 
 
 def test_poly_deterministic(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -226,6 +227,53 @@ def test_hungarian_dual_certificate():
             assert u[i] + v[row_to_col[i]] == cost[i][row_to_col[i]]
         assert best == sum(cost[i][row_to_col[i]] for i in range(n))
         assert best == brute_min_weight(g.full_graph(), w) == w.optimum()
+
+
+def _tied_rational_weights(rng, ground):
+    """A few small fractions plus rational potentials u_i + v_j, so that
+    many perfect matchings tie at the optimum."""
+    n = ground.size
+    u = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+    v = [Fraction(rng.randint(0, 6), rng.choice((1, 4, 5))) for _ in range(n)]
+    base = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(7, 6)]
+    return WeightFunction(
+        ground, [rng.choice(base) + u[i] + v[j] for i in range(n) for j in range(n)]
+    )
+
+
+def test_hungarian_on_fractions_agrees_with_the_scaled_integers():
+    # the same assignment, and optimum and potentials scaled by L, the lcm of
+    # the denominators: a positive factor keeps every comparison, ties too
+    rng = random.Random(137)
+    for trial in range(200):
+        n = trial % 6 + 1
+        g = bipartite_ground(n)
+        w = (_tied_rational_weights, random_rational_weights)[trial % 2](rng, g)
+        cost = [[w.weights[i * n + j] for j in range(n)] for i in range(n)]
+        scale = lcm(*(c.denominator for row in cost for c in row))
+        best, row_to_col, u, v = hungarian(cost)
+        ibest, irow_to_col, iu, iv = hungarian([[int(c * scale) for c in row] for row in cost])
+        assert irow_to_col == row_to_col
+        assert Fraction(ibest, scale) == best == w.optimum()
+        assert [Fraction(x, scale) for x in iu + iv] == u + v
+
+
+def test_tight_mask_and_support_union_match_the_rational_certificate():
+    rng = random.Random(139)
+    for trial in range(150):
+        n = trial % 6 + 1
+        g = bipartite_ground(n)
+        w = (_tied_rational_weights, random_rational_weights)[trial % 2](rng, g)
+        cost = [[w.weights[i * n + j] for j in range(n)] for i in range(n)]
+        _, _, u, v = hungarian(cost)
+        tight = sum(
+            1 << (i * n + j) for i in range(n) for j in range(n) if cost[i][j] == u[i] + v[j]
+        )
+        assert w.tight_mask() == tight
+        union = 0
+        for m in min_weight_family(g, w):
+            union |= m.edges
+        assert support_union(w) == pm_support(Graph(g, tight)) == Graph(g, union)
 
 
 def test_forced_at_least_min_with_equality_somewhere():

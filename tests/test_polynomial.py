@@ -27,7 +27,7 @@ from matchcover import (
     truth_table_transform,
 )
 from matchcover import polynomial
-from matchcover.polynomial import _CHUNK_TERMS, _pm_family_polynomial, _sign_rule_polynomial
+from matchcover.polynomial import _pm_family_polynomial, _sign_rule_polynomial
 from matchcover.subsets import _subset_transform
 from oracles import (
     ground_pairs,
@@ -293,10 +293,27 @@ def test_value_table_matches_evaluate():
     g = bipartite_ground(3)
     polys = [pm_polynomial(3), min_weight_pm_polynomial(random_int_weights(rng, g))]
     polys.append(MultilinearPolynomial(g, {0: 5, 0b11: -(2**20), 0b101: 3}))
+    polys.append(MultilinearPolynomial(g, {}))
+    points = np.arange(1 << 9, dtype=np.int64)
     for poly in polys:
         values = poly.value_table()
         assert values.dtype == np.int32
-        assert [int(v) for v in values] == [poly.evaluate(m) for m in range(1 << 9)]
+        assert len(values) == 1 << len(poly._bits)
+        index = poly._bits.compress_array(points)
+        assert index.tolist() == [poly._bits.compress(m) for m in range(1 << 9)]
+        assert [int(v) for v in values[index]] == [poly.evaluate(m) for m in range(1 << 9)]
+    assert len(polys[1].value_table()) < 1 << 9  # a support narrower than the ground
+
+
+def test_support_index_on_wide_grounds():
+    # support bits spread over the bytes of a 36-edge ground, up to bit 35
+    rng = random.Random(157)
+    poly = MultilinearPolynomial(bipartite_ground(6), {1 << 3 | 1 << 20: 2, 1 << 35: -1, 1 << 9: 4})
+    points = [rng.getrandbits(36) for _ in range(500)]
+    values = poly.value_table()
+    assert len(values) == 1 << 4
+    got = values[poly._bits.compress_array(np.array(points, dtype=np.int64))]
+    assert got.tolist() == [poly.evaluate(m) for m in points]
 
 
 def test_value_table_refuses_what_int32_cannot_hold():
@@ -304,8 +321,10 @@ def test_value_table_refuses_what_int32_cannot_hold():
     assert MultilinearPolynomial(g, {1: 2**31 - 1}).value_table() is not None
     assert MultilinearPolynomial(g, {1: 2**30, 2: -(2**30)}).value_table() is None
     assert MultilinearPolynomial(g, {1: 2**70}).value_table() is None
-    wide = bipartite_ground(6)  # 36 edges, above the dense cap of 25
-    assert MultilinearPolynomial(wide, {1: 1}).value_table() is None
+    # a support of 26 edges, above the dense cap of 25, on a 36-edge ground
+    wide = bipartite_ground(6)
+    assert MultilinearPolynomial(wide, {(1 << 26) - 1: 1}).value_table() is None
+    assert MultilinearPolynomial(wide, {(1 << 25) - 1 << 11 | 1: 1}).value_table() is None
 
 
 def test_writers_match_reference_writers():
@@ -411,19 +430,44 @@ def test_writers_at_chunk_boundaries(monkeypatch):
     g1, g4 = bipartite_ground(1), bipartite_ground(4)
     _check_writers(MultilinearPolynomial(g1, {}), {})
     rng = random.Random(127)
-    for count in (_CHUNK_TERMS, _CHUNK_TERMS + 1):
+    step = polynomial._CHUNK_SLOTS // 16  # terms per chunk on all 16 edges
+    for count in (step, step + 1):
         terms = {m: rng.choice([-1, 1, 2**70]) for m in rng.sample(range(1, 1 << 16), count)}
         poly = MultilinearPolynomial(g4, terms)
+        assert len(poly._bits) == 16
         assert poly.to_text() == reference_text(poly)
         assert json.loads(poly.to_json()) == reference_json_dict(poly)
         out = io.StringIO()
         poly.to_json(out)
         assert out.getvalue() == poly.to_json()
     # the same boundaries, byte for byte, with chunks of four terms
-    monkeypatch.setattr(polynomial, "_CHUNK_TERMS", 4)
     for count in (1, 4, 5, 9):
         terms = {m: rng.choice([-1, 1, 2**70]) for m in rng.sample(range(1, 1 << 16), count)}
-        _check_writers(MultilinearPolynomial(g4, terms), terms)
+        poly = MultilinearPolynomial(g4, terms)
+        monkeypatch.setattr(polynomial, "_CHUNK_SLOTS", 4 * len(poly._bits))
+        assert poly._chunk_terms() == 4
+        _check_writers(poly, terms)
+
+
+def test_writers_by_support_width_match_one_chunk(monkeypatch):
+    # several chunks at 16 and at 34 support edges (1,024 and 481 terms a
+    # chunk), and a chunk budget below one term's width, against one chunk
+    rng = random.Random(163)
+    wide = rng.sample(range(400), 34)
+    polys = [
+        MultilinearPolynomial(bipartite_ground(4), _random_terms(rng, list(range(16)), 2500)),
+        MultilinearPolynomial(bipartite_ground(20), _random_terms(rng, wide, 1200)),
+    ]
+    written = []
+    for slots in (polynomial._CHUNK_SLOTS, 7, 1 << 40):
+        monkeypatch.setattr(polynomial, "_CHUNK_SLOTS", slots)
+        for poly in polys:
+            chunks = [list(poly._text_chunks()), list(poly._json_chunks())]
+            assert len(chunks[0]) == -(-len(poly) // poly._chunk_terms())
+            written.append(["".join(c) for c in chunks])
+    assert [len(p._bits) for p in polys] == [16, 34]
+    assert written[:2] == written[2:4] == written[4:]
+    assert [w[0] for w in written[4:]] == [p.to_text() for p in polys]
 
 
 def test_pm_polynomial_5_text():
