@@ -19,11 +19,13 @@ import os
 import random
 import stat
 import sys
+from math import prod
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceededError, InputError
-from .covered import coefficient_query, covered_closure
+from .covered import CoveredSet, coefficient_query, covered_closure
 from .graphs import (
     Family,
     Graph,
@@ -38,7 +40,7 @@ from .matching import (
     WeightFunction,
     _has_perfect_matchings,
     contains_min_weight_pm,
-    enumerate_min_weight_pms,
+    enumerate_min_weight_pms,  # unused here; perfbench/spans.py wraps this name
     enumerate_perfect_matchings,
     has_perfect_matching,
     parse_weight_function,
@@ -47,11 +49,12 @@ from .matching import (
 from .polynomial import (
     EDGE_CAP,
     MultilinearPolynomial,
-    _block_families,
-    _min_weight_blocks,
+    _multiply_blocks,
+    _split,
     min_weight_pm_polynomial,
     pm_polynomial,
 )
+from .subsets import canonical_order
 
 # The lattice of K_{4,4}, the largest one built: its down- and up-masks take
 # N^2 bits each (7 MB apiece at this N), and the Eulerian check counts an
@@ -123,24 +126,14 @@ def _note(args, msg: str) -> None:
 
 def _cap(args, width: int, what: str) -> None:
     """Refuse exhaustive work over more than EDGE_CAP edges: the ground's
-    edges for exhaustive verification and unweighted runs, the support G_w
-    of the minimum-weight matchings for weighted ones, or the widest block
-    of G_w for work done block by block. Callers compute the width before
-    building anything of that size."""
+    edges for exhaustive and unweighted verification and in complete mode,
+    or the widest block of a support for work done block by block. Callers
+    compute the width before building anything of that size."""
     if width > EDGE_CAP and not args.unsafe_caps:
         raise CapExceededError(
             f"{what} is capped at {EDGE_CAP} support edges, this one has {width}"
             " (override with --unsafe-caps)"
         )
-
-
-def _note_blocks(args, width: int, sizes: list[int]) -> None:
-    """With -v, the width of a support and the row counts of its blocks on
-    stderr."""
-    sizes = sorted(sizes, reverse=True)
-    plural = "s" if len(sizes) > 1 else ""
-    _note(args, f"support: {width} edges in {len(sizes)} block{plural}"
-                f" ({','.join(map(str, sizes))})")
 
 
 # Each input file must name the ground of --n. A graph or polynomial file is
@@ -164,14 +157,32 @@ def _load_graph(path: str, ground: GroundGraph) -> Graph:
         return parse_graph(fh.read(), ground)
 
 
-def _matchings(args, weights: WeightFunction | None, what: str) -> Family:
-    """All perfect matchings of K_{n,n}, or the minimum-weight ones when
-    weights are given, refused past EDGE_CAP edges."""
+def _support(args, weights, what=None, note=False) -> tuple[Graph, int, Iterator[Family]]:
+    """The support of a bipartite run, K_{n,n} or G_w under weights, split
+    by _split. With note, -v names its width and its blocks' row counts.
+    With what, the widest block is capped before any matching is listed:
+    K_{n,n}, one block, as what, from --n before its n^2-bit mask is built;
+    a block of G_w as a block of the subcommand."""
     if weights is None:
-        _cap(args, args.n * args.n, what)
-        return enumerate_perfect_matchings(bipartite_ground(args.n).full_graph())
-    _cap(args, support_union(weights).edge_count, what)
-    return enumerate_min_weight_pms(weights)
+        width, sizes = args.n * args.n, [args.n]
+    else:
+        support = support_union(weights)
+        forced, blocks, families = _split(support)
+        width = support.edge_count
+        sizes = sorted([size for size, _ in blocks] + [1] * forced.bit_count(), reverse=True)
+    if note:
+        plural = "s" if len(sizes) > 1 else ""
+        _note(args, f"support: {width} edges in {len(sizes)} block{plural}"
+                    f" ({','.join(map(str, sizes))})")
+    if weights is None:
+        if what:
+            _cap(args, width, what)
+        support = bipartite_ground(args.n).full_graph()
+        forced, blocks, families = _split(support)
+    elif what:
+        widest = max((edges.bit_count() for _, edges in blocks), default=1)
+        _cap(args, widest, f"a {args.command} block")
+    return support, forced, families
 
 
 def _parity(count: int) -> str:
@@ -184,14 +195,9 @@ def _parity(count: int) -> str:
 
 def cmd_poly(args) -> int:
     weights = _load_weights(args)
-    if weights is None:
-        _note_blocks(args, args.n * args.n, [args.n])
-        poly = pm_polynomial(args.n)
-    else:
-        if args.verbose:  # min_weight_pm_polynomial splits G_w again
-            support, blocks = _min_weight_blocks(weights)
-            _note_blocks(args, support.edge_count, [size for size, _ in blocks])
-        poly = min_weight_pm_polynomial(weights)
+    if args.verbose:  # the polynomial splits the support again
+        _support(args, weights, note=True)
+    poly = pm_polynomial(args.n) if weights is None else min_weight_pm_polynomial(weights)
     _stream_output(args, poly.to_json if args.format == "json" else poly.to_text)
     print(f"terms: {len(poly)} ({_parity(len(poly))})", file=sys.stderr)
     return 0
@@ -309,20 +315,27 @@ def cmd_lattice(args) -> int:
         _cap(args, args.n * (args.n - 1) // 2, "complete mode")
         if args.weights:
             raise InputError("--weights applies to bipartite mode only")
-        family = enumerate_perfect_matchings(complete_ground(args.n).full_graph())
+        support = complete_ground(args.n).full_graph()
+        forced, families = 0, [enumerate_perfect_matchings(support)]
     else:
-        family = _matchings(args, _load_weights(args), "a bipartite lattice")
-    ground = family.ground
+        support, forced, families = _support(args, _load_weights(args), "a bipartite lattice")
+        families = list(families)
+    ground = support.ground
 
-    _note(args, f"family has {len(family)} matchings")
-    cov = covered_closure(family)
-    _note(args, f"covered set has {len(cov)} graphs")
-    if len(cov) + 1 > LATTICE_ELEMENT_CAP and not args.unsafe_caps:
+    # the product of the blocks' covered sets, refused by its count
+    _note(args, f"family has {prod(map(len, families))} matchings")
+    covers = [covered_closure(family) for family in families]
+    count = prod(map(len, covers))
+    _note(args, f"covered set has {count} graphs")
+    if count + 1 > LATTICE_ELEMENT_CAP and not args.unsafe_caps:
         raise CapExceededError(
             f"lattices are capped at {LATTICE_ELEMENT_CAP} elements, this one has"
-            f" {len(cov) + 1} (override with --unsafe-caps)"
+            f" {count + 1} (override with --unsafe-caps)"
         )
-    lat = build_lattice(cov)
+    if forced or len(covers) > 1:
+        bits, rows, _ = _multiply_blocks(support, forced, [(c.bits, c.rows, None) for c in covers])
+        covers = [CoveredSet(ground, bits, np.take(rows, canonical_order(rows), axis=0))]
+    lat = build_lattice(covers[0])
 
     if args.format == "dot":
         _write_output(args, lat.to_dot())
@@ -378,20 +391,9 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_count_covered(args) -> int:
-    """The covered count of a weighted run is the product of its blocks'
-    counts, each block capped on its own."""
-    weights = _load_weights(args)
-    if weights is None:
-        _note_blocks(args, args.n * args.n, [args.n])
-        count = len(covered_closure(_matchings(args, None, "count-covered")))
-    else:
-        support, blocks = _min_weight_blocks(weights)
-        _note_blocks(args, support.edge_count, [size for size, _ in blocks])
-        widest = max(edges.bit_count() for _, edges in blocks)
-        _cap(args, widest, "a count-covered block")
-        count = 1
-        for family in _block_families(support, blocks):
-            count *= len(covered_closure(family))
+    """The covered count is the product of the blocks' counts."""
+    _, _, families = _support(args, _load_weights(args), "count-covered", note=True)
+    count = prod(len(covered_closure(family)) for family in families)
     if args.format == "json":
         _write_output(
             args, json.dumps({"count": count, "parity": _parity(count)}) + "\n"
@@ -405,17 +407,16 @@ def cmd_count_covered(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, formats=("text", "json")) -> None:
+def _add_common(sub, formats=("text", "json"), verbose=True, caps=True) -> None:
     sub.add_argument("--output", "-o", help="write to a file instead of stdout")
     sub.add_argument(
         "--format", "-f", choices=formats, default="text", help="output format"
     )
-    sub.add_argument("--verbose", "-v", action="store_true", help="progress to stderr")
-    sub.add_argument(
-        "--unsafe-caps",
-        action="store_true",
-        help="lift the safety caps on exponential-size computations",
-    )
+    if verbose:
+        sub.add_argument("--verbose", "-v", action="store_true", help="progress to stderr")
+    if caps:
+        sub.add_argument("--unsafe-caps", action="store_true",
+                         help="lift the safety caps on exponential-size computations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("poly", help="emit a membership polynomial")
     p.add_argument("--n", type=int, required=True, help="bipartite ground size")
     p.add_argument("--weights", help="weight file (min-weight matchings)")
-    _add_common(p)
+    _add_common(p, caps=False)
     p.set_defaults(func=cmd_poly)
 
     p = subs.add_parser("coeff", help="coefficient of one monomial, no enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weights", help="weight file (unit weights if omitted)")
     p.add_argument("--graph", required=True, help="graph file naming the monomial")
-    _add_common(p)
+    _add_common(p, verbose=False, caps=False)
     p.set_defaults(func=cmd_coeff)
 
     p = subs.add_parser("verify", help="compare a polynomial against the oracle")

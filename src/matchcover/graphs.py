@@ -245,37 +245,19 @@ def _components(rows: list[int]) -> list[tuple[int, int]]:
     return [(members[k], cols[k]) for k in range(len(parent)) if parent[k] == k]
 
 
-def _blocks(G: Graph) -> list[tuple[int, int]]:
-    """The connected components of a bipartite graph that have an edge, as
-    (row count, edge mask) pairs, in order of their highest row."""
-    n = G.ground.size
-    rows = _row_masks(G)
-    return [
-        (members.bit_count(), sum(rows[i] << i * n for i in _iter_bits(members)))
-        for members, cols in _components(rows)
-        if cols
-    ]
-
-
 def component_count(G: Graph) -> int:
     """Connected components of the spanning subgraph; isolated vertices count."""
+    n = G.ground.size
     if G.ground.mode == BIPARTITE:
         comps = _components(_row_masks(G))
-        return len(comps) + G.ground.size - sum(cols.bit_count() for _, cols in comps)
-    parent = list(range(G.ground.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in _iter_bits(G.edges):
-        u, v = G.ground.edge_pair(k)
-        ra, rb = find(u - 1), find(v - 1)
-        if ra != rb:
-            parent[ra] = rb
-    return sum(1 for x in range(len(parent)) if find(x) == x)
+        return len(comps) + n - sum(cols.bit_count() for _, cols in comps)
+    # row u meets column u and the columns of its neighbours above u, whose
+    # edges {u, v} hold the n - u - 1 ids from u(2n - u - 1)/2 (0-based)
+    rows = [
+        1 << u | (G.edges >> u * (2 * n - u - 1) // 2 & (1 << n - u - 1) - 1) << u + 1
+        for u in range(n)
+    ]
+    return len(_components(rows))
 
 
 def cyclomatic_number(G: Graph) -> int:

@@ -6,9 +6,9 @@ raw masks). Membership polynomials are built three ways: from the
 inclusion-exclusion coefficients of the covered-set lattice (general
 families), from the cyclomatic-number sign rule (perfect-matching families,
 weighted or not, whose narrow supports take the Mobius transform of their
-membership table instead; a minimum-weight family is split into the blocks
-of its support and the blocks' polynomials multiplied), and from an exhaustive truth-table transform that
-serves as the independent oracle at small sizes. Every route ends in the
+membership table instead; a support is split into its blocks and the
+blocks' polynomials multiplied), and from an exhaustive truth-table
+transform that serves as the independent oracle at small sizes. Every route ends in the
 same arrays (support edges, compressed monomials in canonical order,
 coefficients), which the text and JSON writers format a chunk at a time.
 """
@@ -26,8 +26,9 @@ from .graphs import (
     Family,
     Graph,
     GroundGraph,
-    _blocks,
     _check_ground,
+    _components,
+    _iter_bits,
     _row_masks,
     _write_chunks,
     bipartite_ground,
@@ -346,57 +347,73 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
 def pm_polynomial(n: int) -> MultilinearPolynomial:
     """Membership polynomial of the perfect matchings of K_{n,n}: one term
     per matching-covered subgraph, signed by its cyclomatic number."""
-    ground = bipartite_ground(n)
-    family = enumerate_perfect_matchings(ground.full_graph())
-    return _pm_family_polynomial(family)
+    return _support_polynomial(bipartite_ground(n).full_graph())
 
 
 def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
-    """Membership polynomial of the minimum-weight perfect matchings under w.
+    """Membership polynomial of the minimum-weight perfect matchings under w,
+    those of their union G_w."""
+    return _support_polynomial(support_union(w))
 
-    Same sign rule as the unweighted case; every monomial lies inside G_w,
-    the union of the minimum-weight matchings. Each connected component of
-    G_w is a block: a graph is covered exactly when its part in every block
-    is covered there, and cyclomatic numbers add over blocks, so the
-    polynomial is the product of the blocks' polynomials. A one-edge block
-    is a forced edge, in every term. A G_w of one block takes the family's
-    route whole.
+
+def _support_polynomial(support: Graph) -> MultilinearPolynomial:
+    """Membership polynomial of the perfect matchings of a bipartite graph
+    that is their union: a graph is covered exactly when its part in every
+    block is covered there, and cyclomatic numbers add over blocks, so it is
+    the product of the blocks' polynomials, each forced edge in every term.
+    A support of one block, such as K_{n,n}, takes the family's route whole.
     """
-    support, blocks = _min_weight_blocks(w)
-    if len(blocks) == 1:
+    forced, blocks, families = _split(support)
+    if len(blocks) + forced.bit_count() == 1:
         return _pm_family_polynomial(enumerate_perfect_matchings(support))
-    bits = SupportBits([support.edges])
-    rows = bits.rows([sum(edges for size, edges in blocks if size == 1)])
-    coeffs = np.ones(1, dtype=np.int64)
-    for family in _block_families(support, blocks):
-        block = _pm_family_polynomial(family)
-        block_rows = bits.rows(block._bits.expand(block._rows).tolist())
-        rows = (rows[:, None] | block_rows[None]).reshape(-1, rows.shape[1])
-        coeffs = np.multiply.outer(coeffs, block._coeffs).reshape(-1)
-    return MultilinearPolynomial._from_rows(w.ground, bits, rows, coeffs)
+    polys = [(p._bits, p._rows, p._coeffs) for p in map(_pm_family_polynomial, families)]
+    bits, rows, coeffs = _multiply_blocks(support, forced, polys)
+    return MultilinearPolynomial._from_rows(support.ground, bits, rows, coeffs)
 
 
-def _min_weight_blocks(w: WeightFunction) -> tuple[Graph, list[tuple[int, int]]]:
-    """G_w and its blocks, as (row count, edge mask) pairs."""
-    support = support_union(w)
-    return support, _blocks(support)
-
-
-def _block_families(support: Graph, blocks: list[tuple[int, int]]) -> Iterator[Family]:
-    """The perfect matchings of each block of two or more rows, given as
-    (row count, edge mask) pairs, of a graph that has a perfect matching,
-    cut down to the block. The rows outside the block keep the edges of one
-    fixed perfect matching, so the matchings of the rest are those of the
-    block, on the same ground."""
+def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]]:
+    """The blocks (connected components, each elementary) of a bipartite
+    graph that is the union of its perfect matchings: the mask of the blocks
+    of one row, a forced edge each; the others as (row count, edge mask)
+    pairs; and, as they are asked for, the perfect matchings of each of
+    those cut down to it. The rows outside a block keep the edges of one
+    fixed perfect matching, so the matchings are those of the block."""
     ground = support.ground
     n = ground.size
-    _, match_right = _kuhn_matching(_row_masks(support))
-    fixed = sum(1 << (i * n + j) for j, i in enumerate(match_right))
-    for size, edges in blocks:
-        if size == 1:
-            continue
-        matchings = enumerate_perfect_matchings(Graph(ground, edges | fixed & ~edges))
-        yield Family(ground, [Graph(ground, g.edges & edges) for g in matchings])
+    rows = _row_masks(support)
+    forced, blocks = 0, []
+    for members, _ in _components(rows):
+        edges = sum(rows[i] << i * n for i in _iter_bits(members))
+        if members.bit_count() == 1:
+            forced |= edges
+        else:
+            blocks.append((members.bit_count(), edges))
+
+    def families() -> Iterator[Family]:
+        _, match_right = _kuhn_matching(rows)
+        fixed = sum(1 << (i * n + j) for j, i in enumerate(match_right))
+        for _, edges in blocks:
+            matchings = enumerate_perfect_matchings(Graph(ground, edges | fixed & ~edges))
+            yield Family(ground, [Graph(ground, g.edges & edges) for g in matchings])
+
+    return forced, blocks, families()
+
+
+def _multiply_blocks(
+    support: Graph, forced: int, blocks: list[tuple[SupportBits, np.ndarray, np.ndarray | None]]
+) -> tuple[SupportBits, np.ndarray, np.ndarray]:
+    """The support's bits; the byte rows on them, unsorted, of each union of
+    the forced edges and one row of every block, a (bits, rows, coefficients
+    or None) triple; and the products of the blocks' coefficients."""
+    bits = SupportBits([support.edges])
+    rows = bits.rows([forced])
+    coeffs = np.ones(1, dtype=np.int64)
+    for block_bits, block_rows, block_coeffs in blocks:
+        block_rows = bits.rows(block_bits.expand(block_rows).tolist())
+        rows = (rows[:, None] | block_rows[None]).reshape(-1, rows.shape[1])
+        if block_coeffs is not None:
+            coeffs = np.multiply.outer(coeffs, block_coeffs).reshape(-1)
+    return bits, rows, coeffs
 
 
 def truth_table_transform(

@@ -1,14 +1,22 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchcover
+from matchcover import (
+    covered_closure,
+    enumerate_min_weight_pms,
+    enumerate_perfect_matchings,
+    parse_weight_function,
+)
 from matchcover.cli import main
 from oracles import reference_json_dict
 
@@ -553,19 +561,16 @@ def _zero_blocks(path, *sizes):
 
 
 def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
-    # weighted count-covered caps each block of G_w, lattice the whole G_w:
-    # blocks of 2, 2, 2, 2 leave a 16-edge support, blocks of 3, 2, 2 a
-    # 17-edge one whose widest block has 9 edges
+    # weighted count-covered and lattice cap each block of G_w: blocks of
+    # 2, 2, 2, 2 leave a 16-edge support, blocks of 3, 2, 2 a 17-edge one
+    # whose widest block has 9 edges
     code, out, _ = run(capsys, "count-covered", "--n", "8", "--weights",
                        _zero_blocks(tmp_path / "8.txt", 2, 2, 2, 2))
     assert code == 0 and out == "count: 81\nparity: odd\n"
     wide = _zero_blocks(tmp_path / "7.txt", 3, 2, 2)
     assert run(capsys, "count-covered", "--n", "7", "--weights", wide) == (
         0, "count: 441\nparity: odd\n", "")
-    message = ("error: a bipartite lattice is capped at 16 support edges, this one has 17"
-               " (override with --unsafe-caps)\n")
-    assert run(capsys, "lattice", "--n", "7", "--weights", wide) == (2, "", message)
-    code, out, _ = run(capsys, "lattice", "--n", "7", "--weights", wide, "--unsafe-caps")
+    code, out, _ = run(capsys, "lattice", "--n", "7", "--weights", wide)
     assert code == 0 and out.startswith("elements: 442\n")
     # one block: the 16 edges of K_{4,4} pass, an elementary 17-edge graph
     # on K_{5,5} (rows i ~ columns i, i+1, i+2 mod 5, and two chords) does not
@@ -574,9 +579,10 @@ def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
     assert code == 0 and out == "count: 7443\nparity: odd\n"
     zeros = {(i, (i + d) % 5) for i in range(5) for d in range(3)} | {(0, 3), (1, 4)}
     block = _weight_file(tmp_path / "5.txt", 5, lambda i, j: int((i - 1, j - 1) not in zeros))
-    message = ("error: a count-covered block is capped at 16 support edges, this one"
-               " has 17 (override with --unsafe-caps)\n")
-    assert run(capsys, "count-covered", "--n", "5", "--weights", block) == (2, "", message)
+    for cmd in ("count-covered", "lattice"):
+        message = (f"error: a {cmd} block is capped at 16 support edges, this one"
+                   " has 17 (override with --unsafe-caps)\n")
+        assert run(capsys, cmd, "--n", "5", "--weights", block) == (2, "", message)
     code, out, _ = run(capsys, "count-covered", "--n", "5", "--weights", block, "--unsafe-caps")
     assert code == 0 and out.endswith("parity: odd\n")
     # unweighted runs: K_{5,5} has 25 edges, K_8 28
@@ -614,6 +620,92 @@ def test_count_covered_multiplies_the_blocks(tmp_path, capsys):
     assert run(capsys, "count-covered", "--n", "20", "--weights", wfile) == (0, out, "")
     assert run(capsys, "count-covered", "--n", "20", "--weights", wfile, "-v") == (
         0, out, "support: 80 edges in 5 blocks (4,4,4,4,4)\n")
+
+
+def test_lattice_multiplies_the_blocks(tmp_path, capsys):
+    # two zero K_{3,3} blocks on K_{6,6}: 18 support edges, 49^2 covered
+    # graphs, built as the product of the blocks' covered sets
+    wfile = _zero_blocks(tmp_path / "w.txt", 3, 3)
+    assert run(capsys, "count-covered", "--n", "6", "--weights", wfile)[1] == (
+        "count: 2401\nparity: odd\n")
+    code, out, _ = run(capsys, "poly", "--n", "6", "--weights", wfile)
+    assert code == 0 and out.count("\n") == 2401
+    code, out, err = run(capsys, "lattice", "--n", "6", "--weights", wfile, "-v")
+    assert code == 0 and out.startswith("elements: 2402\nis-lattice: true\n")
+    assert err == "family has 36 matchings\ncovered set has 2401 graphs\n"
+
+
+def test_lattice_element_cap_comes_before_the_product(tmp_path, capsys):
+    # five zero K_{4,4} blocks on K_{20,20}: refused from the blocks' counts.
+    # The product of the first two alone would be 7443^2 rows.
+    wfile = _zero_blocks(tmp_path / "w.txt", 4, 4, 4, 4, 4)
+    message = ("error: lattices are capped at 7444 elements, this one has"
+               f" {7443**5 + 1} (override with --unsafe-caps)\n")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        result = run(capsys, "lattice", "--n", "20", "--weights", wfile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", message)
+    assert peak < 16 * 2**20
+
+
+def test_lattice_of_the_blocks_matches_the_whole_family(monkeypatch, tmp_path, capsys):
+    # the product of the blocks' covered sets against the covered set of
+    # all minimum-weight matchings, taken as one block, on random weightings
+    import matchcover.cli as cli
+
+    built = []
+    build = cli.build_lattice
+    monkeypatch.setattr(cli, "build_lattice", lambda cov: built.append(cov) or build(cov))
+    split = cli._split
+
+    def whole(support):
+        family = enumerate_perfect_matchings(support)
+        return 0, [(support.ground.size, support.edges)], iter([family])
+
+    rng = random.Random(29)
+    compared = 0
+    while compared < 60:
+        n = 1 + compared % 6
+        zero = [rng.random() < 0.45 for _ in range(n * n)]
+        wfile = _weight_file(tmp_path / "w.txt", n, lambda i, j: 1 - zero[(i - 1) * n + j - 1])
+        with open(wfile) as fh:
+            w = parse_weight_function(fh.read())
+        if len(covered_closure(enumerate_min_weight_pms(w))) > 1500:
+            continue
+        outputs = []
+        for route in (split, whole):
+            monkeypatch.setattr(cli, "_split", route)
+            for fmt in ("text", "json"):
+                code, out, _ = run(capsys, "lattice", "--n", str(n), "--weights", wfile,
+                                   "-f", fmt, "--unsafe-caps")
+                assert code == 0
+                outputs.append(out)
+        assert outputs[:2] == outputs[2:]
+        product, family = built[0], built[2]
+        assert product.bits.ids == family.bits.ids
+        assert np.array_equal(product.rows, family.rows)
+        built.clear()
+        compared += 1
+
+
+def test_flags_that_change_nothing_are_refused(tmp_path):
+    # poly and coeff take no caps, coeff writes no progress
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(IDENT)
+    for argv in (["poly", "--n", "2", "--unsafe-caps"],
+                 ["coeff", "--n", "2", "--graph", str(gfile), "--unsafe-caps"],
+                 ["coeff", "--n", "2", "--graph", str(gfile), "-v"],
+                 ["coeff", "--n", "2", "--graph", str(gfile), "--verbose"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert _cli("coeff", "--n", "2", "--graph", str(gfile), "-v",
+                capture_output=True).returncode == 2
 
 
 def test_verbose_names_the_blocks(tmp_path, capsys):

@@ -591,10 +591,11 @@ def test_factored_polynomial_matches_the_whole_family():
 
 
 def test_factoring_on_one_block_takes_the_whole_route(monkeypatch):
+    # K_{1,1}, one forced edge, and K_{n,n} are supports of one block
     def refuse(*args):
-        raise AssertionError("a G_w of one block was split")
+        raise AssertionError("a support of one block reached the product")
 
-    monkeypatch.setattr(polynomial, "_block_families", refuse)
+    monkeypatch.setattr(polynomial, "_multiply_blocks", refuse)
     for n in (1, 2, 3, 4):
         poly = _assert_factoring_holds(WeightFunction.unit(bipartite_ground(n)))
         assert poly == pm_polynomial(n)
