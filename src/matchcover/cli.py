@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import random
@@ -419,6 +420,7 @@ def _add_common(sub, formats=("text", "json"), verbose=True, caps=True) -> None:
                          help="lift the safety caps on exponential-size computations")
 
 
+@functools.cache  # built once a process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcover",

@@ -1,28 +1,35 @@
 """The poset of covered graphs plus a bottom, and its order-theoretic tools.
 
 Elements are held in a fixed linear extension (canonical graph order, bottom
-first). Per-element down-sets and up-sets are bitmasks over element indices,
-built as ANDs of one element bitmask per edge, which makes covers, rank
-labels, intervals and the pentagon search cheap integer work even for a few
-thousand elements. The order itself is not exported: it is edge inclusion,
-which callers test on the graphs directly. The three whole-lattice passes
-work on those masks packed into uint64 rows:
+first), with their edge masks compressed onto the support as byte rows
+(SupportBits). Per-element down-sets and up-sets are bitmasks over element
+indices. For each byte of the support, a 256-entry table holds the AND of
+the element bitmasks of the edges that a byte value has (up-sets) or lacks
+(down-sets), so each element's masks are one AND per support byte. That
+makes intervals and the pentagon search cheap integer work even for a few
+thousand elements. The covers are two sorted index arrays. The order itself
+is not exported: it is edge inclusion, which callers test on the graphs
+directly. The whole-lattice passes work on arrays:
 
+- ranks are longest chains over the cover arrays, one edge-count level at
+  a time;
 - Mobius numbers mu(bottom, x) are computed one edge-count level at a time,
   as popcounts of packed down-set rows against bit planes of the numbers
   already known (exact at any magnitude);
 - the Eulerian check counts the even- and odd-ranked elements of the
   intervals of even length in batches of packed up-row / down-row pairs;
-- the JSON export writes its bytes directly instead of through the json
-  encoder, a chunk of items at a time.
+- the JSON and DOT exports write their text directly, a chunk of items at a
+  time, with each element's edges looked up one support byte at a time in
+  tables of strings, as the polynomial writers do.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional
+from array import array
+from functools import cached_property
+from operator import and_
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .graphs import (
     _write_chunks,
     edge_list_str,
 )
-from .subsets import canonical_sorted
+from .subsets import SupportBits, canonical_order
 
 # Words per block of packed down-set rows in the Mobius pass: 2^18 uint64
 # are 2 MB.
@@ -54,15 +61,48 @@ def _pack_ints(masks: list[int], words: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint64).reshape(len(masks), words)
 
 
-def _json_array(items: Iterable[str]) -> Iterator[str]:
-    """A list of encoded items as json.dumps writes it at indent 2, one level
-    below the top object, in chunks of _CHUNK_ITEMS items."""
-    items = iter(items)
-    opening = "[\n    "
-    while chunk := list(islice(items, _CHUNK_ITEMS)):
-        yield opening + ",\n    ".join(chunk)
-        opening = ",\n    "
-    yield "[]" if opening.startswith("[") else "\n  ]"
+def _json_array(count: int, items: Callable[[int, int], list[str]]) -> Iterator[str]:
+    """A list of count encoded items as json.dumps writes it at indent 2,
+    one level below the top object, one string per chunk of _CHUNK_ITEMS
+    items; items(lo, hi) encodes items lo to hi - 1."""
+    if not count:
+        yield "[]"
+        return
+    for lo in range(0, count, _CHUNK_ITEMS):
+        opening = ",\n    " if lo else "[\n    "
+        yield opening + ",\n    ".join(items(lo, min(count, lo + _CHUNK_ITEMS)))
+    yield "\n  ]"
+
+
+def _and_table(masks: list[int], full: int) -> list[int]:
+    """For each v below 2^len(masks), the AND of masks[i] over the set bits
+    i of v (full for v = 0): one AND an entry."""
+    table = [full]
+    for m in masks:
+        table += [t & m for t in table]
+    return table
+
+
+def _joined_names(tables: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The names of each byte row's edges joined, without the first
+    character of the first name, as an object array; and whether each row
+    is empty (0 or 1)."""
+    out = np.full(len(rows), "", dtype=object)
+    empty = np.ones(len(rows), dtype=np.intp)
+    for b, table in enumerate(tables):
+        out += table[rows[:, b] + len(table) // 2 * empty]
+        empty &= rows[:, b] == 0
+    return out, empty
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Keys that are equal exactly when the byte rows are: each row's
+    little-endian value as uint64 when it fits, else its raw bytes."""
+    if rows.shape[1] > 8:
+        return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    padded = np.zeros((len(rows), 8), dtype=np.uint8)
+    padded[:, : rows.shape[1]] = rows
+    return padded.view("<u8").ravel()
 
 
 def _set_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,71 +204,91 @@ class Lattice:
             if g.ground != ground:
                 raise InputError("lattice elements must share one ground")
         by_mask = {g.edges: g for g in elements}
+        masks = [*by_mask]
         self.ground: GroundGraph = ground
-        self.elements: tuple[Graph, ...] = tuple(map(by_mask.get, canonical_sorted([*by_mask])))
+        self._bits = SupportBits(masks)
+        rows = self._bits.rows(masks)
+        order = canonical_order(rows)
+        self._rows = np.take(rows, order, axis=0)  # byte rows in element order
+        self.elements: tuple[Graph, ...] = tuple(by_mask[masks[k]] for k in order.tolist())
         self._index = {g.edges: k for k, g in enumerate(self.elements)}
         n = len(self.elements)
-        self._down, self._up = self._order_masks()
-        bottoms = [k for k in range(n) if self._down[k] == 1 << k]
-        tops = [k for k in range(n) if self._up[k] == 1 << k]
+        self._down = self._order_masks(up=False)
+        self._covers = self._cover_pairs()
+        lower, upper = self._covers
+        bottoms = np.flatnonzero(np.bincount(upper, minlength=n) == 0)  # no lower cover
+        tops = np.flatnonzero(np.bincount(lower, minlength=n) == 0)
         if len(bottoms) != 1 or len(tops) != 1:
             raise StructureViolationError(
                 f"poset has {len(bottoms)} minimal and {len(tops)} maximal elements"
             )
-        self._bottom = bottoms[0]
-        self._top = tops[0]
-        self._covers = self._cover_pairs()
+        self._bottom = int(bottoms[0])
+        self._top = int(tops[0])
         self._mobius: Optional[list[int]] = None
         self._ranklabels: Optional[tuple[list[int], Optional[tuple[int, int]]]] = None
 
     # -- construction helpers ------------------------------------------------
 
-    def _order_masks(self) -> tuple[list[int], list[int]]:
-        """Down-set and up-set bitmasks, built from one bitmask per edge.
+    def _order_masks(self, up: bool) -> list[int]:
+        """Up-set (up) or down-set bitmasks of all elements, built from one
+        bitmask per edge.
 
         For each edge e of the support (the union of the elements), has[e]
-        holds the elements that contain e. The down-set of y is the
-        intersection of the complements of has[e] over the support edges y
-        lacks, and the up-set of x the intersection of has[e] over the
-        edges of x: N * s ANDs of N-bit integers for s support edges, where
+        holds the elements that contain e, read off the byte rows. The
+        up-set of x is the intersection of has[e] over the edges of x, and
+        the down-set of y the intersection of the complements of has[e]
+        over the support edges y lacks. For each support byte, a table of
+        256 entries holds that intersection for every value of the byte,
+        one AND an entry, so an element's mask takes one AND per support
+        byte: N * s/8 ANDs of N-bit integers for s support edges, where
         pairwise subset tests take N^2 comparisons of edge masks. The
         canonical element order is a linear extension (strict subgraphs
         have strictly fewer edges), which later code relies on.
         """
-        masks = [g.edges for g in self.elements]
-        support = 0
-        for m in masks:
-            support |= m
-        edges = list(_iter_bits(support))
-        bits = [[m >> e & 1 for m in masks] for e in edges]
-        has = _pack_rows(np.array(bits, dtype=bool).reshape(len(edges), len(masks)))
-        full = (1 << len(masks)) - 1
-        lacks = [full ^ h for h in has]
-        down: list[int] = []
-        up: list[int] = []
-        for m in masks:
-            below = above = full
-            for e, h, lack in zip(edges, has, lacks):
-                if m >> e & 1:
-                    above &= h
-                else:
-                    below &= lack
-            down.append(below)
-            up.append(above)
-        return down, up
+        rows = self._rows
+        s = len(self._bits)
+        has = _pack_rows(np.unpackbits(rows, axis=1, count=s, bitorder="little").T)
+        full = (1 << len(rows)) - 1
+        masks = None
+        for b in range(rows.shape[1]):
+            group = has[8 * b : 8 * b + 8]
+            if up:
+                table = _and_table(group, full)
+            else:  # a byte value lacks the edges of its complement, the mirrored entry
+                table = _and_table([full ^ h for h in group], full)[::-1]
+            picked = map(table.__getitem__, rows[:, b].tolist())
+            masks = list(picked) if masks is None else list(map(and_, masks, picked))
+        return [full] * len(rows) if masks is None else masks
 
-    def _cover_pairs(self) -> list[tuple[int, int]]:
-        """Transitive reduction: maximal strict predecessors of each element."""
-        covers: list[tuple[int, int]] = []
+    @cached_property
+    def _up(self) -> list[int]:
+        """Up-set bitmasks, built on first use: covers, ranks, Mobius
+        numbers and the exports need only the down-sets."""
+        return self._order_masks(up=True)
+
+    def _cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Transitive reduction: the maximal strict predecessors of each
+        element, as (lower, upper) index arrays sorted by lower, then upper.
+
+        Each element's strict down-set is peeled greedily from its highest
+        index, a maximal candidate in the linear extension, removing the
+        candidate's own down-set each time. That needs no union closure, so
+        any poset of subgraphs gets its covers."""
         down = self._down
-        for j in range(len(self.elements)):
+        lower = array("q")
+        push = lower.append
+        ends = array("q")
+        for j in range(len(down)):
             candidates = down[j] ^ 1 << j
             while candidates:
-                x = candidates.bit_length() - 1  # highest index = maximal first
-                covers.append((x, j))
-                candidates &= ~down[x]  # x and all below it
-        covers.sort()
-        return covers
+                x = candidates.bit_length() - 1
+                push(x)
+                candidates ^= candidates & down[x]  # x and all below it
+            ends.append(len(lower))
+        lower = np.array(lower, dtype=np.intp)
+        upper = np.repeat(np.arange(len(down), dtype=np.intp), np.diff(ends, prepend=0))
+        order = np.lexsort((upper, lower))
+        return lower[order], upper[order]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -253,7 +313,15 @@ class Lattice:
         return self.elements[self._top]
 
     def covers(self) -> list[tuple[Graph, Graph]]:
-        return [(self.elements[a], self.elements[b]) for (a, b) in self._covers]
+        E = self.elements
+        return [(E[a], E[b]) for a, b in zip(*(c.tolist() for c in self._covers))]
+
+    def _level_starts(self) -> np.ndarray:
+        """Where each edge-count level starts in index order, and the
+        element count: a strict subgraph has fewer edges, so each level is a
+        contiguous range whose strict down-sets lie in the earlier levels."""
+        counts = np.bitwise_count(self._rows).sum(axis=1)
+        return np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [len(counts)]))
 
     # -- meet / join -----------------------------------------------------------
 
@@ -281,21 +349,22 @@ class Lattice:
         one of them by adding J-elements one at a time, and the set is
         closed under union. The union is then the join, and with the unique
         bottom every pair also has a meet (the join of its common lower
-        bounds). That costs O(N * |J|) lookups.
+        bounds). That costs N * |J| row ORs: each irreducible's byte row is
+        ORed into all the rows at once, and the unions are looked up among
+        the rows' keys with one np.isin call.
 
         Otherwise fall back to the generic check, of joins only: a finite
         poset with a least element in which every pair has a join is a
         lattice. Comparable pairs trivially join at the upper element, so
         only incomparable pairs are tested.
         """
-        index = self._index
-        lower_covers = [0] * len(self.elements)
-        for (_, b) in self._covers:
-            lower_covers[b] += 1
-        irreducible = [
-            self.elements[k].edges for k, c in enumerate(lower_covers) if c == 1
-        ]
-        if all((g.edges | j) in index for g in self.elements for j in irreducible):
+        rows = self._rows
+        keys = _row_keys(rows)
+        lower_covers = np.bincount(self._covers[1], minlength=len(rows))
+        for j in np.flatnonzero(lower_covers == 1).tolist():
+            if not np.isin(_row_keys(rows | rows[j]), keys).all():
+                break
+        else:
             return True
         down, up = self._down, self._up
         for i in range(len(self.elements)):
@@ -324,13 +393,10 @@ class Lattice:
         packed row against each plane: exact at any magnitude.
         """
         if self._mobius is None:
-            n = len(self.elements)
-            edges = [g.edge_count for g in self.elements]
             mu = [1]
             planes = {(0, 0): 1}  # (sign, binary digit) -> bits of the elements with it
-            lo = 1
-            while lo < n:
-                hi = bisect_right(edges, edges[lo], lo)
+            starts = self._level_starts().tolist()
+            for lo, hi in zip(starts[1:-1], starts[2:]):
                 keys = sorted(planes)
                 words = -(-lo // 64)
                 packed = _pack_ints([planes[key] for key in keys], words)
@@ -349,7 +415,6 @@ class Lattice:
                     for digit in range(size.bit_length()):
                         if size >> digit & 1:
                             planes[sign, digit] = planes.get((sign, digit), 0) | 1 << k
-                lo = hi
             self._mobius = mu
         return self._mobius
 
@@ -363,17 +428,23 @@ class Lattice:
     # -- ranks, gradedness, Eulerian property ------------------------------------
 
     def _rank_data(self) -> tuple[list[int], Optional[tuple[int, int]]]:
+        """Longest-chain ranks, and the first cover in (lower, upper) order
+        whose rank step is not 1.
+
+        The covers are sorted by their lower ends, so the covers out of one
+        edge-count level are a contiguous range. Levels are taken bottom up:
+        every cover into a level comes out of an earlier one, so the ranks
+        of a level are final before its own covers are read.
+        """
         if self._ranklabels is None:
-            ranks = [0] * len(self.elements)
-            for (a, b) in self._covers:  # sorted, and index order is topological
-                if ranks[a] + 1 > ranks[b]:
-                    ranks[b] = ranks[a] + 1
-            violation = None
-            for (a, b) in self._covers:
-                if ranks[b] != ranks[a] + 1:
-                    violation = (a, b)
-                    break
-            self._ranklabels = (ranks, violation)
+            lower, upper = self._covers
+            ranks = np.zeros(len(self.elements), dtype=np.intp)
+            cuts = np.searchsorted(lower, self._level_starts()).tolist()
+            for lo, hi in zip(cuts, cuts[1:]):
+                np.maximum.at(ranks, upper[lo:hi], ranks[lower[lo:hi]] + 1)
+            bad = np.flatnonzero(ranks[upper] != ranks[lower] + 1)
+            violation = (int(lower[bad[0]]), int(upper[bad[0]])) if len(bad) else None
+            self._ranklabels = (ranks.tolist(), violation)
         return self._ranklabels
 
     def rank_labels(self) -> RankLabels:
@@ -494,25 +565,34 @@ class Lattice:
 
     # -- export ----------------------------------------------------------------------
 
+    def _name_tables(self, template: str) -> list[np.ndarray]:
+        """For each support byte, template.format(u, v) of each byte value's
+        edges joined, as an object array of twice the values: the second
+        half drops the first character, for the first nonzero byte of a row."""
+        names = {k: template.format(*self.ground.edge_pair(k)) for k in self._bits.ids}
+        return [
+            np.array(t + [s[1:] for s in t], dtype=object)
+            for t in self._bits.byte_tables(names, "")
+        ]
+
     def to_dot(self) -> str:
         """Hasse diagram in DOT, layered by rank (edges point upward)."""
         ranks, _ = self._rank_data()
+        nodes = np.array([f"n{k}" for k in range(len(self.elements))], dtype=object)
+        labels, empty = _joined_names(self._name_tables(" {},{}"), self._rows)
+        labels[empty == 1] = "{}"
+        lower, upper = self._covers
+        by_rank = np.argsort(ranks, kind="stable")
+        levels = np.split(nodes[by_rank], np.flatnonzero(np.diff(np.take(ranks, by_rank))) + 1)
         lines = [
             "digraph lattice {",
             "  rankdir=BT;",
             "  node [shape=box, fontsize=10];",
+            *("  " + nodes + ' [label="' + labels + '"];').tolist(),
+            *("  " + nodes[lower] + " -> " + nodes[upper] + ";").tolist(),
+            *(f"  {{ rank=same; {'; '.join(level)}; }}" for level in levels),
+            "}",
         ]
-        for k, g in enumerate(self.elements):
-            lines.append(f'  n{k} [label="{edge_list_str(g)}"];')
-        for (a, b) in self._covers:
-            lines.append(f"  n{a} -> n{b};")
-        by_rank: dict[int, list[int]] = {}
-        for k, r in enumerate(ranks):
-            by_rank.setdefault(r, []).append(k)
-        for r in sorted(by_rank):
-            row = "; ".join(f"n{k}" for k in by_rank[r])
-            lines.append(f"  {{ rank=same; {row}; }}")
-        lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self, file=None) -> str | int:
@@ -525,28 +605,33 @@ class Lattice:
 
     def _json_chunks(self) -> Iterator[str]:
         ranks, violation = self._rank_data()
-        mobius = self.mobius_table().values()  # computed before anything is written
-        ids = list(_iter_bits(self.top.edges))  # every element lies below the top
-        pairs = {
-            k: f"\n      [\n        {u},\n        {v}\n      ]"
-            for k, (u, v) in zip(ids, map(self.ground.edge_pair, ids))
-        }
-        elements = (
-            f"[{','.join(pairs[k] for k in _iter_bits(g.edges))}\n    ]" if g.edges else "[]"
-            for g in self.elements
-        )
+        mobius = list(self.mobius_table().values())  # computed before anything is written
+        n = len(self.elements)
+        lower, upper = self._covers
+        heads = np.array([f"[\n      {k},\n      " for k in range(n)], dtype=object)
+        tails = np.array([f"{k}\n    ]" for k in range(n)], dtype=object)
+        tables = self._name_tables(",\n      [\n        {},\n        {}\n      ]")
+        ends = np.array(["\n    ]", "]"], dtype=object)
+
+        def covers(lo: int, hi: int) -> list[str]:
+            return (heads[lower[lo:hi]] + tails[upper[lo:hi]]).tolist()
+
+        def elements(lo: int, hi: int) -> list[str]:
+            names, empty = _joined_names(tables, self._rows[lo:hi])
+            return ("[" + names + ends[empty]).tolist()
+
         yield '{\n  "covers": '
-        yield from _json_array(f"[\n      {a},\n      {b}\n    ]" for (a, b) in self._covers)
+        yield from _json_array(len(lower), covers)
         yield ',\n  "elements": '
-        yield from _json_array(elements)
+        yield from _json_array(n, elements)
         yield (
             f',\n  "graded": {"true" if violation is None else "false"},'
             f'\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
             f'\n    "size": {self.ground.size}\n  }},\n  "mobius": '
         )
-        yield from _json_array(str(m) for m in mobius)
+        yield from _json_array(n, lambda lo, hi: list(map(str, mobius[lo:hi])))
         yield ',\n  "ranks": '
-        yield from _json_array(str(r) for r in ranks)
+        yield from _json_array(n, lambda lo, hi: list(map(str, ranks[lo:hi])))
         yield "\n}\n"
 
 

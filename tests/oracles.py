@@ -414,3 +414,29 @@ def pairwise_eulerian_check(lat):
             if (interval & even).bit_count() != (interval & odd).bit_count():
                 return False, "interval", (i, j)
     return True, None, None
+
+
+def pairwise_covers(lat):
+    """The cover index pairs (x, y), sorted: x < y with no element strictly
+    between, found pair by pair as the intervals of exactly two elements."""
+    down, up = lat._down, lat._up
+    return sorted(
+        (x, y)
+        for y in range(len(lat.elements))
+        for x in _iter_bits(down[y] & ~(1 << y))
+        if (up[x] & down[y]).bit_count() == 2
+    )
+
+
+def longest_chain_ranks(lat):
+    """(ranks, violation): each element's rank is the length of the longest
+    chain down to it, taken over its whole strict down-set; the violation is
+    the first cover of pairwise_covers whose rank step is not 1, or None."""
+    ranks = {}
+    for y in range(len(lat.elements)):
+        below = [ranks[x] for x in _iter_bits(lat._down[y] & ~(1 << y))]
+        ranks[y] = max(below) + 1 if below else 0
+    violation = next(
+        ((x, y) for x, y in pairwise_covers(lat) if ranks[y] != ranks[x] + 1), None
+    )
+    return [ranks[k] for k in range(len(lat.elements))], violation

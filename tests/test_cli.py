@@ -708,6 +708,38 @@ def test_flags_that_change_nothing_are_refused(tmp_path):
                 capture_output=True).returncode == 2
 
 
+def test_one_process_runs_commands_like_fresh_ones(tmp_path, capsys):
+    # main builds its parser once a process: no option may leak from one
+    # call into the next, so each result equals a fresh process's
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(W22)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(IDENT)
+    calls = [
+        ["poly", "--n", "2", "--weights", str(wfile)],
+        ["poly", "--n", "2"],
+        ["coeff", "--n", "2", "--graph", str(gfile), "-v"],
+        ["verify", "--n", "2", "--samples", "7", "--seed", "3"],
+        ["verify", "--n", "2"],
+        ["poly", "--n", "2", "--weights", str(wfile), "-f", "json"],
+        ["poly", "--n", "2"],
+    ]
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _cli(*argv, capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        results.append((code, out))
+    assert results[2][0] == 2
+    assert results[4] == (0, "verified 1000 assignments: OK\n")  # the default --samples
+    assert results[1] == results[6] == (0, POLY2_TEXT)
+    assert matchcover.cli.build_parser() is matchcover.cli.build_parser()
+
+
 def test_verbose_names_the_blocks(tmp_path, capsys):
     # blocks of 2, 1 and 3 rows: 4 + 1 + 9 edges, 3 * 1 * 49 terms
     wfile = _zero_blocks(tmp_path / "w.txt", 2, 1, 3)

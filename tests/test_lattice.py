@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import io
 import itertools
 import json
@@ -28,9 +30,11 @@ from oracles import (
     eulerian_mobius_check,
     join,
     leq,
+    longest_chain_ranks,
     meet,
     memo_mobius,
     pairwise_eulerian_check,
+    pairwise_covers,
     pairwise_is_lattice,
     pairwise_order_masks,
     pattern_weights,
@@ -46,6 +50,13 @@ WEIGHTED_N4_PATTERNS = ("0000000001000001", "1000000000001000", "011010010110100
 def pm_lattice(n):
     fam = enumerate_perfect_matchings(bipartite_ground(n).full_graph())
     return build_lattice(covered_closure(fam))
+
+
+@functools.cache
+def n4_lattice():
+    """The 7,444-element lattice of K_{4,4}, built once for the tests that
+    only read it."""
+    return pm_lattice(4)
 
 
 def k6_lattice():
@@ -157,6 +168,16 @@ def test_is_lattice_matches_pairwise_check():
     lattices.append(shift_lattice(8, range(3)))
     for lat in lattices:
         assert lat.is_lattice() is pairwise_is_lattice(lat) is True
+    # supports wider than 64 edges: the unions of three disjoint 30-edge
+    # atoms, a Boolean lattice that passes the certificate; without one
+    # union, a lattice that fails it; and fin_sphere
+    atoms = [((1 << 30) - 1) << 30 * k for k in range(3)]
+    masks = [sum(itertools.compress(atoms, pick)) for pick in itertools.product((0, 1), repeat=3)]
+    for wide in (masks, masks[:3] + masks[4:]):
+        lat = subset_poset(bipartite_ground(10), wide)
+        assert lat._rows.shape[1] > 8
+        assert lat.is_lattice() is pairwise_is_lattice(lat) is True
+    assert fin_sphere(62).is_lattice() is pairwise_is_lattice(fin_sphere(62))
 
 
 def test_is_lattice_on_hand_built_posets():
@@ -200,7 +221,7 @@ def test_order_masks_match_pairwise_scan(monkeypatch):
 def test_order_masks_of_the_n4_lattice():
     # 7,444 elements, more than one block of packed rows; scan every 41st
     # row pairwise
-    lat = pm_lattice(4)
+    lat = n4_lattice()
     assert len(lat) ** 2 > lattice_module._BLOCK_WORDS
     masks = [g.edges for g in lat.elements]
     for i in range(0, len(masks), 41):
@@ -218,7 +239,7 @@ def test_birkhoff_f_vector():
         4: (1, 24, 240, 978, 1968, 2176, 1392, 528, 120, 16, 1),
     }
     for n, counts in expected.items():
-        assert pm_lattice(n).level_counts() == counts
+        assert (n4_lattice() if n == 4 else pm_lattice(n)).level_counts() == counts
         f = counts[1:]
         assert sum((-1) ** d * fd for d, fd in enumerate(f)) == 1  # Euler
         assert f[0] == math.factorial(n)  # vertices: the permutation matrices
@@ -498,7 +519,8 @@ def test_mobius_is_minus_the_coefficient():
     # Rota's crosscut theorem with the matchings as crosscut: the coefficient
     # of a covered graph x is -mu(bottom, x). The polynomials come from the
     # dense Mobius transform of the membership table, not from the lattice.
-    cases = [(pm_lattice(n), pm_polynomial(n)) for n in (1, 2, 3, 4)]
+    cases = [(pm_lattice(n), pm_polynomial(n)) for n in (1, 2, 3)]
+    cases.append((n4_lattice(), pm_polynomial(4)))
     for pattern in WEIGHTED_N4_PATTERNS:
         w = pattern_weights(bipartite_ground(4), pattern)
         cases.append((weighted_n4_lattice(pattern), min_weight_pm_polynomial(w)))
@@ -532,3 +554,61 @@ def test_json_writer_across_chunks(monkeypatch):
         out = io.StringIO()
         lat.to_json(out)
         assert lat.to_json() == out.getvalue() == want
+
+
+def test_exports_keep_their_pinned_bytes():
+    # sha256 of `lattice --n 4 -f json`, `lattice --n 4 -f dot` and
+    # `lattice --mode complete --n 6 -f json`, whose text is to_json / to_dot
+    pins = [
+        (n4_lattice().to_json(), "474b45a5e4fcfb19a73e26d8d8ddfabba54b9fbdec0ef6b75ae3fbf94a30a240"),
+        (n4_lattice().to_dot(), "f1e132fa8d87eca1b8d46d7b17ed8332ad4cdac90888e7ecf24235bdef1dcec1"),
+        (k6_lattice().to_json(), "06896452da16cdb2176a52609f3b39a53af77802e19a310d97f2ff3f74667e77"),
+    ]
+    for text, digest in pins:
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def random_posets(rng, ground, edges, count):
+    """Hand-built posets on the given edge ids of a ground: a bottom, a top
+    and random members, or the unions of random members (union-closed), or
+    the unions of disjoint atoms (a Boolean lattice: graded)."""
+    full = sum(1 << k for k in edges)
+
+    def member():
+        return sum(1 << k for k in edges if rng.random() < 0.4)
+
+    posets = []
+    for kind in range(count):
+        members = [member() for _ in range(rng.randint(1, 6))]
+        if kind % 3 == 1:
+            members = [a | b for a in members for b in members]
+        elif kind % 3 == 2:
+            shuffled = rng.sample(edges, len(edges))
+            cuts = sorted(rng.sample(range(1, len(edges)), 3))
+            atoms = [sum(1 << k for k in shuffled[a:b]) for a, b in zip([0, *cuts], cuts)]
+            members = [sum(itertools.compress(atoms, pick)) for pick in itertools.product((0, 1), repeat=3)]
+        posets.append(subset_poset(ground, {0, full, *members}))
+    return posets
+
+
+def test_covers_and_ranks_match_the_oracles():
+    rng = random.Random(83)
+    posets = [k6_lattice(), fin_sphere(62), blocks_lattice(20, (1, 7, 19))]
+    posets += random_posets(rng, bipartite_ground(3), list(range(9)), 60)  # 9 edges: 2 bytes
+    # 17 of the 25 edges of K_{5,5}: support bytes spread over the ground's
+    posets += random_posets(rng, bipartite_ground(5), sorted(rng.sample(range(25), 17)), 60)
+    seen = set()
+    for lat in posets:
+        if len(lat) < 500:
+            assert (lat._down, lat._up) == pairwise_order_masks(lat)
+        covers = pairwise_covers(lat)
+        E = lat.elements
+        assert lat.covers() == [(E[x], E[y]) for x, y in covers]
+        ranks, violation = longest_chain_ranks(lat)
+        labels = lat.rank_labels()
+        assert labels.ranks == dict(zip(E, ranks))
+        assert labels.violation == (violation and (E[violation[0]], E[violation[1]]))
+        masks = {g.edges for g in E}
+        union_closed = all(a | b in masks for a in masks for b in masks)
+        seen.add((union_closed, labels.graded))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
