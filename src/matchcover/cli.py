@@ -347,14 +347,12 @@ def cmd_lattice(args) -> int:
 
     lines = [f"elements: {len(lat)}"]
     lines.append(f"is-lattice: {str(lat.is_lattice()).lower()}")
-    labels = lat.rank_labels()
-    lines.append(f"graded: {str(labels.graded).lower()}")
-    if not labels.graded:
-        lo, hi = labels.violation
-        lines.append(
-            f"not-graded-witness: {edge_list_str(lo)} -> {edge_list_str(hi)}"
-        )
     check = lat.eulerian_check()
+    ranks, violation = lat._rank_data()
+    lines.append(f"graded: {str(violation is None).lower()}")
+    if violation is not None:  # the Eulerian witness is then the offending cover
+        lo, hi = check.witness
+        lines.append(f"not-graded-witness: {edge_list_str(lo)} -> {edge_list_str(hi)}")
     lines.append(f"eulerian: {str(check.eulerian).lower()}")
     if not check.eulerian:
         lines.append(f"eulerian-reason: {check.reason}")
@@ -367,7 +365,7 @@ def cmd_lattice(args) -> int:
             )
         if args.mobius:
             lines.append(f"mobius: {lat.mobius(element)}")
-        lines.append(f"rank: {labels.ranks[element]}")
+        lines.append(f"rank: {ranks[lat.index_of(element)]}")
     if args.interval:
         upper = _load_graph(args.interval, ground)
         sub = lat.interval(lat.bottom, upper)

@@ -1,13 +1,15 @@
 """The poset of covered graphs plus a bottom, and its order-theoretic tools.
 
-Elements are held in a fixed linear extension (canonical graph order, bottom
-first), with their edge masks compressed onto the support as byte rows
-(SupportBits). Per-element down-sets and up-sets are bitmasks over element
-indices. For each byte of the support, a 256-entry table holds the AND of
-the element bitmasks of the edges that a byte value has (up-sets) or lacks
-(down-sets), so each element's masks are one AND per support byte. That
-makes intervals and the pentagon search cheap integer work even for a few
-thousand elements. The covers are two sorted index arrays. The order itself
+Elements are held as a covered set holds its graphs: byte rows of their edge
+masks on the support (SupportBits), in canonical order with the bottom first
+(a fixed linear extension). build_lattice takes the covered set's rows as
+they are; Graph objects are built from the rows only when asked for.
+Per-element down-sets and up-sets are bitmasks over element indices. For
+each byte of the support, a 256-entry table holds the AND of the element
+bitmasks of the edges that a byte value has (up-sets) or lacks (down-sets),
+so each element's masks are one AND per support byte. That makes intervals
+and the pentagon search cheap integer work even for a few thousand
+elements. The covers are two sorted index arrays. The order itself
 is not exported: it is edge inclusion, which callers test on the graphs
 directly. The whole-lattice passes work on arrays:
 
@@ -19,8 +21,8 @@ directly. The whole-lattice passes work on arrays:
 - the Eulerian check counts the even- and odd-ranked elements of the
   intervals of even length in batches of packed up-row / down-row pairs;
 - the JSON and DOT exports write their text directly, a chunk of items at a
-  time, with each element's edges looked up one support byte at a time in
-  tables of strings, as the polynomial writers do.
+  time, with each element's edges named by SupportBits.namer, as the
+  polynomial writers name their monomials.
 """
 
 from __future__ import annotations
@@ -81,18 +83,6 @@ def _and_table(masks: list[int], full: int) -> list[int]:
     for m in masks:
         table += [t & m for t in table]
     return table
-
-
-def _joined_names(tables: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The names of each byte row's edges joined, without the first
-    character of the first name, as an object array; and whether each row
-    is empty (0 or 1)."""
-    out = np.full(len(rows), "", dtype=object)
-    empty = np.ones(len(rows), dtype=np.intp)
-    for b, table in enumerate(tables):
-        out += table[rows[:, b] + len(table) // 2 * empty]
-        empty &= rows[:, b] == 0
-    return out, empty
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -193,7 +183,8 @@ class Lattice:
 
     Construction requires a unique minimum and a unique maximum; whether every
     pair has a unique meet and join is a separate question answered honestly
-    by is_lattice, never assumed.
+    by is_lattice, never assumed. Its Graphs (elements) are built on first
+    access.
     """
 
     def __init__(self, elements: list[Graph]):
@@ -203,16 +194,22 @@ class Lattice:
         for g in elements:
             if g.ground != ground:
                 raise InputError("lattice elements must share one ground")
-        by_mask = {g.edges: g for g in elements}
-        masks = [*by_mask]
-        self.ground: GroundGraph = ground
-        self._bits = SupportBits(masks)
-        rows = self._bits.rows(masks)
-        order = canonical_order(rows)
-        self._rows = np.take(rows, order, axis=0)  # byte rows in element order
-        self.elements: tuple[Graph, ...] = tuple(by_mask[masks[k]] for k in order.tolist())
-        self._index = {g.edges: k for k, g in enumerate(self.elements)}
-        n = len(self.elements)
+        masks = list(dict.fromkeys(g.edges for g in elements))
+        bits = SupportBits(masks)
+        rows = bits.rows(masks)
+        self._hold(ground, bits, np.take(rows, canonical_order(rows), axis=0))
+
+    @classmethod
+    def _from_rows(cls, ground: GroundGraph, bits: SupportBits, rows: np.ndarray) -> "Lattice":
+        """The poset of distinct byte rows on bits, in canonical order."""
+        lat = cls.__new__(cls)
+        lat._hold(ground, bits, rows)
+        return lat
+
+    def _hold(self, ground: GroundGraph, bits: SupportBits, rows: np.ndarray) -> None:
+        """Keep the elements' byte rows, in canonical order, and order them."""
+        self.ground, self._bits, self._rows = ground, bits, rows
+        n = len(rows)
         self._down = self._order_masks(up=False)
         self._covers = self._cover_pairs()
         lower, upper = self._covers
@@ -292,25 +289,35 @@ class Lattice:
 
     # -- basic queries ---------------------------------------------------------
 
+    @cached_property
+    def elements(self) -> tuple[Graph, ...]:
+        """The elements in index order, built on first access."""
+        return tuple(self._graphs(slice(None)))
+
+    def _graphs(self, indices) -> list[Graph]:
+        """The elements at indices (a list or a slice), built from their rows."""
+        masks = self._bits.expand(self._rows[indices]).tolist()
+        return [Graph(self.ground, m) for m in masks]
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._rows)
 
     def __contains__(self, g: Graph) -> bool:
-        return g.ground == self.ground and g.edges in self._index
+        return g.ground == self.ground and self._bits.find(self._rows, g.edges) is not None
 
     def index_of(self, g: Graph) -> int:
-        k = self._index.get(g.edges) if g.ground == self.ground else None
+        k = self._bits.find(self._rows, g.edges) if g.ground == self.ground else None
         if k is None:
             raise InputError(f"graph {edge_list_str(g)} is not a lattice element")
         return k
 
     @property
     def bottom(self) -> Graph:
-        return self.elements[self._bottom]
+        return self._graphs([self._bottom])[0]
 
     @property
     def top(self) -> Graph:
-        return self.elements[self._top]
+        return self._graphs([self._top])[0]
 
     def covers(self) -> list[tuple[Graph, Graph]]:
         E = self.elements
@@ -367,9 +374,9 @@ class Lattice:
         else:
             return True
         down, up = self._down, self._up
-        for i in range(len(self.elements)):
+        for i in range(len(self)):
             di, ui = down[i], up[i]
-            for j in range(i + 1, len(self.elements)):
+            for j in range(i + 1, len(self)):
                 if (down[j] >> i | di >> j) & 1:
                     continue
                 common = ui & up[j]
@@ -438,7 +445,7 @@ class Lattice:
         """
         if self._ranklabels is None:
             lower, upper = self._covers
-            ranks = np.zeros(len(self.elements), dtype=np.intp)
+            ranks = np.zeros(len(self), dtype=np.intp)
             cuts = np.searchsorted(lower, self._level_starts()).tolist()
             for lo, hi in zip(cuts, cuts[1:]):
                 np.maximum.at(ranks, upper[lo:hi], ranks[lower[lo:hi]] + 1)
@@ -452,20 +459,13 @@ class Lattice:
         cover step raises the rank by exactly one, otherwise the first
         offending cover pair is the witness."""
         ranks, violation = self._rank_data()
-        witness = None
-        if violation is not None:
-            witness = (self.elements[violation[0]], self.elements[violation[1]])
-        return RankLabels(
-            {g: ranks[k] for k, g in enumerate(self.elements)}, witness
-        )
+        witness = None if violation is None else tuple(self._graphs(list(violation)))
+        return RankLabels(dict(zip(self.elements, ranks)), witness)
 
     def level_counts(self) -> tuple[int, ...]:
         """Number of elements per rank, bottom upward."""
         ranks, _ = self._rank_data()
-        out = [0] * (max(ranks) + 1)
-        for r in ranks:
-            out[r] += 1
-        return tuple(out)
+        return tuple(np.bincount(ranks).tolist())
 
     def eulerian_check(self) -> EulerianCheck:
         """Equal counts of even- and odd-ranked elements in every interval
@@ -485,16 +485,12 @@ class Lattice:
         """
         ranks, violation = self._rank_data()
         if violation is not None:
-            return EulerianCheck(
-                False,
-                "not graded",
-                (self.elements[violation[0]], self.elements[violation[1]]),
-            )
-        pair = self._scan_intervals(ranks, len(self.elements), even_only=True)
+            return EulerianCheck(False, "not graded", tuple(self._graphs(list(violation))))
+        pair = self._scan_intervals(ranks, len(self), even_only=True)
         if pair is None:
             return EulerianCheck(True, None, None)
-        i, j = self._scan_intervals(ranks, pair[0] + 1, even_only=False)
-        return EulerianCheck(False, "interval", (self.elements[i], self.elements[j]))
+        pair = self._scan_intervals(ranks, pair[0] + 1, even_only=False)
+        return EulerianCheck(False, "interval", tuple(self._graphs(list(pair))))
 
     def _scan_intervals(
         self, ranks: list[int], rows: int, even_only: bool
@@ -502,7 +498,7 @@ class Lattice:
         """The first unbalanced pair (i, j), i < j and i < rows, in index
         order, checked over packed up-rows in chunks of about _BATCH_WORDS
         words; with even_only, only pairs of equal rank parity."""
-        n = len(self.elements)
+        n = len(self)
         words = -(-n // 64)
         down = _pack_ints(self._down, words)
         even_bits = sum(1 << k for k, r in enumerate(ranks) if r % 2 == 0)
@@ -529,12 +525,13 @@ class Lattice:
     # -- intervals and sublattices -------------------------------------------------
 
     def interval(self, x: Graph, y: Graph) -> "Lattice":
-        """The closed interval [x, y] as its own lattice (copied, not aliased)."""
+        """The closed interval [x, y] as its own lattice (copied, not aliased),
+        on the same support bits: a subset of canonical rows is canonical."""
         ix, iy = self.index_of(x), self.index_of(y)
         if not self._down[iy] >> ix & 1:
             raise InputError("interval endpoints must satisfy x <= y")
-        members = [self.elements[k] for k in _iter_bits(self._up[ix] & self._down[iy])]
-        return Lattice(members)
+        members = list(_iter_bits(self._up[ix] & self._down[iy]))
+        return Lattice._from_rows(self.ground, self._bits, np.take(self._rows, members, axis=0))
 
     def find_pentagon(self) -> Optional[tuple[Graph, Graph, Graph, Graph, Graph]]:
         """Search for an N5 sublattice (b, a, c1, c2, t).
@@ -544,7 +541,7 @@ class Lattice:
         index order and returns the first witness, or None.
         """
         down, up = self._down, self._up
-        n = len(self.elements)
+        n = len(self)
         for a in range(n):
             da, ua = down[a], up[a]
             for c1 in range(n):
@@ -559,28 +556,18 @@ class Lattice:
                     if (da >> c2 | down[c2] >> a) & 1:
                         continue
                     if self._meet_index(a, c2) == b:
-                        E = self.elements
-                        return (E[b], E[a], E[c1], E[c2], E[t])
+                        return tuple(self._graphs([b, a, c1, c2, t]))
         return None
 
     # -- export ----------------------------------------------------------------------
 
-    def _name_tables(self, template: str) -> list[np.ndarray]:
-        """For each support byte, template.format(u, v) of each byte value's
-        edges joined, as an object array of twice the values: the second
-        half drops the first character, for the first nonzero byte of a row."""
-        names = {k: template.format(*self.ground.edge_pair(k)) for k in self._bits.ids}
-        return [
-            np.array(t + [s[1:] for s in t], dtype=object)
-            for t in self._bits.byte_tables(names, "")
-        ]
-
     def to_dot(self) -> str:
         """Hasse diagram in DOT, layered by rank (edges point upward)."""
         ranks, _ = self._rank_data()
-        nodes = np.array([f"n{k}" for k in range(len(self.elements))], dtype=object)
-        labels, empty = _joined_names(self._name_tables(" {},{}"), self._rows)
-        labels[empty == 1] = "{}"
+        nodes = np.array([f"n{k}" for k in range(len(self))], dtype=object)
+        labels = "  " + nodes + ' [label="'
+        empty = self._bits.namer(" {},{}", self.ground.edge_pair, lead=1)(self._rows, labels)
+        labels += np.array(['"];', '{}"];'], dtype=object)[empty]
         lower, upper = self._covers
         by_rank = np.argsort(ranks, kind="stable")
         levels = np.split(nodes[by_rank], np.flatnonzero(np.diff(np.take(ranks, by_rank))) + 1)
@@ -588,7 +575,7 @@ class Lattice:
             "digraph lattice {",
             "  rankdir=BT;",
             "  node [shape=box, fontsize=10];",
-            *("  " + nodes + ' [label="' + labels + '"];').tolist(),
+            *labels.tolist(),
             *("  " + nodes[lower] + " -> " + nodes[upper] + ";").tolist(),
             *(f"  {{ rank=same; {'; '.join(level)}; }}" for level in levels),
             "}",
@@ -605,20 +592,24 @@ class Lattice:
 
     def _json_chunks(self) -> Iterator[str]:
         ranks, violation = self._rank_data()
-        mobius = list(self.mobius_table().values())  # computed before anything is written
-        n = len(self.elements)
+        mobius = self._mobius_numbers()  # computed before anything is written
+        n = len(self)
         lower, upper = self._covers
         heads = np.array([f"[\n      {k},\n      " for k in range(n)], dtype=object)
         tails = np.array([f"{k}\n    ]" for k in range(n)], dtype=object)
-        tables = self._name_tables(",\n      [\n        {},\n        {}\n      ]")
+        name = self._bits.namer(
+            ",\n      [\n        {},\n        {}\n      ]", self.ground.edge_pair, lead=1
+        )
         ends = np.array(["\n    ]", "]"], dtype=object)
 
         def covers(lo: int, hi: int) -> list[str]:
             return (heads[lower[lo:hi]] + tails[upper[lo:hi]]).tolist()
 
         def elements(lo: int, hi: int) -> list[str]:
-            names, empty = _joined_names(tables, self._rows[lo:hi])
-            return ("[" + names + ends[empty]).tolist()
+            out = np.full(hi - lo, "[", dtype=object)
+            empty = name(self._rows[lo:hi], out)
+            out += ends[empty]
+            return out.tolist()
 
         yield '{\n  "covers": '
         yield from _json_array(len(lower), covers)
@@ -636,7 +627,10 @@ class Lattice:
 
 
 def build_lattice(C: CoveredSet) -> Lattice:
-    """Covered graphs plus the empty graph as bottom, ordered by inclusion."""
+    """Covered graphs plus the empty graph as bottom, ordered by inclusion:
+    the covered set's byte rows, canonical already, after an all-zero row."""
     if len(C) == 0:
         raise InputError("cannot build a lattice from an empty covered set")
-    return Lattice([C.ground.empty_graph(), *C.graphs])
+    rows = np.zeros((len(C) + 1, C.rows.shape[1]), dtype=np.uint8)
+    rows[1:] = C.rows
+    return Lattice._from_rows(C.ground, C.bits, rows)

@@ -188,15 +188,12 @@ class MultilinearPolynomial:
         return _write_chunks(self._text_chunks(), file)
 
     def _text_chunks(self) -> Iterator[str]:
-        pairs = {k: self.ground.edge_pair(k) for k in self._bits.ids}
-        names = {k: f" x[{i},{j}]" for k, (i, j) in pairs.items()}
-        tables = [np.array(t, dtype=object) for t in self._bits.byte_tables(names, "")]
+        name = self._bits.namer(" x[{},{}]", self.ground.edge_pair)
+        coefficients = _coefficient_strings(self._coeffs, "{:+d}")
         step = self._chunk_terms()
         for lo in range(0, len(self), step):
-            rows = self._rows[lo : lo + step]
-            lines = _coefficient_strings(self._coeffs[lo : lo + step], "{:+d}")
-            for b, table in enumerate(tables):
-                lines += table[rows[:, b]]
+            lines = coefficients(self._coeffs[lo : lo + step])
+            name(self._rows[lo : lo + step], lines)
             yield "\n".join(lines.tolist()) + "\n"
         if not len(self):
             yield "\n"
@@ -213,29 +210,17 @@ class MultilinearPolynomial:
             f'{{\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
             f'\n    "size": {self.ground.size}\n  }},\n  "terms": '
         )
-        pairs = {k: self.ground.edge_pair(k) for k in self._bits.ids}
-        names = {
-            k: f",\n        [\n          {i},\n          {j}\n        ]"
-            for k, (i, j) in pairs.items()
-        }
-        # each byte table twice: pairs after a comma, then (for the first
-        # nonzero byte of a monomial) without the comma before its first pair
-        tables = [
-            np.array(t + [s[1:] for s in t], dtype=object)
-            for t in self._bits.byte_tables(names, "")
-        ]
-        ends = np.array(["]\n    }", "\n      ]\n    }"], dtype=object)
-        head = '\n    {{\n      "coeff": {},\n      "edges": ['
+        # each pair after a comma, but the first of a monomial
+        name = self._bits.namer(
+            ",\n        [\n          {},\n          {}\n        ]", self.ground.edge_pair, lead=1
+        )
+        coefficients = _coefficient_strings(self._coeffs, '\n    {{\n      "coeff": {},\n      "edges": [')
+        ends = np.array(["\n      ]\n    }", "]\n    }"], dtype=object)
         step = self._chunk_terms()
         for lo in range(0, len(self), step):
-            rows = self._rows[lo : lo + step]
-            terms = _coefficient_strings(self._coeffs[lo : lo + step], head)
-            opening = np.ones(len(rows), dtype=np.intp)
-            for b, table in enumerate(tables):
-                half = len(table) // 2
-                terms += table[rows[:, b] + half * opening]
-                opening &= rows[:, b] == 0
-            terms += ends[1 - opening]
+            terms = coefficients(self._coeffs[lo : lo + step])
+            empty = name(self._rows[lo : lo + step], terms)
+            terms += ends[empty]
             yield ("[" if lo == 0 else ",") + ",".join(terms.tolist())
         yield "\n  ]\n}\n" if len(self) else "[]\n}\n"
 
@@ -283,12 +268,13 @@ def _int_array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _coefficient_strings(coeffs: np.ndarray, template: str) -> np.ndarray:
-    """template.format(c) for each coefficient, as an object array; each
-    distinct value is formatted once."""
-    values, inverse = np.unique(coeffs, return_inverse=True)
+def _coefficient_strings(coeffs: np.ndarray, template: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from a run of coeffs to template.format(c) of each, as an
+    object array; each distinct value of coeffs is formatted once, here."""
+    # with counts np.unique sorts: its hash path costs 15 ms on a first call
+    values = np.unique(coeffs, return_counts=True)[0]
     texts = np.array([template.format(v) for v in values.tolist()], dtype=object)
-    return texts[inverse]
+    return lambda run: texts[np.searchsorted(values, run)]
 
 
 def membership_oracle(F: Family, G: Graph) -> int:
@@ -302,9 +288,9 @@ def membership_polynomial_general(F: Family) -> MultilinearPolynomial:
     """Membership polynomial of an arbitrary family via lattice
     inclusion-exclusion: each covered graph contributes minus its Mobius
     number."""
-    lat = build_lattice(covered_closure(F))
-    table = lat.mobius_table()
-    terms = {g.edges: -mu for g, mu in table.items() if mu and g != lat.bottom}
+    cov = covered_closure(F)
+    mobius = build_lattice(cov)._mobius_numbers()[1:]  # the bottom is first
+    terms = {m: -mu for m, mu in zip(cov.bits.expand(cov.rows).tolist(), mobius) if mu}
     return MultilinearPolynomial(F.ground, terms)
 
 

@@ -14,7 +14,7 @@ rows of bytes, which byte lookup tables sort, expand and name.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -128,6 +128,27 @@ class SupportBits:
         for b, table in enumerate(self.byte_tables({k: 1 << k for k in self.ids}, 0)):
             full |= np.array(table, dtype=object)[rows[:, b]]
         return full
+
+    def namer(self, template: str, edge_pair: Callable, lead: int = 0) -> Callable:
+        """A function that adds to out, an object array of strings, the names
+        template.format(*edge_pair(k)) of each byte row's edges k, ascending,
+        the first without its first lead characters; with lead, it returns
+        whether each row is empty (0 or 1). Each per-byte table, built once,
+        holds every value's names twice, the second time cut by lead."""
+        names = {k: template.format(*edge_pair(k)) for k in self.ids}
+        tables = [np.array(t + [s[lead:] for s in t], dtype=object) for t in self.byte_tables(names, "")]
+
+        def add(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+            empty = np.ones(len(rows), dtype=np.intp)
+            for b, table in enumerate(tables):
+                if lead:
+                    out += table[rows[:, b] + len(table) // 2 * empty]
+                    empty &= rows[:, b] == 0
+                else:
+                    out += table[rows[:, b]]
+            return empty
+
+        return add
 
     def byte_tables(self, names, empty) -> list[list]:
         """For each byte of the support, a table over the values of that

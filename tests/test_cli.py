@@ -461,6 +461,13 @@ def test_lattice_complete_6_report(tmp_path, capsys):
     assert "interval-levels: 1,4,6,3,1" in out
     assert "interval-eulerian: false" in out
     assert "pentagon: found" in out
+    # the witness cover and the rank read by index, against rank_labels
+    ground = matchcover.complete_ground(6)
+    lat = matchcover.build_lattice(covered_closure(enumerate_perfect_matchings(ground.full_graph())))
+    labels = lat.rank_labels()
+    lo, hi = (matchcover.edge_list_str(g) for g in labels.violation)
+    assert f"not-graded-witness: {lo} -> {hi}\n" in out
+    assert f"rank: {labels.ranks[matchcover.parse_graph(K6_WITNESS, ground)]}\n" in out
 
 
 def test_lattice_formats(capsys):

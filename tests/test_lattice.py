@@ -6,6 +6,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from matchcover import (
@@ -612,3 +613,84 @@ def test_covers_and_ranks_match_the_oracles():
         union_closed = all(a | b in masks for a in masks for b in masks)
         seen.add((union_closed, labels.graded))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def assert_same_lattice(built, ref):
+    """Two lattices agree in their rows and in every public result."""
+    assert built.ground == ref.ground and built._bits.ids == ref._bits.ids
+    assert np.array_equal(built._rows, ref._rows)
+    assert built.elements == ref.elements
+    assert built.covers() == ref.covers()
+    assert built.rank_labels() == ref.rank_labels()
+    assert built._mobius_numbers() == ref._mobius_numbers()
+    assert built.mobius_table() == ref.mobius_table()
+    assert built.is_lattice() == ref.is_lattice()
+    assert built.eulerian_check() == ref.eulerian_check()
+    assert built.to_json() == ref.to_json()
+    assert built.to_dot() == ref.to_dot()
+
+
+def assert_rows_route_matches(cov):
+    """build_lattice on a covered set's rows against Lattice on its graphs,
+    and so are the intervals below a middle element and up to the top."""
+    built = build_lattice(cov)
+    ref = Lattice([cov.ground.empty_graph(), *cov.graphs])
+    assert_same_lattice(built, ref)
+    middle = ref.elements[len(ref) // 2]
+    for x, y in ((ref.bottom, middle), (middle, ref.top)):
+        assert_same_lattice(built.interval(x, y), ref.interval(x, y))
+
+
+def test_rows_route_matches_the_graph_route(tmp_path, monkeypatch, capsys):
+    import matchcover.cli as cli
+
+    rng = random.Random(89)
+    for n in (2, 3):
+        ground = bipartite_ground(n)
+        for _ in range(12):
+            members = {rng.randrange(1, 1 << ground.edge_count) for _ in range(rng.randint(1, 5))}
+            assert_rows_route_matches(covered_closure(Family(ground, [Graph(ground, m) for m in members])))
+    for m in (4, 6):
+        assert_rows_route_matches(covered_closure(enumerate_perfect_matchings(complete_ground(m).full_graph())))
+    # weight files with several blocks: the product of the blocks' covered
+    # sets that cmd_lattice builds
+    built = []
+    monkeypatch.setattr(cli, "build_lattice", lambda cov: built.append(cov) or build_lattice(cov))
+    for n, sizes in ((6, (3, 3)), (6, (3, 2, 1)), (7, (3, 2, 2))):
+        block = [b for b, size in enumerate(sizes) for _ in range(size)]
+        lines = [f"bipartite {n}"] + [
+            f"{i + 1} {j + 1} {int(block[i] != block[j])}" for i in range(n) for j in range(n)
+        ]
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("\n".join(lines) + "\n")
+        assert cli.main(["lattice", "--n", str(n), "--weights", str(wfile), "-f", "json"]) == 0
+        capsys.readouterr()
+        assert_rows_route_matches(built.pop())
+
+
+def test_exports_build_no_graphs():
+    lat = pm_lattice(4)
+    lat.to_json()
+    lat.to_dot()
+    assert lat.is_lattice()
+    assert lat.eulerian_check().eulerian
+    assert lat._mobius_numbers()[-1] == 1  # K_{4,4}: cyclomatic number 9
+    assert "elements" not in vars(lat)
+
+
+def test_index_of_and_in():
+    lat = weighted_n4_lattice(WEIGHTED_N4_PATTERNS[0])
+    ground = lat.ground
+    element = lat.elements[1]
+    off_support = next(k for k in range(ground.edge_count) if k not in lat._bits.ids)
+    inputs = [
+        Graph(ground, element.edges | 1 << off_support),  # an edge off the support
+        Graph(bipartite_ground(5), element.edges),  # another ground
+    ]
+    for g in inputs:
+        assert g not in lat
+        with pytest.raises(InputError):
+            lat.index_of(g)
+    assert ground.empty_graph() in lat and element in lat
+    assert lat.index_of(ground.empty_graph()) == 0
+    assert lat.index_of(element) == 1
