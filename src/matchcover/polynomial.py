@@ -29,6 +29,7 @@ from .graphs import (
     _check_ground,
     _components,
     _iter_bits,
+    _mask_of_rows,
     _row_masks,
     _write_chunks,
     bipartite_ground,
@@ -313,20 +314,27 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
     bits = SupportBits(members)
     if not dense_fits(len(bits), len(members)):
         return _sign_rule_polynomial(F)
-    # the membership table is 0/1, so its OR pass runs on bytes; int32
-    # holds every partial sum of the Mobius pass, whose steps at most
-    # double |entry|
+    # the membership table is 0/1, so both passes run on its own bytes. The
+    # Mobius pass wraps, so each byte ends as its coefficient mod 2^8; by
+    # the sign rule every coefficient is -1, 0 or 1, so the residues read
+    # as int8 are the coefficients themselves.
     table = np.zeros(1 << len(bits), dtype=np.uint8)
     table[[bits.compress(m) for m in members]] = 1
-    table = _subset_transform(table, "|").astype(np.int32)
+    _subset_transform(table, "|")
     _subset_transform(table, "+", inverse=True)
     # every covered graph has a nonzero coefficient, the union of all
     # members too, so the rows span the whole support
     masks = np.flatnonzero(table)
     coeffs = table[masks]
     del table  # the sort below needs the room
+    signs = (coeffs == 1) | (coeffs == 255)
+    if not signs.all():
+        bad = int(coeffs[~signs][0])
+        raise RuntimeError(
+            f"Mobius residue {bad} mod 2^8 is no sign: the family is not one of perfect matchings"
+        )
     return MultilinearPolynomial._from_rows(
-        F.ground, bits, byte_rows(masks, len(bits)), coeffs
+        F.ground, bits, byte_rows(masks, len(bits)), coeffs.view(np.int8)
     )
 
 
@@ -367,17 +375,26 @@ def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]
     ground = support.ground
     n = ground.size
     rows = _row_masks(support)
-    forced, blocks = 0, []
+    # masks are joined by halves from rows, other blocks' rows at 0: shifting
+    # each row into place costs O(n^3) bit work on one wide block
+    forced_rows, blocks = [0] * n, []
     for members, _ in _components(rows):
-        edges = sum(rows[i] << i * n for i in _iter_bits(members))
         if members.bit_count() == 1:
-            forced |= edges
+            i = members.bit_length() - 1
+            forced_rows[i] = rows[i]
         else:
-            blocks.append((members.bit_count(), edges))
+            block_rows = [0] * n
+            for i in _iter_bits(members):
+                block_rows[i] = rows[i]
+            blocks.append((members.bit_count(), _mask_of_rows(block_rows)))
+    forced = _mask_of_rows(forced_rows)
 
     def families() -> Iterator[Family]:
         _, match_right = _kuhn_matching(rows)
-        fixed = sum(1 << (i * n + j) for j, i in enumerate(match_right))
+        fixed_rows = [0] * n
+        for j, i in enumerate(match_right):
+            fixed_rows[i] = 1 << j
+        fixed = _mask_of_rows(fixed_rows)
         for _, edges in blocks:
             matchings = enumerate_perfect_matchings(Graph(ground, edges | fixed & ~edges))
             yield Family(ground, [Graph(ground, g.edges & edges) for g in matchings])

@@ -9,6 +9,12 @@ zeta and Mobius transforms; Bjorklund, Husfeldt, Kaski and Koivisto,
 each subgraph, the value of a polynomial at each assignment, or the
 coefficients of a truth table. Masks compressed onto a support travel as
 rows of bytes, which byte lookup tables sort, expand and name.
+
+The butterfly's steps commute. It runs those of the low bits one
+cache-sized block of the table at a time, the shortest of them (partners 1
+to 8 entries apart) as strided slices, and the rest over the whole table.
+Fixed-width entries wrap, so every transform is exact modulo 2^width: a
+byte table gives each sum mod 2^8.
 """
 
 from __future__ import annotations
@@ -40,6 +46,14 @@ _BUTTERFLY = {
     ("+", True): np.subtract,
     ("|", False): np.bitwise_or,
 }
+# Steps on bits below this one pair entries 1, 2, 4 or 8 apart: numpy's
+# inner loop over a (-1, 2, 2^bit) view would run only that long, so they go
+# as 2^bit strided 1-D slices instead, each over the whole block.
+_STRIDED_BITS = 4
+# The steps on the low bits run a block of this many bytes at a time, while
+# it sits in cache: 1 MiB, half the 2 MiB L2 cache per core of the 2-core
+# x86-64 machine the README's timings come from.
+_BLOCK_BYTES = 1 << 20
 
 
 def _subset_transform(table: np.ndarray, op: str, inverse: bool = False) -> np.ndarray:
@@ -48,13 +62,32 @@ def _subset_transform(table: np.ndarray, op: str, inverse: bool = False) -> np.n
     op "+" gives the zeta transform, table[S] = sum of table[T] over T ⊆ S;
     inverse=True undoes it (the Mobius transform, each step subtracts).
     op "|" ORs over the subsets instead. Fixed-width entries wrap silently,
-    so callers bound the partial sums. Returns the table.
+    so the result is exact modulo 2^width: callers either bound the partial
+    sums or, like the perfect-matching route, read residues they know to be
+    small. Returns the table. The steps run in the module docstring's
+    order, which gives the same result: they commute.
     """
     ufunc = _BUTTERFLY[op, inverse]
-    for bit in range(table.size.bit_length() - 1):
-        halves = table.reshape(-1, 2, 1 << bit)
-        ufunc(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    m = table.size.bit_length() - 1
+    low = min(m, (_BLOCK_BYTES // table.itemsize).bit_length() - 1)
+    for block in table.reshape(-1, 1 << low):
+        _butterfly_steps(block, ufunc, range(low))
+    _butterfly_steps(table, ufunc, range(low, m))
     return table
+
+
+def _butterfly_steps(table: np.ndarray, ufunc: np.ufunc, bits: range) -> None:
+    """The butterfly's steps on the given bits, in place: each entry whose
+    mask has the bit set takes ufunc of itself and its partner without it."""
+    for bit in bits:
+        half = 1 << bit
+        if bit < _STRIDED_BITS:
+            for r in range(half):
+                high = table[half + r :: 2 * half]
+                ufunc(high, table[r :: 2 * half], out=high)
+        else:
+            halves = table.reshape(-1, 2, half)
+            ufunc(halves[:, 1], halves[:, 0], out=halves[:, 1])
 
 
 def dense_fits(width: int, members: int) -> bool:

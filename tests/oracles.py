@@ -7,8 +7,9 @@ no perfect matching qualifies), one existence test per edge instead of the
 reachability closure behind pm_support, breadth-first search instead of
 union-find, powerset unions and the definitional coverage test instead of
 the closure, writers and sort keys that scan every edge bit instead of
-the set bits, and an enumeration of a ground's edges instead of the id
-formulas.
+the set bits, an enumeration of a ground's edges instead of the id
+formulas, and a subset butterfly of one whole-table step per bit instead of
+the library's strided, cache-blocked kernel.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's certificate, blocked masks, level-wise Mobius numbers and
@@ -18,6 +19,8 @@ blocked Eulerian check replace.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+
+import numpy as np
 
 from matchcover import Family, Graph, InputError, WeightFunction, has_perfect_matching
 from matchcover.graphs import _iter_bits
@@ -440,3 +443,14 @@ def longest_chain_ranks(lat):
         ((x, y) for x, y in pairwise_covers(lat) if ranks[y] != ranks[x] + 1), None
     )
     return [ranks[k] for k in range(len(lat.elements))], violation
+
+
+def reference_subset_transform(table, op, inverse=False):
+    """The subset butterfly in place, one step per bit over the whole table:
+    each entry whose mask has the bit takes op of itself and its partner
+    without it ("+", its inverse "-", or "|"), wrapping as numpy does."""
+    ufunc = {("+", False): np.add, ("+", True): np.subtract, ("|", False): np.bitwise_or}[op, inverse]
+    for bit in range(table.size.bit_length() - 1):
+        halves = table.reshape(-1, 2, 1 << bit)
+        ufunc(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return table

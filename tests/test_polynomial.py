@@ -28,13 +28,14 @@ from matchcover import (
 )
 from matchcover import polynomial
 from matchcover.polynomial import _pm_family_polynomial, _sign_rule_polynomial
-from matchcover.subsets import _subset_transform
+from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, _subset_transform
 from oracles import (
     ground_pairs,
     pattern_weights,
     random_int_weights,
     reference_json_dict,
     reference_sorted_terms,
+    reference_subset_transform,
     reference_text,
 )
 
@@ -270,6 +271,22 @@ def test_subset_transform_minus_inverts_plus():
     assert np.array_equal(_subset_transform(there, "+", inverse=True), table)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int32, np.int64])
+def test_subset_transform_matches_reference_butterfly(dtype):
+    # sizes from one entry up past the strided steps (runs of 16 entries)
+    # and past one cache block (2^20 bytes), on contents over the whole
+    # range, so sums and differences wrap
+    rng = np.random.default_rng(113)
+    info = np.iinfo(dtype)
+    block_bits = (_BLOCK_BYTES // info.dtype.itemsize).bit_length() - 1
+    for m in [*range(_STRIDED_BITS + 3), block_bits - 1, block_bits, block_bits + 1]:
+        table = rng.integers(info.min, info.max, size=1 << m, dtype=dtype, endpoint=True)
+        for op, inverse in (("|", False), ("+", False), ("+", True)):
+            got = _subset_transform(table.copy(), op, inverse)
+            assert got.dtype == dtype
+            assert np.array_equal(got, reference_subset_transform(table.copy(), op, inverse))
+
+
 def test_dense_coefficients_match_sign_rule_and_lattice():
     rng = random.Random(107)
     families = []
@@ -286,6 +303,35 @@ def test_dense_coefficients_match_sign_rule_and_lattice():
     for fam in families:
         dense = _pm_family_polynomial(fam)
         assert dense == _sign_rule_polynomial(fam) == membership_polynomial_general(fam)
+
+
+def test_dense_bytes_match_sign_rule_on_k55_patterns():
+    # the zero patterns (row-major, "0" is weight 0) of the K_{5,5} build
+    # benchmark: supports of 14 to 20 edges, 159 to 23,685 terms, whose
+    # Mobius passes run mod 2^8
+    g = bipartite_ground(5)
+    for pattern in (
+        "0010000100100100011100110",
+        "0110100110000101000000011",
+        "0101001000100001001010000",
+        "0000001000010000010100011",
+        "0010100001000000000001001",
+    ):
+        fam = enumerate_min_weight_pms(pattern_weights(g, pattern))
+        dense = _pm_family_polynomial(fam)
+        assert dense == _sign_rule_polynomial(fam)
+        assert set(dense.terms.values()) == {-1, 1}
+
+
+def test_dense_route_refuses_a_coefficient_that_is_no_sign():
+    # {ab, ac, bc} has coefficient -2 on abc, residue 254 mod 2^8: not a
+    # family of perfect matchings, whose residues are all the route can
+    # vouch for
+    g = bipartite_ground(2)
+    fam = Family(g, [Graph(g, 0b011), Graph(g, 0b101), Graph(g, 0b110)])
+    assert membership_polynomial_general(fam).terms[0b111] == -2
+    with pytest.raises(RuntimeError, match="residue 254"):
+        _pm_family_polynomial(fam)
 
 
 def test_value_table_matches_evaluate():
