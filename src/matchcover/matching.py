@@ -1,11 +1,12 @@
 """Perfect matchings and exact minimum-weight assignment.
 
-One backtracking search enumerates the perfect matchings of either ground,
-and decides their existence on complete grounds at desk scale. Bipartite
-grounds get polynomial-time algorithms for everything else, all on the
-graph's row bitmasks: augmenting paths for existence, and for the set of
-edges that lie in some perfect matching, the transitive closure of the
-alternating digraph that one perfect matching defines on the columns (an
+One backtracking search, on an explicit stack, enumerates the perfect
+matchings of either ground or of a set of its vertices, such as one block of
+a bipartite support, and decides their existence on complete grounds at desk
+scale. Bipartite grounds get polynomial-time algorithms for everything else,
+all on the graph's row bitmasks: augmenting paths for existence, and for the
+set of edges that lie in some perfect matching, the transitive closure of
+the alternating digraph that one perfect matching defines on the columns (an
 edge is used iff it lies on an alternating cycle). Minimum weights rest on
 one dual certificate: an O(n^3) potential-based assignment solver solves the
 full K_{n,n} once, and a perfect matching is minimum-weight exactly when all
@@ -98,12 +99,14 @@ def _require_even(ground: GroundGraph) -> None:
         )
 
 
-def _pm_masks(G: Graph) -> Iterator[int]:
-    """Edge masks of the perfect matchings of G, on either ground.
+def _pm_masks(G: Graph, vertices: int | None = None) -> Iterator[int]:
+    """Edge masks of the perfect matchings of G on a bitmask of its vertex
+    ids (the whole ground by default), on either ground.
 
     Backtracking matches the lowest free vertex with each free neighbour in
-    turn. On a bipartite ground that vertex is always a left one, so each
-    level of the search fixes the partner of one row.
+    turn, on an explicit stack of (free vertices, edges) entries, so no
+    recursion limit bounds its depth. On a bipartite ground that vertex is
+    always a left one, so each level fixes the partner of one row.
     """
     ground = G.ground
     # vertex ids: left i -> i-1 and right j -> n+j-1, or complete u -> u-1
@@ -114,18 +117,19 @@ def _pm_masks(G: Graph) -> Iterator[int]:
     for k in _iter_bits(G.edges):
         u, v = ground.edge_pair(k)
         up[u - 1].append((1 << offset + v - 1, 1 << k))
-
-    def rec(free: int, acc: int) -> Iterator[int]:
+    if vertices is None:
+        vertices = (1 << ground.vertex_count) - 1
+    stack = [(vertices, 0)]
+    while stack:
+        free, acc = stack.pop()
         if not free:
             yield acc
-            return
+            continue
         low = free & -free
         rest = free ^ low
         for vbit, ebit in up[low.bit_length() - 1]:
             if rest & vbit:
-                yield from rec(rest ^ vbit, acc | ebit)
-
-    return rec((1 << ground.vertex_count) - 1, 0)
+                stack.append((rest ^ vbit, acc | ebit))
 
 
 def has_perfect_matching(G: Graph) -> bool:
@@ -162,10 +166,12 @@ def _has_perfect_matchings(masks: np.ndarray, n: int) -> np.ndarray:
     return (state >> dtype((1 << n) - 1)).astype(bool)
 
 
-def enumerate_perfect_matchings(G: Graph) -> Family:
-    """All perfect matchings of G, in canonical (edge-count, edge-id) order."""
+def enumerate_perfect_matchings(G: Graph, vertices: int | None = None) -> Family:
+    """All perfect matchings of G, in canonical (edge-count, edge-id) order;
+    with vertices, a bitmask (bit i-1 for left i and n+j-1 for right j of
+    K_{n,n}, bit u-1 for u of K_m), those of G's subgraph induced on it."""
     _require_even(G.ground)
-    masks = canonical_sorted(list(_pm_masks(G)))
+    masks = canonical_sorted(list(_pm_masks(G, vertices)))
     return Family(G.ground, [Graph(G.ground, m) for m in masks])
 
 

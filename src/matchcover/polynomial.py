@@ -38,7 +38,6 @@ from .graphs import (
 from .lattice import build_lattice
 from .matching import (
     WeightFunction,
-    _kuhn_matching,
     enumerate_min_weight_pms,  # unused here; perfbench/spans.py wraps this name
     enumerate_perfect_matchings,
     support_union,
@@ -370,15 +369,14 @@ def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]
     graph that is the union of its perfect matchings: the mask of the blocks
     of one row, a forced edge each; the others as (row count, edge mask)
     pairs; and, as they are asked for, the perfect matchings of each of
-    those cut down to it. The rows outside a block keep the edges of one
-    fixed perfect matching, so the matchings are those of the block."""
+    those, listed on the block's own rows and columns."""
     ground = support.ground
     n = ground.size
     rows = _row_masks(support)
     # masks are joined by halves from rows, other blocks' rows at 0: shifting
     # each row into place costs O(n^3) bit work on one wide block
-    forced_rows, blocks = [0] * n, []
-    for members, _ in _components(rows):
+    forced_rows, blocks, vertex_sets = [0] * n, [], []
+    for members, cols in _components(rows):
         if members.bit_count() == 1:
             i = members.bit_length() - 1
             forced_rows[i] = rows[i]
@@ -387,19 +385,12 @@ def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]
             for i in _iter_bits(members):
                 block_rows[i] = rows[i]
             blocks.append((members.bit_count(), _mask_of_rows(block_rows)))
-    forced = _mask_of_rows(forced_rows)
-
-    def families() -> Iterator[Family]:
-        _, match_right = _kuhn_matching(rows)
-        fixed_rows = [0] * n
-        for j, i in enumerate(match_right):
-            fixed_rows[i] = 1 << j
-        fixed = _mask_of_rows(fixed_rows)
-        for _, edges in blocks:
-            matchings = enumerate_perfect_matchings(Graph(ground, edges | fixed & ~edges))
-            yield Family(ground, [Graph(ground, g.edges & edges) for g in matchings])
-
-    return forced, blocks, families()
+            vertex_sets.append(members | cols << n)
+    families = (
+        enumerate_perfect_matchings(Graph(ground, edges), vertices)
+        for (_, edges), vertices in zip(blocks, vertex_sets)
+    )
+    return _mask_of_rows(forced_rows), blocks, families
 
 
 def _multiply_blocks(

@@ -8,8 +8,10 @@ reachability closure behind pm_support, breadth-first search instead of
 union-find, powerset unions and the definitional coverage test instead of
 the closure, writers and sort keys that scan every edge bit instead of
 the set bits, an enumeration of a ground's edges instead of the id
-formulas, and a subset butterfly of one whole-table step per bit instead of
-the library's strided, cache-blocked kernel.
+formulas, a subset butterfly of one whole-table step per bit instead of
+the library's strided, cache-blocked kernel, and a block's perfect
+matchings listed over the whole ground, the other rows padded with one
+fixed perfect matching, instead of on the block's own vertices.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's certificate, blocked masks, level-wise Mobius numbers and
@@ -22,8 +24,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from matchcover import Family, Graph, InputError, WeightFunction, has_perfect_matching
-from matchcover.graphs import _iter_bits
+from matchcover import (
+    Family,
+    Graph,
+    InputError,
+    WeightFunction,
+    enumerate_perfect_matchings,
+    has_perfect_matching,
+)
+from matchcover.graphs import _iter_bits, _row_masks
+from matchcover.matching import _kuhn_matching
 
 
 def ground_pairs(ground):
@@ -122,6 +132,23 @@ def brute_pm_support(G):
         if has_perfect_matching(Graph(G.ground, G.edges & ~others)):
             keep |= 1 << k
     return keep
+
+
+def padded_block_families(support, blocks):
+    """The perfect matchings of each block, given as a (row count, edge
+    mask) pair, of a bipartite support that is the union of its perfect
+    matchings. The rows outside a block keep the edges of one fixed perfect
+    matching of the support, so the perfect matchings of that padded graph,
+    listed over the whole ground and cut back to the block's edges, are the
+    block's."""
+    ground, n = support.ground, support.ground.size
+    _, match_right = _kuhn_matching(_row_masks(support))
+    fixed = sum(1 << (i * n + j) for j, i in enumerate(match_right))
+    families = []
+    for _, edges in blocks:
+        padded = enumerate_perfect_matchings(Graph(ground, edges | fixed & ~edges))
+        families.append(Family(ground, [Graph(ground, g.edges & edges) for g in padded]))
+    return families
 
 
 @lru_cache(maxsize=None)

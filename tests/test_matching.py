@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,7 @@ from matchcover import (
     pm_support,
     support_union,
 )
+from matchcover.graphs import _iter_bits
 from matchcover.matching import _has_perfect_matchings, _kuhn_matching
 from oracles import (
     brute_min_weight,
@@ -159,6 +161,57 @@ def test_complete_enumeration_and_existence_match_pairing_scan():
             assert list(enumerate_perfect_matchings(graph)) == want
             assert has_perfect_matching(graph) == bool(brute)
     assert len(brute_pm_masks_complete(complete_ground(8).full_graph())) == 105
+
+
+def _induced_pm_masks(G, vertices):
+    """Perfect matchings of G's subgraph induced on a vertex bitmask, by the
+    brute scans on a ground of just those vertices, mapped back to G."""
+    ground = G.ground
+    n = ground.size
+    kept = [v for v in range(1, n + 1) if vertices >> v - 1 & 1]
+    if ground.mode == "bipartite":
+        right = [v for v in range(1, n + 1) if vertices >> n + v - 1 & 1]
+        even, make, brute = len(kept) == len(right), bipartite_ground, brute_pm_masks_bipartite
+    else:
+        right = kept
+        even, make, brute = len(kept) % 2 == 0, complete_ground, brute_pm_masks_complete
+    if not even:
+        return []
+    if not kept:
+        return [0]
+    small = make(len(kept))
+    ids = [ground.edge_index(kept[a - 1], right[b - 1]) for a, b in ground_pairs(small)]
+    induced = sum(1 << k for k, e in enumerate(ids) if G.edges >> e & 1)
+    return [sum(1 << ids[k] for k in _iter_bits(m)) for m in brute(Graph(small, induced))]
+
+
+def test_enumeration_on_a_vertex_set_matches_the_induced_subgraph():
+    rng = random.Random(23)
+    grounds = [bipartite_ground(n) for n in range(1, 6)] + [complete_ground(m) for m in (2, 4, 6, 8)]
+    for g in grounds:
+        for _ in range(40):
+            graph = Graph(g, rng.getrandbits(g.edge_count) | rng.getrandbits(g.edge_count))
+            vertices = rng.getrandbits(g.vertex_count)
+            want = sorted((Graph(g, m) for m in _induced_pm_masks(graph, vertices)), key=canonical_key)
+            assert list(enumerate_perfect_matchings(graph, vertices)) == want
+        whole = (1 << g.vertex_count) - 1
+        assert enumerate_perfect_matchings(graph, whole) == enumerate_perfect_matchings(graph)
+
+
+def test_enumeration_runs_deeper_than_the_recursion_limit():
+    # a Hamilton cycle of K_{400,400} has two perfect matchings, and the
+    # search fixes one row per level, 400 levels deep
+    n = 400
+    cycle = bipartite_ground(n).graph_from_edges(
+        [(i, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)]
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        family = enumerate_perfect_matchings(cycle)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(family) == 2
 
 
 def w22():

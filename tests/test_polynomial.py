@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from matchcover import (
     bipartite_ground,
     complete_ground,
     contains_min_weight_pm,
+    covered_closure,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
     has_perfect_matching,
@@ -24,6 +26,7 @@ from matchcover import (
     membership_polynomial_general,
     min_weight_pm_polynomial,
     pm_polynomial,
+    support_union,
     truth_table_transform,
 )
 from matchcover import polynomial
@@ -31,6 +34,7 @@ from matchcover.polynomial import _pm_family_polynomial, _sign_rule_polynomial
 from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, _subset_transform
 from oracles import (
     ground_pairs,
+    padded_block_families,
     pattern_weights,
     random_int_weights,
     reference_json_dict,
@@ -614,6 +618,9 @@ def _planted_block_weights(rng, n):
 
 
 def _assert_factoring_holds(w):
+    support = support_union(w)
+    _, blocks, families = polynomial._split(support)
+    assert list(families) == padded_block_families(support, blocks)
     # the whole family, through routes that never split it into blocks
     family = enumerate_min_weight_pms(w)
     poly = min_weight_pm_polynomial(w)
@@ -634,6 +641,35 @@ def test_factored_polynomial_matches_the_whole_family():
         else:
             w = random_int_weights(rng, bipartite_ground(n), 0, 1)
         _assert_factoring_holds(w)
+
+
+def test_split_matches_the_padded_listing_on_wide_layouts():
+    # the block sizes of the `large` benchmark workload's wide supports, on
+    # shuffled rows and columns: weight 0 inside a block, 1 elsewhere
+    rng = random.Random(19)
+    for n, sizes in ((16, [3, 2, 2, 2, 2, 2, 1, 1, 1]), (20, [2] * 7 + [1] * 6)):
+        labels = [b for b, size in enumerate(sizes) for _ in range(size)]
+        row_block, col_block = rng.sample(labels, n), rng.sample(labels, n)
+        w = WeightFunction(bipartite_ground(n), [
+            int(row_block[i] != col_block[j]) for i in range(n) for j in range(n)
+        ])
+        support = support_union(w)
+        forced, blocks, families = polynomial._split(support)
+        assert forced.bit_count() == sizes.count(1)
+        assert sorted(size for size, _ in blocks) == sorted(s for s in sizes if s > 1)
+        assert list(families) == padded_block_families(support, blocks)
+
+
+def test_split_lists_blocks_on_a_ground_deeper_than_the_recursion_limit():
+    # the diagonal of K_{1000,1000} and 300 disjoint swaps of two rows: 300
+    # blocks K_{2,2} of three covered graphs each, and 400 forced edges. The
+    # support's own polynomial would have 3^300 terms, so only blocks are built
+    n = 1000
+    swaps = [e for i in range(1, 600, 2) for e in ((i, i + 1), (i + 1, i))]
+    support = bipartite_ground(n).graph_from_edges([(i, i) for i in range(1, n + 1)] + swaps)
+    forced, blocks, families = polynomial._split(support)
+    assert forced.bit_count() == 400 and len(blocks) == 300
+    assert prod(len(covered_closure(f)) for f in families) == 3**300
 
 
 def test_factoring_on_one_block_takes_the_whole_route(monkeypatch):
