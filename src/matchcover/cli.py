@@ -238,14 +238,7 @@ def cmd_verify(args) -> int:
     width, n = ground.edge_count, ground.size
     total = 1 << width if args.exhaustive else args.samples
     rng = random.Random(args.seed)
-    # The table spans the s edges of the polynomial's support. Measured at
-    # n = 5 on a 2-core x86-64: it costs about 25 ns an entry (its s passes
-    # included), pointwise evaluation about 1 us a point plus 100 ns a term
-    # at each point. Masks of 64 edges or more do not fit the int64 index.
-    values = None
-    support = poly._bits
-    if width < 64 and 25 * (1 << len(support)) <= total * (1000 + 100 * len(poly)):
-        values = poly.value_table()  # None on wide supports and huge coefficients
+    values = poly._value_reader(total)
     tight = None if weights is None else weights.tight_mask()
 
     def oracle(points: np.ndarray) -> np.ndarray:
@@ -268,18 +261,11 @@ def cmd_verify(args) -> int:
         else:  # a mask of 64 edges or more can exceed int64
             points = np.array([rng.getrandbits(width) for _ in range(size)],
                               dtype=np.int64 if width < 64 else object)
-        want = oracle(points)
-        if values is None:  # stops at the first mismatch, as evaluate is slow
-            bad = (k for k, (m, w) in enumerate(zip(points.tolist(), want.tolist()))
-                   if poly.evaluate(m) != w)
-        else:
-            got = values[support.compress_array(points)]
-            bad = iter(np.flatnonzero(got != want))
-        k = next(bad, None)
-        if k is not None:
-            mask = int(points[k])
-            got = poly.evaluate(mask) if values is None else int(got[k])
-            want = int(want[k])
+        want, got = oracle(points), values(points)
+        bad = np.flatnonzero(got != want)
+        if len(bad):
+            k = bad[0]
+            mask, got, want = int(points[k]), int(got[k]), int(want[k])
             witness = edge_list_str(Graph(ground, mask))
             if args.format == "json":
                 report = {

@@ -19,6 +19,7 @@ from .graphs import Family, Graph, GroundGraph, cyclomatic_number
 from .matching import WeightFunction, pm_support
 from .subsets import (
     SupportBits,
+    _row_keys,
     _subset_transform,
     byte_rows,
     canonical_order,
@@ -93,7 +94,7 @@ def _dense_closure_rows(members: list[int], bits: SupportBits) -> np.ndarray:
     After the pass, table[S] is the union of the members inside S, and S is
     covered exactly when that union is S itself.
     """
-    cmembers = np.array([bits.compress(m) for m in members], dtype=np.uint32)
+    cmembers = _row_keys(bits.rows(members)).astype(np.uint32)
     table = np.zeros(1 << len(bits), dtype=np.uint32)
     table[cmembers] = cmembers
     _subset_transform(table, "|")

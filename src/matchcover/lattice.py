@@ -44,7 +44,7 @@ from .graphs import (
     _write_chunks,
     edge_list_str,
 )
-from .subsets import SupportBits, canonical_order
+from .subsets import SupportBits, _row_keys, canonical_order
 
 # Words per block of packed down-set rows in the Mobius pass: 2^18 uint64
 # are 2 MB.
@@ -83,16 +83,6 @@ def _and_table(masks: list[int], full: int) -> list[int]:
     for m in masks:
         table += [t & m for t in table]
     return table
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Keys that are equal exactly when the byte rows are: each row's
-    little-endian value as uint64 when it fits, else its raw bytes."""
-    if rows.shape[1] > 8:
-        return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    padded = np.zeros((len(rows), 8), dtype=np.uint8)
-    padded[:, : rows.shape[1]] = rows
-    return padded.view("<u8").ravel()
 
 
 def _set_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

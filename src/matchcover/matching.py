@@ -186,8 +186,8 @@ def parse_rational(token: str) -> Fraction:
     """Non-negative integer or p/q fraction, exactly as weight files allow."""
     if not _RATIONAL_RE.match(token):
         raise InputError(f"bad weight {token!r}: expected integer or p/q")
-    try:
-        return Fraction(token)
+    try:  # Fraction(int) skips the string parse that Fraction(str) makes
+        return Fraction(token) if "/" in token else Fraction(int(token))
     except ZeroDivisionError:
         raise InputError(f"bad weight {token!r}: zero denominator") from None
     except ValueError as exc:  # more digits than int() converts
@@ -197,6 +197,8 @@ def parse_rational(token: str) -> Fraction:
 def _exact_weight(w) -> Fraction:
     """A weight as an exact Fraction. Floats are refused rather than
     expanded (0.1 is not 1/10), and so are bools."""
+    if isinstance(w, Fraction):
+        return w
     if isinstance(w, (bool, float)):
         raise InputError(f"weight {w!r} is not exact: give an int, a Fraction or 'p/q'")
     try:

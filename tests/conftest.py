@@ -1,5 +1,8 @@
 """Test configuration: Hypothesis runs derandomized, so that the suite draws
-the same examples on every run and a pass or a failure can be repeated."""
+the same examples on every run and a pass or a failure can be repeated; and
+a fixture that makes reading a polynomial's terms dict fail."""
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -10,3 +13,18 @@ else:
         "deterministic", derandomize=True, database=None, deadline=None, max_examples=60
     )
     settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def refuse_terms(monkeypatch):
+    """A function that makes every later read of MultilinearPolynomial.terms
+    fail, for tests that show a path builds no terms dict."""
+    from matchcover import MultilinearPolynomial
+
+    def refuse():
+        def read(self):
+            raise AssertionError("the terms dict was read")
+
+        monkeypatch.setattr(MultilinearPolynomial, "terms", property(read))
+
+    return refuse

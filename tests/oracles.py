@@ -11,7 +11,9 @@ the set bits, an enumeration of a ground's edges instead of the id
 formulas, a subset butterfly of one whole-table step per bit instead of
 the library's strided, cache-blocked kernel, and a block's perfect
 matchings listed over the whole ground, the other rows padded with one
-fixed perfect matching, instead of on the block's own vertices.
+fixed perfect matching, instead of on the block's own vertices, and a
+polynomial's values summed over its terms dict instead of scanned from its
+byte rows.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's certificate, blocked masks, level-wise Mobius numbers and
@@ -262,6 +264,12 @@ def min_weight_family(ground, w):
         key=lambda g: (g.edge_count, tuple(g.edge_ids())),
     )
     return Family(ground, graphs)
+
+
+def reference_evaluate(terms, mask):
+    """Value at a 0/1 assignment by a loop over a terms dict: the sum of
+    the coefficients of the monomials inside the mask."""
+    return sum(coeff for term, coeff in terms.items() if term & ~mask == 0)
 
 
 def reference_sorted_terms(poly):

@@ -225,6 +225,39 @@ def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_no_run_reads_the_terms_dict(tmp_path, monkeypatch, capsys, refuse_terms):
+    from matchcover import MultilinearPolynomial, bipartite_ground, pm_polynomial
+
+    terms = dict(pm_polynomial(2).terms)
+    terms[0b0110] = 2**70  # past int64: the scan sums Python ints
+    check = tmp_path / "huge.json"
+    check.write_text(MultilinearPolynomial(bipartite_ground(2), terms).to_json())
+    refuse_terms()
+    tables = []
+    real = MultilinearPolynomial.value_table
+    monkeypatch.setattr(MultilinearPolynomial, "value_table",
+                        lambda self: tables.append(real(self)) or tables[-1])
+    assert run(capsys, "poly", "--n", "3")[0] == 0
+    # through the value table
+    assert run(capsys, "verify", "--n", "3", "--exhaustive")[:2] == (
+        0, "verified 512 assignments: OK\n"
+    )
+    assert len(tables) == 1 and tables[0] is not None
+    # through the scan: 64 ground edges do not fit the table's int64 index
+    b = [0, 0, 0, 1, 1, 2, 2, 3]
+    wfile = _zero_weight_file(tmp_path / "w8.txt", 8, lambda i, j: b[i - 1] == b[j - 1])
+    assert run(capsys, "verify", "--n", "8", "--weights", wfile, "--samples", "200")[:2] == (
+        0, "verified 200 assignments: OK\n"
+    )
+    assert len(tables) == 1
+    # through the scan: the int32 table cannot hold the coefficient
+    code, out, _ = run(capsys, "verify", "--n", "2", "--exhaustive", "--check-file", str(check))
+    assert code == 1 and out.startswith("MISMATCH at assignment ")
+    assert len(tables) == 2 and tables[1] is None
+    assert run(capsys, "count-covered", "--n", "3")[:2] == (0, "count: 49\nparity: odd\n")
+    assert run(capsys, "lattice", "--n", "3")[0] == 0
+
+
 def test_verify_through_the_support_table_equals_pointwise(tmp_path, monkeypatch, capsys):
     """Each run gives the same exit code and bytes through the value table as
     by evaluate at each point, whether it verifies or reports a mismatch."""

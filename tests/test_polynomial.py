@@ -30,13 +30,14 @@ from matchcover import (
     truth_table_transform,
 )
 from matchcover import polynomial
-from matchcover.polynomial import _pm_family_polynomial, _sign_rule_polynomial
-from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, _subset_transform
+from matchcover.polynomial import _SCAN_CELLS, _pm_family_polynomial, _sign_rule_polynomial
+from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, _row_keys, _subset_transform
 from oracles import (
     ground_pairs,
     padded_block_families,
     pattern_weights,
     random_int_weights,
+    reference_evaluate,
     reference_json_dict,
     reference_sorted_terms,
     reference_subset_transform,
@@ -350,7 +351,7 @@ def test_value_table_matches_evaluate():
         assert values.dtype == np.int32
         assert len(values) == 1 << len(poly._bits)
         index = poly._bits.compress_array(points)
-        assert index.tolist() == [poly._bits.compress(m) for m in range(1 << 9)]
+        assert index.tolist() == _row_keys(poly._bits.rows(points.tolist())).tolist()
         assert [int(v) for v in values[index]] == [poly.evaluate(m) for m in range(1 << 9)]
     assert len(polys[1].value_table()) < 1 << 9  # a support narrower than the ground
 
@@ -364,6 +365,36 @@ def test_support_index_on_wide_grounds():
     assert len(values) == 1 << 4
     got = values[poly._bits.compress_array(np.array(points, dtype=np.int64))]
     assert got.tolist() == [poly.evaluate(m) for m in points]
+
+
+def test_scan_matches_reference_evaluate():
+    rng = random.Random(167)
+    g2, g4, g8, g9 = (bipartite_ground(n) for n in (2, 4, 8, 9))
+    polys = [pm_polynomial(n) for n in (1, 2, 3, 4)]
+    polys += [
+        MultilinearPolynomial(g4, {1: 2**31 - 1, 0b110: 2**31 - 1, 1 << 15: -5}),  # past int32
+        MultilinearPolynomial(g2, {1: 2**62, 2: 2**62, 4: -1}),  # int64 terms, sums past it
+        MultilinearPolynomial(g2, {0b101: 2**70, 1: -3}),  # an object coefficient
+        MultilinearPolynomial(g2, {0: 1}),
+        MultilinearPolynomial(g2, {}),
+        MultilinearPolynomial(g8, _random_terms(rng, rng.sample(range(64), 20), 50)),
+        MultilinearPolynomial(g9, _random_terms(rng, rng.sample(range(81), 30), 80)),
+    ]
+    assert polys[5]._coeffs.dtype == np.int64 and polys[6]._coeffs.dtype == object
+    for poly in polys:
+        width = poly.ground.edge_count
+        terms = poly.terms
+        # random points, most with edges off a narrow support, and terms
+        # with random edges added
+        points = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(200))]
+        points += [m | rng.getrandbits(width) for m in list(terms)[:100]]
+        want = [reference_evaluate(terms, m) for m in points]
+        assert poly._scan(np.array(points, dtype=object)).tolist() == want
+        if width < 64:
+            assert poly._scan(np.array(points, dtype=np.int64)).tolist() == want
+        assert [poly.evaluate(m) for m in points[:20]] == want[:20]
+    # the 302 points of n = 4 run in blocks of 2^18 // 7443 = 35
+    assert _SCAN_CELLS // len(polys[3]) == 35
 
 
 def test_value_table_refuses_what_int32_cannot_hold():
@@ -550,10 +581,9 @@ def test_pm_polynomial_5_text():
     # chi(K_{5,5}) = 25 - 10 + 1 = 16; a matching is a vertex, chi = 0
     assert found == [1, 0, 0, 0, 1]
     assert peak < 1 << 20, peak
-    assert poly._terms is None
 
 
-def test_coefficient_searches_the_rows():
+def test_coefficient_searches_the_rows(refuse_terms):
     rng = random.Random(137)
     g1, g3, g20 = (bipartite_ground(n) for n in (1, 3, 20))
     cases = [
@@ -563,6 +593,7 @@ def test_coefficient_searches_the_rows():
         (g3, pm_polynomial(3).terms),
         (g20, _random_terms(rng, rng.sample(range(400), 90), 200)),  # 12-byte rows
     ]
+    refuse_terms()
     for ground, terms in cases:
         poly = MultilinearPolynomial(ground, terms)
         width = ground.edge_count
@@ -571,7 +602,6 @@ def test_coefficient_searches_the_rows():
         for mask in probes:
             assert poly.coefficient(mask) == terms.get(mask, 0)
             assert poly.coefficient(Graph(ground, mask)) == terms.get(mask, 0)
-        assert poly._terms is None
     with pytest.raises(InputError):
         poly.coefficient(1 << 400)
     with pytest.raises(InputError):
