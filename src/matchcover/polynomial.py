@@ -149,42 +149,45 @@ class MultilinearPolynomial:
 
     def evaluate(self, x: Graph | int) -> int:
         """Value at a 0/1 assignment: sum of coefficients of submonomials."""
-        return int(self._scan(np.array([self._mask_of(x)], dtype=object))[0])
+        return int(self._scanner()(np.array([self._mask_of(x)], dtype=object))[0])
 
-    def _scan(self, points: np.ndarray) -> np.ndarray:
-        """Values at an object array of assignment masks, or an int64 one on
-        a ground of under 64 edges, read from the rows: a term counts at a
-        point when each of its support bytes is inside the point's byte
-        there. Blocks of points take about _SCAN_CELLS (point, term) pairs
-        each. The sums are int64 when the absolute coefficients sum below
-        2^62, else Python ints."""
-        bits, terms = self._bits, len(self)
-        rows = (bits.rows(points.tolist()) if points.dtype == object
-                else byte_rows(bits.compress_array(points), len(bits)))
-        # the float64 sum errs by far less than a factor 2, so a sum it puts
-        # below 2^62 keeps every partial sum inside int64
-        small = self._coeffs.dtype != object and np.abs(self._coeffs, dtype=float).sum() < 2**62
-        coeffs = self._coeffs.astype(np.int64 if small else object)
-        step = max(1, _SCAN_CELLS // max(1, terms))
-        out = np.zeros(len(points), dtype=coeffs.dtype)
-        for lo in range(0, len(points), step):
-            inside = np.ones((len(rows[lo : lo + step]), terms), dtype=bool)
-            for b in range(rows.shape[1]):
-                inside &= np.take(_INSIDE[rows[lo : lo + step, b]], self._rows[:, b], axis=1)
-            out[lo : lo + step] = inside @ coeffs
-        return out
+    def _scanner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """A function from an array of assignment masks (int64 or Python
+        ints) to their values, read from the rows: a term counts at a point
+        when each of its support bytes is inside the point's byte there.
+        Blocks of points take about _SCAN_CELLS (point, term) pairs each.
+        The coefficients are cast once, here: the sums are int64 (the
+        coefficients themselves, not a copy) while the largest absolute
+        coefficient times the number of terms, a bound on every partial
+        sum, is below 2^62, else Python ints."""
+        top = max(-int(self._coeffs.min(initial=0)), int(self._coeffs.max(initial=0)))
+        coeffs = self._coeffs.astype(object if top * len(self) >= 1 << 62 else np.int64, copy=False)
+        step = max(1, _SCAN_CELLS // max(1, len(self)))
+
+        def scan(points: np.ndarray) -> np.ndarray:
+            rows = self._bits.rows(points.tolist())
+            out = np.zeros(len(points), dtype=coeffs.dtype)
+            for lo in range(0, len(points), step):
+                inside = np.ones((len(rows[lo : lo + step]), len(self)), dtype=bool)
+                for b in range(rows.shape[1]):
+                    inside &= np.take(_INSIDE[rows[lo : lo + step, b]], self._rows[:, b], axis=1)
+                out[lo : lo + step] = inside @ coeffs
+            return out
+
+        return scan
 
     def _value_reader(self, points: int) -> Callable[[np.ndarray], np.ndarray]:
-        """A function from an array of assignment masks, as _scan takes them,
-        to their values, for a run of that many points: a lookup in
-        value_table when it pays and an int64 index holds the ground's masks,
-        else _scan. Measured at n = 5 on a 2-core x86-64, a table entry costs
-        about 25 ns (its s passes included); a point is priced at the 1 us
-        plus 100 ns a term that a terms dict took to evaluate it."""
+        """A function from an array of assignment masks, int64 below 64
+        ground edges, to their values, for a run of that many points: a
+        lookup in value_table when it pays, else _scanner's function.
+        Measured at n = 5 on a 2-core x86-64, a table entry costs about
+        25 ns (its s passes included); a point is still priced at the 1 us
+        plus 100 ns a term that the terms dict this replaced took to
+        evaluate it, so the table is taken exactly where it was."""
         pays = 25 * (1 << len(self._bits)) <= points * (1000 + 100 * len(self))
         # None on wide supports and huge coefficients
         table = self.value_table() if pays and self.ground.edge_count < 64 else None
-        return self._scan if table is None else lambda x: table[self._bits.compress_array(x)]
+        return self._scanner() if table is None else lambda x: table[self._bits.compress_array(x)]
 
     def value_table(self) -> np.ndarray | None:
         """Values at all 2^s assignments of the s support edges, by one zeta

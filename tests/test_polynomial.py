@@ -374,13 +374,17 @@ def test_scan_matches_reference_evaluate():
     polys += [
         MultilinearPolynomial(g4, {1: 2**31 - 1, 0b110: 2**31 - 1, 1 << 15: -5}),  # past int32
         MultilinearPolynomial(g2, {1: 2**62, 2: 2**62, 4: -1}),  # int64 terms, sums past it
+        MultilinearPolynomial(g2, {1: 2**61 - 1, 2: 1 - 2**61}),  # int64 sums, just inside
         MultilinearPolynomial(g2, {0b101: 2**70, 1: -3}),  # an object coefficient
         MultilinearPolynomial(g2, {0: 1}),
         MultilinearPolynomial(g2, {}),
         MultilinearPolynomial(g8, _random_terms(rng, rng.sample(range(64), 20), 50)),
         MultilinearPolynomial(g9, _random_terms(rng, rng.sample(range(81), 30), 80)),
     ]
-    assert polys[5]._coeffs.dtype == np.int64 and polys[6]._coeffs.dtype == object
+    assert polys[5]._coeffs.dtype == np.int64 and polys[7]._coeffs.dtype == object
+    # int64 sums while the largest |coefficient| times the terms is below 2^62
+    kinds = [p._scanner()(np.zeros(1, dtype=np.int64)).dtype for p in polys[4:8]]
+    assert kinds == [np.int64, object, np.int64, object]
     for poly in polys:
         width = poly.ground.edge_count
         terms = poly.terms
@@ -389,9 +393,9 @@ def test_scan_matches_reference_evaluate():
         points = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(200))]
         points += [m | rng.getrandbits(width) for m in list(terms)[:100]]
         want = [reference_evaluate(terms, m) for m in points]
-        assert poly._scan(np.array(points, dtype=object)).tolist() == want
+        assert poly._scanner()(np.array(points, dtype=object)).tolist() == want
         if width < 64:
-            assert poly._scan(np.array(points, dtype=np.int64)).tolist() == want
+            assert poly._scanner()(np.array(points, dtype=np.int64)).tolist() == want
         assert [poly.evaluate(m) for m in points[:20]] == want[:20]
     # the 302 points of n = 4 run in blocks of 2^18 // 7443 = 35
     assert _SCAN_CELLS // len(polys[3]) == 35
