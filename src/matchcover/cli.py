@@ -48,14 +48,13 @@ from .matching import (
     support_union,
 )
 from .polynomial import (
-    EDGE_CAP,
     MultilinearPolynomial,
     _multiply_blocks,
     _split,
     min_weight_pm_polynomial,
     pm_polynomial,
 )
-from .subsets import canonical_order
+from .subsets import DENSE_BIT_CAP, canonical_order
 
 # The lattice of K_{4,4}, the largest one built: its down- and up-masks take
 # N^2 bits each (7 MB apiece at this N), and the Eulerian check counts an
@@ -126,13 +125,14 @@ def _note(args, msg: str) -> None:
 
 
 def _cap(args, width: int, what: str) -> None:
-    """Refuse exhaustive work over more than EDGE_CAP edges: the ground's
-    edges for exhaustive and unweighted verification and in complete mode,
-    or the widest block of a support for work done block by block. Callers
-    compute the width before building anything of that size."""
-    if width > EDGE_CAP and not args.unsafe_caps:
+    """Refuse exhaustive work over more than DENSE_BIT_CAP edges, the widest
+    table of all subsets that a run builds: the ground's edges for
+    exhaustive and unweighted verification and in complete mode, or the
+    widest block of a support for work done block by block. Callers compute
+    the width before building anything of that size."""
+    if width > DENSE_BIT_CAP and not args.unsafe_caps:
         raise CapExceededError(
-            f"{what} is capped at {EDGE_CAP} support edges, this one has {width}"
+            f"{what} is capped at {DENSE_BIT_CAP} support edges, this one has {width}"
             " (override with --unsafe-caps)"
         )
 

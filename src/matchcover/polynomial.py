@@ -7,10 +7,13 @@ inclusion-exclusion coefficients of the covered-set lattice (general
 families), from the cyclomatic-number sign rule (perfect-matching families,
 weighted or not, whose narrow supports take the Mobius transform of their
 membership table instead; a support is split into its blocks and the
-blocks' polynomials multiplied), and from an exhaustive truth-table
-transform that serves as the independent oracle at small sizes. Every route ends in the
-same arrays (support edges, compressed monomials in canonical order,
-coefficients), which the text and JSON writers format a chunk at a time.
+blocks' polynomials multiplied), and from the Mobius transform of a truth
+table that an oracle fills, an array of edge masks at a time: the
+independent check on grounds of up to DENSE_BIT_CAP edges, K_{5,5} among
+them. Every route ends in the same arrays (support edges, compressed
+monomials in canonical order, coefficients), which the text and JSON
+writers format a chunk at a time; both Mobius routes reach them through
+one helper, which reads the nonzero entries of the table.
 """
 
 from __future__ import annotations
@@ -52,10 +55,8 @@ from .subsets import (
     dense_fits,
 )
 
-# Widest edge set that exhaustive work (2^E assignments, or the covered
-# graphs of a support of E edges) takes unless told otherwise: the 16 edges
-# of K_{4,4}. truth_table_transform and every CLI cap but the lattice's use it.
-EDGE_CAP = 16
+# Assignments per call of a truth-table oracle: 2^16 int64 masks, 512 KB.
+_ORACLE_CHUNK = 1 << 16
 # Support-edge slots formatted per chunk of the writers: a chunk takes
 # 2^14 // s terms of a polynomial on s support edges, so it formats at most
 # about 2^14 edge names, however wide the monomials are.
@@ -348,28 +349,45 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
     bits = SupportBits(members)
     if not dense_fits(len(bits), len(members)):
         return _sign_rule_polynomial(F)
-    # the membership table is 0/1, so both passes run on its own bytes. The
-    # Mobius pass wraps, so each byte ends as its coefficient mod 2^8; by
-    # the sign rule every coefficient is -1, 0 or 1, so the residues read
-    # as int8 are the coefficients themselves.
-    table = np.zeros(1 << len(bits), dtype=np.uint8)
-    table[_row_keys(bits.rows(members))] = 1
-    _subset_transform(table, "|")
-    _subset_transform(table, "+", inverse=True)
-    # every covered graph has a nonzero coefficient, the union of all
-    # members too, so the rows span the whole support
-    masks = np.flatnonzero(table)
-    coeffs = table[masks]
-    del table  # the sort below needs the room
-    signs = (coeffs == 1) | (coeffs == 255)
-    if not signs.all():
-        bad = int(coeffs[~signs][0])
+
+    def mobius_residues() -> np.ndarray:
+        # the membership table is 0/1, so both passes run on its own bytes.
+        # The Mobius pass wraps, so each byte ends as its coefficient mod 2^8
+        table = np.zeros(1 << len(bits), dtype=np.uint8)
+        table[_row_keys(bits.rows(members))] = 1
+        _subset_transform(table, "|")
+        return _subset_transform(table, "+", inverse=True).view(np.int8)
+
+    # by the sign rule every coefficient is -1, 0 or 1, so the residues read
+    # as int8 are the coefficients themselves
+    poly = _table_polynomial(F.ground, bits, mobius_residues)
+    bad = poly._coeffs.view(np.uint8)[(poly._coeffs < -1) | (poly._coeffs > 1)]
+    if len(bad):
         raise RuntimeError(
-            f"Mobius residue {bad} mod 2^8 is no sign: the family is not one of perfect matchings"
+            f"Mobius residue {bad[0]} mod 2^8 is no sign: the family is not one of perfect matchings"
         )
-    return MultilinearPolynomial._from_rows(
-        F.ground, bits, byte_rows(masks, len(bits)), coeffs.view(np.int8)
-    )
+    return poly
+
+
+def _table_polynomial(
+    ground: GroundGraph, bits: SupportBits, mobius_table: Callable[[], np.ndarray]
+) -> MultilinearPolynomial:
+    """The polynomial whose coefficients are the nonzero entries of the
+    table that mobius_table() returns, indexed by masks on the support bits;
+    a support bit that no monomial touches is dropped. The table is built
+    here and held nowhere else, so it and its mask of nonzero entries are
+    freed before the sort, which needs the room."""
+    table = mobius_table()
+    nonzero = table != 0
+    coeffs = table[nonzero]
+    del table
+    masks = np.flatnonzero(nonzero)
+    del nonzero
+    narrow = SupportBits([int(np.bitwise_or.reduce(masks, initial=0))])
+    if len(narrow) < len(bits):
+        masks = narrow.compress_array(masks)
+        bits = SupportBits([sum(1 << bits.ids[k] for k in narrow.ids)])
+    return MultilinearPolynomial._from_rows(ground, bits, byte_rows(masks, len(bits)), coeffs)
 
 
 def pm_polynomial(n: int) -> MultilinearPolynomial:
@@ -446,24 +464,33 @@ def _multiply_blocks(
 
 
 def truth_table_transform(
-    oracle: Callable[[Graph], int], ground: GroundGraph
+    oracle: Callable[[np.ndarray], np.ndarray], ground: GroundGraph
 ) -> MultilinearPolynomial:
-    """The unique multilinear polynomial agreeing with the oracle on all 0/1
-    assignments, by the in-place subset Mobius transform over all 2^m points.
+    """The unique multilinear polynomial agreeing with a Boolean function on
+    all 0/1 assignments, by the subset Mobius transform of its truth table.
 
-    Exhaustive by construction; refuses grounds wider than EDGE_CAP.
+    oracle maps an int64 array of edge masks of the ground to an array of
+    their values, each 0 or 1 (bools too); it is called on the masks in
+    order, _ORACLE_CHUNK at a time, and any other answer is refused.
+    Exhaustive by construction, so grounds wider than DENSE_BIT_CAP are
+    refused before any table exists. Every coefficient of a Boolean function
+    on m edges is at most 2^m in absolute value, so the int32 table holds
+    each one exactly.
     """
     m = ground.edge_count
-    if m > EDGE_CAP:
+    if m > DENSE_BIT_CAP:
         raise CapExceededError(
-            f"{ground.header()} has {m} edge bits, transform cap is {EDGE_CAP}"
+            f"{ground.header()} has {m} edge bits, transform cap is {DENSE_BIT_CAP}"
         )
-    size = 1 << m
-    table = np.fromiter(
-        (oracle(Graph(ground, mask)) for mask in range(size)),
-        dtype=np.int64,
-        count=size,
-    )
-    _subset_transform(table, "+", inverse=True)
-    masks = np.flatnonzero(table)
-    return MultilinearPolynomial(ground, dict(zip(masks.tolist(), table[masks].tolist())))
+
+    def mobius_table() -> np.ndarray:
+        table = np.empty(1 << m, dtype=np.int32)
+        for lo in range(0, len(table), _ORACLE_CHUNK):
+            masks = np.arange(lo, min(lo + _ORACLE_CHUNK, len(table)), dtype=np.int64)
+            values = np.asarray(oracle(masks))
+            if values.shape != masks.shape or not ((values == 0) | (values == 1)).all():
+                raise InputError(f"the oracle must answer 0 or 1 for each of {len(masks)} masks")
+            table[lo : lo + len(masks)] = values
+        return _subset_transform(table, "+", inverse=True)
+
+    return _table_polynomial(ground, SupportBits([(1 << m) - 1]), mobius_table)

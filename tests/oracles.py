@@ -13,7 +13,8 @@ the library's strided, cache-blocked kernel, and a block's perfect
 matchings listed over the whole ground, the other rows padded with one
 fixed perfect matching, instead of on the block's own vertices, and a
 polynomial's values summed over its terms dict instead of scanned from its
-byte rows.
+byte rows. A test of one Graph at a time becomes an oracle over arrays of
+edge masks, as truth_table_transform takes, through graph_oracle.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's certificate, blocked masks, level-wise Mobius numbers and
@@ -264,6 +265,12 @@ def min_weight_family(ground, w):
         key=lambda g: (g.edge_count, tuple(g.edge_ids())),
     )
     return Family(ground, graphs)
+
+
+def graph_oracle(ground, test):
+    """The array oracle of a test of one Graph: test(Graph(ground, m)) at
+    each mask m of an int64 array, as an array."""
+    return lambda masks: np.array([test(Graph(ground, m)) for m in masks.tolist()])
 
 
 def reference_evaluate(terms, mask):

@@ -419,9 +419,9 @@ def test_verify_rejects_bad_samples(capsys):
 
 
 def test_verify_caps(capsys):
-    code, _, err = run(capsys, "verify", "--n", "5", "--exhaustive")
+    code, _, err = run(capsys, "verify", "--n", "6", "--exhaustive")
     assert code == 2 and "capped" in err
-    code, _, err = run(capsys, "verify", "--n", "5")
+    code, _, err = run(capsys, "verify", "--n", "6")
     assert code == 2 and "capped" in err
 
 
@@ -517,7 +517,7 @@ def test_lattice_caps_and_validation(capsys):
     assert code == 2 and "even" in err
     code, _, err = run(capsys, "lattice", "--mode", "complete", "--n", "8")
     assert code == 2 and "capped" in err
-    code, _, err = run(capsys, "lattice", "--mode", "bipartite", "--n", "5")
+    code, _, err = run(capsys, "lattice", "--mode", "bipartite", "--n", "6")
     assert code == 2 and "capped" in err
     code, _, err = run(capsys, "lattice", "--mode", "complete", "--n", "4", "--weights", "x")
     assert code == 2
@@ -560,14 +560,14 @@ def test_count_covered(capsys, tmp_path):
     code, out, _ = run(capsys, "count-covered", "--n", "2", "--weights", str(wfile))
     assert code == 0
     assert out == "count: 1\nparity: odd\n"
-    code, _, err = run(capsys, "count-covered", "--n", "5")
+    code, _, err = run(capsys, "count-covered", "--n", "6")
     assert code == 2 and "capped" in err
 
 
 def test_count_covered_n5(capsys):
-    # the dense closure over all 25 edges of K_{5,5}: the faces of B_5
+    # the dense closure over all 25 edges of K_{5,5}, the cap: the faces of B_5
     out = "count: 6092721\nparity: odd\n"
-    assert run(capsys, "count-covered", "--n", "5", "--unsafe-caps") == (0, out, "")
+    assert run(capsys, "count-covered", "--n", "5") == (0, out, "")
 
 
 def _weight_file(path, n, weight):
@@ -584,13 +584,11 @@ def test_weighted_caps_follow_the_support(tmp_path, capsys):
     assert code == 0 and out == "count: 1\nparity: odd\n"
     code, out, _ = run(capsys, "lattice", "--n", "5", "--weights", diag)
     assert code == 0 and out.startswith("elements: 2\nis-lattice: true\n")
-    # all 25 edges are optimal: refused before anything is enumerated
-    flat = _weight_file(tmp_path / "flat.txt", 5, lambda i, j: 7)
+    # all 36 edges are optimal: refused before anything is enumerated
+    flat = _weight_file(tmp_path / "flat.txt", 6, lambda i, j: 7)
     for cmd in ("count-covered", "lattice"):
-        code, out, err = run(capsys, cmd, "--n", "5", "--weights", flat)
-        assert code == 2 and out == "" and "capped at 16 support edges" in err
-    code, _, err = run(capsys, "lattice", "--n", "5")
-    assert code == 2 and "capped" in err
+        code, out, err = run(capsys, cmd, "--n", "6", "--weights", flat)
+        assert code == 2 and out == "" and "capped at 25 support edges" in err
 
 
 def _zero_blocks(path, *sizes):
@@ -601,49 +599,54 @@ def _zero_blocks(path, *sizes):
 
 
 def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
-    # weighted count-covered and lattice cap each block of G_w: blocks of
-    # 2, 2, 2, 2 leave a 16-edge support, blocks of 3, 2, 2 a 17-edge one
-    # whose widest block has 9 edges
+    # weighted count-covered and lattice cap each block of G_w, not its
+    # support: zero blocks 4, 4 leave a 32-edge support whose widest block
+    # has 16 edges, seven blocks of 2 a 28-edge one of 4-edge blocks
     code, out, _ = run(capsys, "count-covered", "--n", "8", "--weights",
-                       _zero_blocks(tmp_path / "8.txt", 2, 2, 2, 2))
-    assert code == 0 and out == "count: 81\nparity: odd\n"
-    wide = _zero_blocks(tmp_path / "7.txt", 3, 2, 2)
-    assert run(capsys, "count-covered", "--n", "7", "--weights", wide) == (
-        0, "count: 441\nparity: odd\n", "")
-    code, out, _ = run(capsys, "lattice", "--n", "7", "--weights", wide)
-    assert code == 0 and out.startswith("elements: 442\n")
-    # one block: the 16 edges of K_{4,4} pass, an elementary 17-edge graph
-    # on K_{5,5} (rows i ~ columns i, i+1, i+2 mod 5, and two chords) does not
-    code, out, _ = run(capsys, "count-covered", "--n", "4", "--weights",
-                       _zero_blocks(tmp_path / "4.txt", 4))
-    assert code == 0 and out == "count: 7443\nparity: odd\n"
-    zeros = {(i, (i + d) % 5) for i in range(5) for d in range(3)} | {(0, 3), (1, 4)}
-    block = _weight_file(tmp_path / "5.txt", 5, lambda i, j: int((i - 1, j - 1) not in zeros))
+                       _zero_blocks(tmp_path / "8.txt", 4, 4))
+    assert code == 0 and out == "count: 55398249\nparity: odd\n"
+    wide = _zero_blocks(tmp_path / "14.txt", *[2] * 7)
+    assert run(capsys, "count-covered", "--n", "14", "--weights", wide) == (
+        0, "count: 2187\nparity: odd\n", "")
+    code, out, _ = run(capsys, "lattice", "--n", "14", "--weights", wide)
+    assert code == 0 and out.startswith("elements: 2188\n")
+    # one block: the 25 edges of a zero K_{5,5} pass, a Hamilton cycle on
+    # rows and columns 1..13 of K_{13,13} (26 edges, two matchings) does not
+    code, out, _ = run(capsys, "count-covered", "--n", "5", "--weights",
+                       _zero_blocks(tmp_path / "5.txt", 5))
+    assert code == 0 and out == "count: 6092721\nparity: odd\n"
+    cycle = {(i, i) for i in range(1, 14)} | {(i, i % 13 + 1) for i in range(1, 14)}
+    block = _weight_file(tmp_path / "13.txt", 13, lambda i, j: int((i, j) not in cycle))
     for cmd in ("count-covered", "lattice"):
-        message = (f"error: a {cmd} block is capped at 16 support edges, this one"
-                   " has 17 (override with --unsafe-caps)\n")
-        assert run(capsys, cmd, "--n", "5", "--weights", block) == (2, "", message)
-    code, out, _ = run(capsys, "count-covered", "--n", "5", "--weights", block, "--unsafe-caps")
-    assert code == 0 and out.endswith("parity: odd\n")
-    # unweighted runs: K_{5,5} has 25 edges, K_8 28
+        message = (f"error: a {cmd} block is capped at 25 support edges, this one"
+                   " has 26 (override with --unsafe-caps)\n")
+        assert run(capsys, cmd, "--n", "13", "--weights", block) == (2, "", message)
+    assert run(capsys, "count-covered", "--n", "13", "--weights", block, "--unsafe-caps") == (
+        0, "count: 3\nparity: odd\n", "")
+    # unweighted runs: K_{6,6} has 36 edges, K_8 28
     for argv, what, width in [
-        (["count-covered", "--n", "5"], "count-covered", 25),
-        (["lattice", "--n", "5"], "a bipartite lattice", 25),
-        (["verify", "--n", "5"], "unweighted verification", 25),
-        (["verify", "--n", "5", "--exhaustive"], "exhaustive verification", 25),
+        (["count-covered", "--n", "6"], "count-covered", 36),
+        (["lattice", "--n", "6"], "a bipartite lattice", 36),
+        (["verify", "--n", "6"], "unweighted verification", 36),
+        (["verify", "--n", "6", "--exhaustive"], "exhaustive verification", 36),
         (["lattice", "--mode", "complete", "--n", "8"], "complete mode", 28),
     ]:
         assert run(capsys, *argv) == (
-            2, "", f"error: {what} is capped at 16 support edges, this one has {width}"
+            2, "", f"error: {what} is capped at 25 support edges, this one has {width}"
             " (override with --unsafe-caps)\n"
         )
+    # K_{5,5} passes the width cap, and its lattice is refused by the element
+    # cap once the 6,092,721 covered graphs are counted
+    assert run(capsys, "lattice", "--n", "5") == (
+        2, "", "error: lattices are capped at 7444 elements, this one has 6092722"
+        " (override with --unsafe-caps)\n")
 
 
 def test_unweighted_cap_comes_before_the_ground(capsys):
     # K_{100000,100000} has 10^10 edges: refused from --n alone, -v or not,
     # before a mask or ground of that width is built
     start = time.perf_counter()
-    message = ("error: count-covered is capped at 16 support edges, this one has"
+    message = ("error: count-covered is capped at 25 support edges, this one has"
                " 10000000000 (override with --unsafe-caps)\n")
     assert run(capsys, "count-covered", "--n", "100000") == (2, "", message)
     assert run(capsys, "count-covered", "--n", "100000", "-v") == (
@@ -958,7 +961,7 @@ def test_mismatched_inputs_are_refused_before_the_n_ground(tmp_path, capsys):
         (["verify", "--n", "2", "--check-file", str(pfile)],
          "error: polynomial ground bipartite 3000 does not match bipartite 2\n"),
         (["verify", "--n", "3000"],
-         "error: unweighted verification is capped at 16 support edges, this one has"
+         "error: unweighted verification is capped at 25 support edges, this one has"
          " 9000000 (override with --unsafe-caps)\n"),
     ]
     for argv, message in runs:

@@ -29,6 +29,7 @@ from oracles import (
     brute_min_weight,
     brute_min_weight_forced,
     canonical_key,
+    graph_oracle,
     is_covered,
     random_int_weights,
 )
@@ -179,9 +180,9 @@ def test_coefficient_query_examples():
     full = g.full_graph()
     assert coefficient_query(full) == -1
     oracle_poly = truth_table_transform(
-        lambda G: int(
+        graph_oracle(g, lambda G: int(
             any(m.edges & ~G.edges == 0 for m in enumerate_perfect_matchings(full))
-        ),
+        )),
         g,
     )
     assert oracle_poly.coefficient(full) == -1

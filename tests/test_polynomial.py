@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import time
 import tracemalloc
 from math import prod
 
@@ -30,9 +31,11 @@ from matchcover import (
     truth_table_transform,
 )
 from matchcover import polynomial
+from matchcover.matching import _has_perfect_matchings
 from matchcover.polynomial import _SCAN_CELLS, _pm_family_polynomial, _sign_rule_polynomial
 from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, _row_keys, _subset_transform
 from oracles import (
+    graph_oracle,
     ground_pairs,
     padded_block_families,
     pattern_weights,
@@ -59,7 +62,7 @@ def test_membership_oracle():
 
 def test_transform_constant_one():
     g = bipartite_ground(1)
-    poly = truth_table_transform(lambda G: 1, g)
+    poly = truth_table_transform(lambda masks: np.ones(len(masks), dtype=bool), g)
     assert poly.terms == {0: 1}
 
 
@@ -69,16 +72,50 @@ def test_transform_or_of_two_bits():
     e_b = g.edge_index(2, 2)
     bits = (1 << e_a) | (1 << e_b)
 
-    poly = truth_table_transform(lambda G: int(bool(G.edges & bits)), g)
+    poly = truth_table_transform(lambda masks: (masks & bits) != 0, g)
     assert poly.terms == {1 << e_a: 1, 1 << e_b: 1, bits: -1}
 
 
 def test_transform_cap():
-    with pytest.raises(CapExceededError):
-        truth_table_transform(lambda G: 0, bipartite_ground(5))
-    # the 16 edges of K_{4,4} are the cap and pass
-    poly = truth_table_transform(lambda G: 1, bipartite_ground(4))
-    assert poly.terms == {0: 1}
+    # the 36 edges of K_{6,6} are past the cap of 25: refused before any
+    # table exists or the oracle is asked. The 25 edges of K_{5,5} pass
+    # (test_truth_table_of_k55_is_pm_polynomial_5).
+    def refuse(masks):
+        raise AssertionError("the oracle was asked")
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="36 edge bits, transform cap is 25"):
+            truth_table_transform(refuse, bipartite_ground(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1
+    assert peak < 1 << 20, peak
+
+
+def test_transform_refuses_an_answer_of_the_wrong_length():
+    g = bipartite_ground(2)
+    for answer in (lambda masks: np.ones(len(masks) - 1, dtype=bool), lambda masks: 1):
+        with pytest.raises(InputError, match="0 or 1 for each of 16 masks"):
+            truth_table_transform(answer, g)
+
+
+def test_transform_refuses_an_answer_that_is_not_0_or_1():
+    g = bipartite_ground(2)
+    for bad in (2, -1, 0.5, np.nan):
+        def answer(masks):
+            values = (masks & 1).astype(object)
+            values[5] = bad
+            return values
+
+        with pytest.raises(InputError, match="0 or 1 for each of 16 masks"):
+            truth_table_transform(answer, g)
+    # bools and 0/1 of any dtype pass
+    for dtype in (bool, np.int8, np.float64, object):
+        poly = truth_table_transform(lambda masks: (masks & 1).astype(dtype), g)
+        assert poly.terms == {1: 1}
 
 
 def test_pm_polynomial_small():
@@ -100,7 +137,7 @@ def test_construction_triangle():
         fam = enumerate_perfect_matchings(g.full_graph())
         direct = pm_polynomial(n)
         via_mobius = membership_polynomial_general(fam)
-        via_table = truth_table_transform(lambda G: membership_oracle(fam, G), g)
+        via_table = truth_table_transform(graph_oracle(g, lambda G: membership_oracle(fam, G)), g)
         assert direct == via_mobius == via_table
 
 
@@ -135,7 +172,7 @@ def test_k6_witness_family_top_monomial_vanishes():
     assert poly.coefficient(witness) == 0
     assert witness.edges not in poly.terms
     # the exhaustive transform over all 2^15 assignments agrees term for term
-    table = truth_table_transform(lambda G: membership_oracle(fam, G), k6)
+    table = truth_table_transform(graph_oracle(k6, lambda G: membership_oracle(fam, G)), k6)
     assert table == poly
 
 
@@ -177,7 +214,7 @@ def test_transform_monomials_are_covered_graphs():
             families.append(enumerate_min_weight_pms(random_int_weights(rng, g)))
         for fam in families:
             cov = covered_closure(fam)
-            table = truth_table_transform(lambda G: membership_oracle(fam, G), g)
+            table = truth_table_transform(graph_oracle(g, lambda G: membership_oracle(fam, G)), g)
             for mask in table.terms:
                 assert Graph(g, mask) in cov
 
@@ -555,7 +592,13 @@ def test_writers_by_support_width_match_one_chunk(monkeypatch):
     assert [w[0] for w in written[4:]] == [p.to_text() for p in polys]
 
 
-def test_pm_polynomial_5_text():
+@pytest.fixture(scope="module")
+def pm5():
+    """pm_polynomial(5), built once for the tests that read it."""
+    return pm_polynomial(5)
+
+
+def test_pm_polynomial_5_text(pm5):
     # the dense route at its widest, 25 edges: the text hashed as it streams
     class Sink:
         def __init__(self):
@@ -567,7 +610,7 @@ def test_pm_polynomial_5_text():
             self.signs += chunk.count("+") - chunk.count("-")
 
     sink = Sink()
-    poly = pm_polynomial(5)
+    poly = pm5
     poly.to_text(sink)
     assert sink.md5.hexdigest() == "1ec0e1931b414f4c36a80002f2862d58"
     # one term per face of the Birkhoff polytope B_5, signed (-1)^dim, every
@@ -585,6 +628,14 @@ def test_pm_polynomial_5_text():
     # chi(K_{5,5}) = 25 - 10 + 1 = 16; a matching is a vertex, chi = 0
     assert found == [1, 0, 0, 0, 1]
     assert peak < 1 << 20, peak
+
+
+def test_truth_table_of_k55_is_pm_polynomial_5(pm5):
+    # the exhaustive route at the cap, 25 edges: the Mobius transform of the
+    # row DP's answers at all 2^25 subgraphs of K_{5,5}, which lists no
+    # matching and runs no OR pass, against the dense route of B_5
+    table = truth_table_transform(lambda masks: _has_perfect_matchings(masks, 5), bipartite_ground(5))
+    assert table == pm5
 
 
 def test_coefficient_searches_the_rows(refuse_terms):
