@@ -7,7 +7,7 @@ error (any other exception, such as running out of memory). Input is
 checked and results are computed before any output is written; an output
 file is written under a temporary name next to it and renamed over it once
 it is complete, so no error leaves a partial file. stdout gets long outputs
-(polynomials, lattice JSON) chunk by chunk as they are formatted.
+(polynomials, lattice JSON and DOT) chunk by chunk as they are formatted.
 """
 
 from __future__ import annotations
@@ -119,6 +119,13 @@ def _is_stdout(st: os.stat_result) -> bool:
         return False
 
 
+def _report(args, data: dict, text: str, code: int = 0) -> int:
+    """Write a short result, as the JSON of data or as text, and return the
+    exit code."""
+    _write_output(args, (json.dumps(data) if args.format == "json" else text) + "\n")
+    return code
+
+
 def _note(args, msg: str) -> None:
     if args.verbose:
         print(msg, file=sys.stderr)
@@ -158,10 +165,13 @@ def _load_graph(path: str, ground: GroundGraph) -> Graph:
         return parse_graph(fh.read(), ground)
 
 
-def _support(args, weights, what=None, note=False) -> tuple[Graph, int, Iterator[Family]]:
-    """The support of a bipartite run, K_{n,n} or G_w under weights, split
-    by _split. With note, -v names its width and its blocks' row counts.
-    With what, the widest block is capped before any matching is listed:
+def _support(
+    args, weights, what=None, note=False
+) -> tuple[Graph, int, list[tuple[int, int]], Iterator[Family]]:
+    """The support of a bipartite run, K_{n,n} or G_w under weights, and
+    _split's forced edges, blocks and families of it. With note, -v names
+    its width and its blocks' row counts. With what, the widest block is
+    capped before any matching is listed:
     K_{n,n}, one block, as what, from --n before its n^2-bit mask is built;
     a block of G_w as a block of the subcommand."""
     if weights is None:
@@ -183,7 +193,27 @@ def _support(args, weights, what=None, note=False) -> tuple[Graph, int, Iterator
     elif what:
         widest = max((edges.bit_count() for _, edges in blocks), default=1)
         _cap(args, widest, f"a {args.command} block")
-    return support, forced, families
+    return support, forced, blocks, families
+
+
+def _element_bound(blocks: list[tuple[int, int]]) -> int:
+    """A lower bound on the elements of the lattice of a support with these
+    (row count, edge mask) blocks, besides its forced edges: a block of r
+    rows and e edges is a face of B_r of dimension d = e - 2r + 1, whose
+    covered graphs are its nonempty faces, and a d-polytope has at least as
+    many of those as the d-simplex, 2^(d+1) - 1 (Grunbaum, Convex Polytopes,
+    ch. 10). The covered graphs multiply over blocks; the bottom adds one."""
+    return prod((1 << edges.bit_count() - 2 * rows + 2) - 1 for rows, edges in blocks) + 1
+
+
+def _cap_elements(args, count: int, least: str = "") -> None:
+    """Refuse a lattice of count elements, or of at least count, past
+    LATTICE_ELEMENT_CAP."""
+    if count > LATTICE_ELEMENT_CAP and not args.unsafe_caps:
+        raise CapExceededError(
+            f"lattices are capped at {LATTICE_ELEMENT_CAP} elements, this one has"
+            f" {least}{count} (override with --unsafe-caps)"
+        )
 
 
 def _parity(count: int) -> str:
@@ -209,11 +239,7 @@ def cmd_coeff(args) -> int:
     ground = bipartite_ground(args.n) if weights is None else weights.ground
     graph = _load_graph(args.graph, ground)
     coeff = coefficient_query(graph, weights)
-    if args.format == "json":
-        _write_output(args, json.dumps({"coefficient": coeff}) + "\n")
-    else:
-        _write_output(args, (f"{coeff:+d}" if coeff else "0") + "\n")
-    return 0
+    return _report(args, {"coefficient": coeff}, f"{coeff:+d}" if coeff else "0")
 
 
 def cmd_verify(args) -> int:
@@ -231,6 +257,7 @@ def cmd_verify(args) -> int:
     elif weights is None:
         poly = pm_polynomial(args.n)
     else:
+        _support(args, weights, "verification")
         poly = min_weight_pm_polynomial(weights)
     ground = poly.ground
     _note(args, f"polynomial has {len(poly)} terms")
@@ -267,26 +294,13 @@ def cmd_verify(args) -> int:
             k = bad[0]
             mask, got, want = int(points[k]), int(got[k]), int(want[k])
             witness = edge_list_str(Graph(ground, mask))
-            if args.format == "json":
-                report = {
-                    "ok": False,
-                    "assignment": witness,
-                    "polynomial": got,
-                    "oracle": want,
-                }
-                _write_output(args, json.dumps(report) + "\n")
-            else:
-                _write_output(
-                    args,
-                    f"MISMATCH at assignment {witness}:"
-                    f" polynomial {got}, oracle {want}\n",
-                )
-            return 1
-    if args.format == "json":
-        _write_output(args, json.dumps({"ok": True, "checked": total}) + "\n")
-    else:
-        _write_output(args, f"verified {total} assignments: OK\n")
-    return 0
+            return _report(
+                args,
+                {"ok": False, "assignment": witness, "polynomial": got, "oracle": want},
+                f"MISMATCH at assignment {witness}: polynomial {got}, oracle {want}",
+                1,
+            )
+    return _report(args, {"ok": True, "checked": total}, f"verified {total} assignments: OK")
 
 
 def cmd_lattice(args) -> int:
@@ -305,7 +319,9 @@ def cmd_lattice(args) -> int:
         support = complete_ground(args.n).full_graph()
         forced, families = 0, [enumerate_perfect_matchings(support)]
     else:
-        support, forced, families = _support(args, _load_weights(args), "a bipartite lattice")
+        support, forced, blocks, families = _support(args, _load_weights(args), "a bipartite lattice")
+        if not args.unsafe_caps:  # refused from a bound before any matching is listed
+            _cap_elements(args, _element_bound(blocks), "at least ")
         families = list(families)
     ground = support.ground
 
@@ -314,21 +330,14 @@ def cmd_lattice(args) -> int:
     covers = [covered_closure(family) for family in families]
     count = prod(map(len, covers))
     _note(args, f"covered set has {count} graphs")
-    if count + 1 > LATTICE_ELEMENT_CAP and not args.unsafe_caps:
-        raise CapExceededError(
-            f"lattices are capped at {LATTICE_ELEMENT_CAP} elements, this one has"
-            f" {count + 1} (override with --unsafe-caps)"
-        )
+    _cap_elements(args, count + 1)
     if forced or len(covers) > 1:
         bits, rows, _ = _multiply_blocks(support, forced, [(c.bits, c.rows, None) for c in covers])
         covers = [CoveredSet(ground, bits, np.take(rows, canonical_order(rows), axis=0))]
     lat = build_lattice(covers[0])
 
-    if args.format == "dot":
-        _write_output(args, lat.to_dot())
-        return 0
-    if args.format == "json":
-        _stream_output(args, lat.to_json)
+    if args.format != "text":
+        _stream_output(args, lat.to_json if args.format == "json" else lat.to_dot)
         return 0
 
     lines = [f"elements: {len(lat)}"]
@@ -377,15 +386,11 @@ def cmd_lattice(args) -> int:
 
 def cmd_count_covered(args) -> int:
     """The covered count is the product of the blocks' counts."""
-    _, _, families = _support(args, _load_weights(args), "count-covered", note=True)
+    _, _, _, families = _support(args, _load_weights(args), "count-covered", note=True)
     count = prod(len(covered_closure(family)) for family in families)
-    if args.format == "json":
-        _write_output(
-            args, json.dumps({"count": count, "parity": _parity(count)}) + "\n"
-        )
-    else:
-        _write_output(args, f"count: {count}\nparity: {_parity(count)}\n")
-    return 0 if count % 2 else 1
+    parity = _parity(count)
+    return _report(args, {"count": count, "parity": parity},
+                   f"count: {count}\nparity: {parity}", 0 if count % 2 else 1)
 
 
 # ---------------------------------------------------------------------------

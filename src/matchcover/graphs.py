@@ -10,7 +10,7 @@ hashing, union, and subset tests are single integer operations. Vertices are
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
 
@@ -379,6 +379,21 @@ def _write_chunks(chunks: Iterable[str], file=None) -> str | int:
         file.write(chunk)
         total += len(chunk)
     return _Written(total)
+
+
+def _joined(
+    count: int, items: Callable[[int, int], list[str]], step: int,
+    sep: str, first: str, last: str, empty: str,
+) -> Iterator[str]:
+    """count items joined by sep, one string per chunk of step items: the
+    first chunk opened by first, each later one by sep, the final one closed
+    by last; empty alone when count is 0. items(lo, hi) encodes items lo to
+    hi - 1."""
+    if not count:
+        yield empty
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        yield (sep if lo else first) + sep.join(items(lo, hi)) + (last if hi == count else "")
 
 
 def edge_list_str(G: Graph) -> str:

@@ -20,9 +20,10 @@ directly. The whole-lattice passes work on arrays:
   already known (exact at any magnitude);
 - the Eulerian check counts the even- and odd-ranked elements of the
   intervals of even length in batches of packed up-row / down-row pairs;
-- the JSON and DOT exports write their text directly, a chunk of items at a
-  time, with each element's edges named by SupportBits.namer, as the
-  polynomial writers name their monomials.
+- the JSON and DOT exports write their text directly, their lists laid out
+  a chunk of items at a time by graphs._joined and written to a file as
+  each chunk is made, with each element's edges named by SupportBits.namer:
+  the polynomial writers take the same two steps.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .graphs import (
     Graph,
     GroundGraph,
     _iter_bits,
+    _joined,
     _write_chunks,
     edge_list_str,
 )
@@ -52,8 +54,8 @@ _BLOCK_WORDS = 1 << 18
 # Words per batch of interval tests, and per chunk of packed up-rows, in the
 # Eulerian check: small enough for the cache.
 _BATCH_WORDS = 1 << 16
-# Items per chunk of the JSON export: element lists of a few hundred
-# characters each.
+# Items per chunk of the JSON and DOT exports: element lists of a few
+# hundred characters each.
 _CHUNK_ITEMS = 1 << 10
 
 
@@ -61,19 +63,6 @@ def _pack_ints(masks: list[int], words: int) -> np.ndarray:
     """Bitmasks below 2^(64 * words) as rows of little-endian uint64 words."""
     data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
     return np.frombuffer(data, dtype=np.uint64).reshape(len(masks), words)
-
-
-def _json_array(count: int, items: Callable[[int, int], list[str]]) -> Iterator[str]:
-    """A list of count encoded items as json.dumps writes it at indent 2,
-    one level below the top object, one string per chunk of _CHUNK_ITEMS
-    items; items(lo, hi) encodes items lo to hi - 1."""
-    if not count:
-        yield "[]"
-        return
-    for lo in range(0, count, _CHUNK_ITEMS):
-        opening = ",\n    " if lo else "[\n    "
-        yield opening + ",\n    ".join(items(lo, min(count, lo + _CHUNK_ITEMS)))
-    yield "\n  ]"
 
 
 def _and_table(masks: list[int], full: int) -> list[int]:
@@ -551,26 +540,30 @@ class Lattice:
 
     # -- export ----------------------------------------------------------------------
 
-    def to_dot(self) -> str:
-        """Hasse diagram in DOT, layered by rank (edges point upward)."""
+    def to_dot(self, file=None) -> str | int:
+        """Hasse diagram in DOT, layered by rank (edges point upward).
+        Returns the text, or writes it to file chunk by chunk and returns
+        the number of characters written."""
+        return _write_chunks(self._dot_chunks(), file)
+
+    def _dot_chunks(self) -> Iterator[str]:
         ranks, _ = self._rank_data()
         nodes = np.array([f"n{k}" for k in range(len(self))], dtype=object)
-        labels = "  " + nodes + ' [label="'
-        empty = self._bits.namer(" {},{}", self.ground.edge_pair, lead=1)(self._rows, labels)
-        labels += np.array(['"];', '{}"];'], dtype=object)[empty]
+        name = self._bits.namer(" {},{}", self.ground.edge_pair, ('"];', '{}"];'))
         lower, upper = self._covers
+
+        def labels(lo: int, hi: int) -> list[str]:
+            return name(self._rows[lo:hi], "  " + nodes[lo:hi] + ' [label="').tolist()
+
+        def covers(lo: int, hi: int) -> list[str]:
+            return ("  " + nodes[lower[lo:hi]] + " -> " + nodes[upper[lo:hi]] + ";").tolist()
+
+        yield "digraph lattice {\n  rankdir=BT;\n  node [shape=box, fontsize=10];\n"
+        yield from _joined(len(self), labels, _CHUNK_ITEMS, "\n", "", "\n", "")
+        yield from _joined(len(lower), covers, _CHUNK_ITEMS, "\n", "", "\n", "")
         by_rank = np.argsort(ranks, kind="stable")
         levels = np.split(nodes[by_rank], np.flatnonzero(np.diff(np.take(ranks, by_rank))) + 1)
-        lines = [
-            "digraph lattice {",
-            "  rankdir=BT;",
-            "  node [shape=box, fontsize=10];",
-            *labels.tolist(),
-            *("  " + nodes[lower] + " -> " + nodes[upper] + ";").tolist(),
-            *(f"  {{ rank=same; {'; '.join(level)}; }}" for level in levels),
-            "}",
-        ]
-        return "\n".join(lines) + "\n"
+        yield "".join(f"  {{ rank=same; {'; '.join(level)}; }}\n" for level in levels) + "}\n"
 
     def to_json(self, file=None) -> str | int:
         """json.dumps(..., indent=2, sort_keys=True) of "covers" (index
@@ -588,31 +581,32 @@ class Lattice:
         heads = np.array([f"[\n      {k},\n      " for k in range(n)], dtype=object)
         tails = np.array([f"{k}\n    ]" for k in range(n)], dtype=object)
         name = self._bits.namer(
-            ",\n      [\n        {},\n        {}\n      ]", self.ground.edge_pair, lead=1
+            ",\n      [\n        {},\n        {}\n      ]", self.ground.edge_pair, ("\n    ]", "]")
         )
-        ends = np.array(["\n    ]", "]"], dtype=object)
+
+        def array(count: int, items: Callable[[int, int], list[str]]) -> Iterator[str]:
+            """A list as json.dumps writes it at indent 2, one level below
+            the top object."""
+            return _joined(count, items, _CHUNK_ITEMS, ",\n    ", "[\n    ", "\n  ]", "[]")
 
         def covers(lo: int, hi: int) -> list[str]:
             return (heads[lower[lo:hi]] + tails[upper[lo:hi]]).tolist()
 
         def elements(lo: int, hi: int) -> list[str]:
-            out = np.full(hi - lo, "[", dtype=object)
-            empty = name(self._rows[lo:hi], out)
-            out += ends[empty]
-            return out.tolist()
+            return name(self._rows[lo:hi], np.full(hi - lo, "[", dtype=object)).tolist()
 
         yield '{\n  "covers": '
-        yield from _json_array(len(lower), covers)
+        yield from array(len(lower), covers)
         yield ',\n  "elements": '
-        yield from _json_array(n, elements)
+        yield from array(n, elements)
         yield (
             f',\n  "graded": {"true" if violation is None else "false"},'
             f'\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
             f'\n    "size": {self.ground.size}\n  }},\n  "mobius": '
         )
-        yield from _json_array(n, lambda lo, hi: list(map(str, mobius[lo:hi])))
+        yield from array(n, lambda lo, hi: list(map(str, mobius[lo:hi])))
         yield ',\n  "ranks": '
-        yield from _json_array(n, lambda lo, hi: list(map(str, ranks[lo:hi])))
+        yield from array(n, lambda lo, hi: list(map(str, ranks[lo:hi])))
         yield "\n}\n"
 
 

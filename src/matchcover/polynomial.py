@@ -32,6 +32,7 @@ from .graphs import (
     _check_ground,
     _components,
     _iter_bits,
+    _joined,
     _mask_of_rows,
     _row_masks,
     _write_chunks,
@@ -224,15 +225,7 @@ class MultilinearPolynomial:
         return _write_chunks(self._text_chunks(), file)
 
     def _text_chunks(self) -> Iterator[str]:
-        name = self._bits.namer(" x[{},{}]", self.ground.edge_pair)
-        coefficients = _coefficient_strings(self._coeffs, "{:+d}")
-        step = self._chunk_terms()
-        for lo in range(0, len(self), step):
-            lines = coefficients(self._coeffs[lo : lo + step])
-            name(self._rows[lo : lo + step], lines)
-            yield "\n".join(lines.tolist()) + "\n"
-        if not len(self):
-            yield "\n"
+        return self._term_chunks("{:+d}", " x[{},{}]", None, "\n", "", "\n", "\n")
 
     def to_json(self, file=None) -> str | int:
         """json.dumps(..., indent=2) of "ground" and "terms" (each with its
@@ -242,23 +235,28 @@ class MultilinearPolynomial:
         return _write_chunks(self._json_chunks(), file)
 
     def _json_chunks(self) -> Iterator[str]:
-        yield (
+        head = (
             f'{{\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
             f'\n    "size": {self.ground.size}\n  }},\n  "terms": '
         )
-        # each pair after a comma, but the first of a monomial
-        name = self._bits.namer(
-            ",\n        [\n          {},\n          {}\n        ]", self.ground.edge_pair, lead=1
+        return self._term_chunks(
+            '\n    {{\n      "coeff": {},\n      "edges": [',
+            ",\n        [\n          {},\n          {}\n        ]",  # the first without its comma
+            ("\n      ]\n    }", "]\n    }"),
+            ",", head + "[", "\n  ]\n}\n", head + "[]\n}\n",
         )
-        coefficients = _coefficient_strings(self._coeffs, '\n    {{\n      "coeff": {},\n      "edges": [')
-        ends = np.array(["\n      ]\n    }", "]\n    }"], dtype=object)
-        step = self._chunk_terms()
-        for lo in range(0, len(self), step):
-            terms = coefficients(self._coeffs[lo : lo + step])
-            empty = name(self._rows[lo : lo + step], terms)
-            terms += ends[empty]
-            yield ("[" if lo == 0 else ",") + ",".join(terms.tolist())
-        yield "\n  ]\n}\n" if len(self) else "[]\n}\n"
+
+    def _term_chunks(self, coefficient: str, template: str, ends, *layout: str) -> Iterator[str]:
+        """The terms, each its coefficient in that format and its edges named
+        by template (see SupportBits.namer), joined with _joined's layout
+        (sep, first, last, empty), a chunk of _chunk_terms() at a time."""
+        name = self._bits.namer(template, self.ground.edge_pair, ends)
+        coefficients = _coefficient_strings(self._coeffs, coefficient)
+
+        def terms(lo: int, hi: int) -> list[str]:
+            return name(self._rows[lo:hi], coefficients(self._coeffs[lo:hi])).tolist()
+
+        return _joined(len(self), terms, self._chunk_terms(), *layout)
 
     @classmethod
     def from_json(cls, text: str, ground: GroundGraph) -> "MultilinearPolynomial":

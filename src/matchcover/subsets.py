@@ -166,24 +166,28 @@ class SupportBits:
             full |= np.array(table, dtype=object)[rows[:, b]]
         return full
 
-    def namer(self, template: str, edge_pair: Callable, lead: int = 0) -> Callable:
+    def namer(self, template: str, edge_pair: Callable, ends=None) -> Callable:
         """A function that adds to out, an object array of strings, the names
         template.format(*edge_pair(k)) of each byte row's edges k, ascending,
-        the first without its first lead characters; with lead, it returns
-        whether each row is empty (0 or 1). Each per-byte table, built once,
-        holds every value's names twice, the second time cut by lead."""
+        and returns out. With ends, a (nonempty, empty) pair, the names are
+        joined: the first of a row drops its leading separator character,
+        and the row is closed by the end for whether it has edges. Each
+        per-byte table, built once, holds every value's names twice, the
+        second time cut so."""
         names = {k: template.format(*edge_pair(k)) for k in self.ids}
-        tables = [np.array(t + [s[lead:] for s in t], dtype=object) for t in self.byte_tables(names, "")]
+        tables = [np.array(t + [s[1:] for s in t], dtype=object) for t in self.byte_tables(names, "")]
 
         def add(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
             empty = np.ones(len(rows), dtype=np.intp)
             for b, table in enumerate(tables):
-                if lead:
+                if ends:
                     out += table[rows[:, b] + len(table) // 2 * empty]
                     empty &= rows[:, b] == 0
                 else:
                     out += table[rows[:, b]]
-            return empty
+            if ends:
+                out += np.array(ends, dtype=object)[empty]
+            return out
 
         return add
 

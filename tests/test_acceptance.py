@@ -9,9 +9,13 @@ force, covered sets from powerset unions where feasible.
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
+
+import numpy as np
 
 from matchcover import (
     Graph,
+    WeightFunction,
     bipartite_ground,
     build_lattice,
     coefficient_query,
@@ -24,6 +28,7 @@ from matchcover import (
     membership_oracle,
     membership_polynomial_general,
     pm_polynomial,
+    support_union,
     truth_table_transform,
 )
 from oracles import (
@@ -255,3 +260,45 @@ def test_criterion_10_oracle_triangle():
             # narrow supports take the dense Mobius route, so pin the sign rule too
             for mask, coeff in direct.terms.items():
                 assert coeff == (-1) ** cyclomatic_number(Graph(g, mask))
+
+
+def test_criterion_11_theorem_on_every_optimal_face():
+    # Every covered graph H of K_{4,4} is G_w for w = u_i + v_j on H and
+    # u_i + v_j + s_ij off H, s_ij > 0, so min_weight_pm_polynomial(w) is
+    # pm_polynomial(4) with the monomials off H dropped. Every fourth H also
+    # takes s_ij = 0 on edges off H that no perfect matching of H plus those
+    # edges uses, where it has such edges: G_w is still H, but the solver's
+    # tight mask may be larger.
+    with criterion(11, "the theorem on every face of B_4", 10.0):
+        g = bipartite_ground(4)
+        terms = pm_polynomial(4).terms
+        masks, coeffs = np.array(list(terms)), np.array(list(terms.values()))
+        pms = brute_pm_masks_bipartite(g.full_graph())
+        rng = random.Random(1100)
+        larger = ties = 0
+        for k, H in enumerate(terms):
+            u = [rng.randint(0, 9) for _ in range(4)]
+            v = [rng.randint(0, 9) for _ in range(4)]
+            slack = [0 if H >> e & 1 else Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                     for e in range(16)]
+            cases = [slack]
+            tied = 0
+            for e in rng.sample(range(16), 16) if k % 4 == 0 else ():
+                within = [pm for pm in pms if pm & ~(H | tied | 1 << e) == 0]
+                if not H >> e & 1 and all(pm & ~H == 0 for pm in within):
+                    tied |= 1 << e
+            if tied:
+                cases.append([0 if tied >> e & 1 else x for e, x in enumerate(slack)])
+                ties += 1
+            inside = masks & ~H == 0
+            for s in cases:
+                w = WeightFunction(g, [u[e // 4] + v[e % 4] + s[e] for e in range(16)])
+                assert support_union(w).edges == H
+                poly = min_weight_pm_polynomial(w)
+                bits = np.unpackbits(poly._rows, axis=1, count=len(poly._bits), bitorder="little")
+                got = bits.astype(np.int64) @ (1 << np.array(poly._bits.ids, dtype=np.int64))
+                assert np.array_equal(got, masks[inside]), H
+                assert np.array_equal(poly._coeffs, coeffs[inside]), H
+                larger += w.tight_mask() != H
+        # so a support_union that kept the tight mask whole fails above
+        assert larger > 0 and ties > 0

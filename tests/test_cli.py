@@ -12,10 +12,13 @@ import pytest
 
 import matchcover
 from matchcover import (
+    WeightFunction,
+    bipartite_ground,
     covered_closure,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
     parse_weight_function,
+    support_union,
 )
 from matchcover.cli import main
 from oracles import reference_json_dict
@@ -636,10 +639,63 @@ def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
             " (override with --unsafe-caps)\n"
         )
     # K_{5,5} passes the width cap, and its lattice is refused by the element
-    # cap once the 6,092,721 covered graphs are counted
+    # cap from the face-count bound, 2^17, before a matching is listed
     assert run(capsys, "lattice", "--n", "5") == (
-        2, "", "error: lattices are capped at 7444 elements, this one has 6092722"
+        2, "", "error: lattices are capped at 7444 elements, this one has at least 131072"
         " (override with --unsafe-caps)\n")
+
+
+def test_weighted_verify_caps_the_widest_block(tmp_path, capsys):
+    # all 36 edges of K_{6,6} optimal: refused before the polynomial is built
+    zero = _weight_file(tmp_path / "zero.txt", 6, lambda i, j: 0)
+    start = time.perf_counter()
+    assert run(capsys, "verify", "--n", "6", "--weights", zero, "--samples", "10") == (
+        2, "", "error: a verify block is capped at 25 support edges, this one has 36"
+        " (override with --unsafe-caps)\n")
+    assert time.perf_counter() - start < 1.0
+    # a check file keeps its caps: the empty polynomial is checked, and fails
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"ground": {"mode": "bipartite", "size": 6}, "terms": []}')
+    code, out, _ = run(capsys, "verify", "--n", "6", "--weights", zero, "--samples", "10",
+                       "--check-file", str(empty))
+    assert code == 1 and out.startswith("MISMATCH at assignment ")
+    # a Hamilton cycle on rows and columns 1..13 of K_{13,13}: one block of
+    # 26 edges, refused, and verified with --unsafe-caps
+    cycle = {(i, i) for i in range(1, 14)} | {(i, i % 13 + 1) for i in range(1, 14)}
+    block = _weight_file(tmp_path / "13.txt", 13, lambda i, j: int((i, j) not in cycle))
+    argv = ["verify", "--n", "13", "--weights", block, "--samples", "10"]
+    assert run(capsys, *argv) == (
+        2, "", "error: a verify block is capped at 25 support edges, this one has 26"
+        " (override with --unsafe-caps)\n")
+    assert run(capsys, *argv, "--unsafe-caps") == (0, "verified 10 assignments: OK\n", "")
+
+
+def test_element_bound_never_exceeds_the_lattice():
+    # the face-count bound of one block against its lattice (covered graphs
+    # plus the bottom): every block of at most 20 edges of G_w under seeded
+    # 0/1 weightings at n <= 5, and the one block of B_3 and of B_4
+    import matchcover.cli as cli
+
+    rng = random.Random(211)
+    supports = [bipartite_ground(n).full_graph() for n in (3, 4)]
+    for n in (2, 3, 4, 5):
+        for _ in range(100):
+            p = rng.choice([0.2, 0.35, 0.5, 0.7])
+            weights = [int(rng.random() > p) for _ in range(n * n)]
+            supports.append(support_union(WeightFunction(bipartite_ground(n), weights)))
+    checked, tight = 0, set()
+    for support in supports:
+        _, blocks, families = cli._split(support)
+        for (rows, edges), family in zip(blocks, families):
+            if edges.bit_count() > 20:
+                continue
+            bound, count = cli._element_bound([(rows, edges)]), len(covered_closure(family)) + 1
+            assert bound <= count, (rows, edges)
+            checked += 1
+            if bound == count:
+                tight.add(edges.bit_count() - 2 * rows + 1)  # the face's dimension
+    assert checked >= 250
+    assert max(tight) >= 5  # 63 = 2^6 - 1 covered graphs or more, a simplex face
 
 
 def test_unweighted_cap_comes_before_the_ground(capsys):
@@ -679,11 +735,11 @@ def test_lattice_multiplies_the_blocks(tmp_path, capsys):
 
 
 def test_lattice_element_cap_comes_before_the_product(tmp_path, capsys):
-    # five zero K_{4,4} blocks on K_{20,20}: refused from the blocks' counts.
-    # The product of the first two alone would be 7443^2 rows.
+    # five zero K_{4,4} blocks on K_{20,20}: refused from the blocks' face-count
+    # bound, 2^10 - 1 each. The product of the first two alone would be 7443^2 rows.
     wfile = _zero_blocks(tmp_path / "w.txt", 4, 4, 4, 4, 4)
-    message = ("error: lattices are capped at 7444 elements, this one has"
-               f" {7443**5 + 1} (override with --unsafe-caps)\n")
+    message = ("error: lattices are capped at 7444 elements, this one has at least"
+               f" {1023**5 + 1} (override with --unsafe-caps)\n")
     start = time.perf_counter()
     tracemalloc.start()
     try:

@@ -557,6 +557,24 @@ def test_json_writer_across_chunks(monkeypatch):
         assert lat.to_json() == out.getvalue() == want
 
 
+def test_dot_writer_across_chunks(monkeypatch):
+    # the DOT text of `lattice --n 4 -f dot` and `lattice --mode complete
+    # --n 6 -f dot` keeps its pinned bytes in chunks of 3 items, streamed to
+    # a file or returned whole
+    from matchcover import lattice
+
+    monkeypatch.setattr(lattice, "_CHUNK_ITEMS", 3)
+    pins = [
+        (n4_lattice(), "f1e132fa8d87eca1b8d46d7b17ed8332ad4cdac90888e7ecf24235bdef1dcec1"),
+        (k6_lattice(), "2588c852b67c77e006e8b6367e74d560871d8b3c7306d34e238b5be255d93428"),
+    ]
+    for lat, digest in pins:
+        out = io.StringIO()
+        assert len(lat.to_dot(out)) == len(out.getvalue())
+        assert lat.to_dot() == out.getvalue()
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_exports_keep_their_pinned_bytes():
     # sha256 of `lattice --n 4 -f json`, `lattice --n 4 -f dot` and
     # `lattice --mode complete --n 6 -f json`, whose text is to_json / to_dot
