@@ -13,6 +13,10 @@ elements. The covers are two sorted index arrays. The order itself
 is not exported: it is edge inclusion, which callers test on the graphs
 directly. The whole-lattice passes work on arrays:
 
+- is_lattice joins every element with each element that has a single
+  lower cover, by ORing that element's byte row into all rows and looking
+  the unions up among the row keys; a missing union gets a join search
+  over the up-sets;
 - ranks are longest chains over the cover arrays, one edge-count level at
   a time;
 - Mobius numbers mu(bottom, x) are computed one edge-count level at a time,
@@ -324,44 +328,30 @@ class Lattice:
     def is_lattice(self) -> bool:
         """Every pair has a unique meet and join.
 
-        Certificate first. Let J be the join-irreducibles: the elements with
-        exactly one lower cover (for a covered set, the matchings). If
-        x | j is an element for every element x and every j in J, then by
-        induction along the linear extension every element y is the bottom
-        united with the J-elements below it: y is the bottom or in J, or it
-        has two lower covers a and b, whose union is an element (add the
-        J-elements below b to a one at a time) strictly above a and inside
-        y, hence y itself. So the union of any two elements is reached from
-        one of them by adding J-elements one at a time, and the set is
-        closed under union. The union is then the join, and with the unique
+        Let J be the elements with exactly one lower cover (for a covered
+        set, the matchings). A finite poset with a least element is a
+        lattice iff x v j exists for every element x and every j in J.
+        Every y above the bottom is the join of the J-elements below it, by
+        induction along the linear extension: y is in J, or it has two
+        lower covers a and b, and a v j1 v ... v jk, over the J-elements
+        below b, lies in [a, y] above b, so it is y. Then x v y is reached
+        from x by joining the J-elements below y one at a time, and with the
         bottom every pair also has a meet (the join of its common lower
-        bounds). That costs N * |J| row ORs: each irreducible's byte row is
-        ORed into all the rows at once, and the unions are looked up among
-        the rows' keys with one np.isin call.
+        bounds).
 
-        Otherwise fall back to the generic check, of joins only: a finite
-        poset with a least element in which every pair has a join is a
-        lattice. Comparable pairs trivially join at the upper element, so
-        only incomparable pairs are tested.
+        The union x | j, when it is an element, is that join. Each j's byte
+        row is ORed into all the rows at once and the unions are looked up
+        among the rows' keys, N * |J| row ORs in all; only an x whose union
+        with j is missing pays a join search. A covered set is closed under
+        union, so its lattice never searches.
         """
         rows = self._rows
         keys = _row_keys(rows)
         lower_covers = np.bincount(self._covers[1], minlength=len(rows))
         for j in np.flatnonzero(lower_covers == 1).tolist():
-            if not np.isin(_row_keys(rows | rows[j]), keys).all():
-                break
-        else:
-            return True
-        down, up = self._down, self._up
-        for i in range(len(self)):
-            di, ui = down[i], up[i]
-            for j in range(i + 1, len(self)):
-                if (down[j] >> i | di >> j) & 1:
-                    continue
-                common = ui & up[j]
-                low = (common & -common).bit_length() - 1
-                if up[low] != common:
-                    return False
+            missing = np.flatnonzero(~np.isin(_row_keys(rows | rows[j]), keys))
+            if any(self._join_index(x, j) is None for x in missing.tolist()):
+                return False
         return True
 
     # -- Mobius numbers ----------------------------------------------------------

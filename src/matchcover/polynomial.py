@@ -454,7 +454,12 @@ def _multiply_blocks(
     rows = bits.rows([forced])
     coeffs = np.ones(1, dtype=np.int64)
     for block_bits, block_rows, block_coeffs in blocks:
-        block_rows = bits.rows(block_bits.expand(block_rows).tolist())
+        # the block's edge columns scattered to their places on the support
+        edges = np.zeros((len(block_rows), len(bits)), dtype=np.uint8)
+        edges[:, np.searchsorted(bits.ids, block_bits.ids)] = np.unpackbits(
+            block_rows, axis=1, count=len(block_bits), bitorder="little"
+        )
+        block_rows = np.packbits(edges, axis=1, bitorder="little")
         rows = (rows[:, None] | block_rows[None]).reshape(-1, rows.shape[1])
         if block_coeffs is not None:
             coeffs = np.multiply.outer(coeffs, block_coeffs).reshape(-1)

@@ -17,8 +17,8 @@ byte rows. A test of one Graph at a time becomes an oracle over arrays of
 edge masks, as truth_table_transform takes, through graph_oracle.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
-that the library's certificate, blocked masks, level-wise Mobius numbers and
-blocked Eulerian check replace.
+that the library's join-irreducible test, blocked masks, level-wise Mobius
+numbers and blocked Eulerian check replace.
 """
 
 from fractions import Fraction
@@ -346,26 +346,39 @@ def pattern_weights(ground, pattern):
     return WeightFunction(ground, [int(ch) for ch in pattern])
 
 
-def leq(lat, x, y):
-    """x <= y among the lattice's elements: the edges of x lie inside y's."""
+def _require_elements(lat, x, y):
+    """Raise InputError unless x and y are elements of the lattice."""
     if x not in lat or y not in lat:
         raise InputError("both graphs must be lattice elements")
-    return x.edges & ~y.edges == 0
+
+
+def _inside(a, b):
+    """Edge mask a lies inside edge mask b."""
+    return a & ~b == 0
+
+
+def leq(lat, x, y):
+    """x <= y among the lattice's elements: the edges of x lie inside y's."""
+    _require_elements(lat, x, y)
+    return _inside(x.edges, y.edges)
 
 
 def meet(lat, x, y):
     """The greatest common lower bound of x and y, by scanning every element
-    for edge-subset relations; None if there is no unique one."""
-    lower = [z for z in lat.elements if leq(lat, z, x) and leq(lat, z, y)]
-    greatest = [z for z in lower if all(leq(lat, v, z) for v in lower)]
+    for edge-subset relations; None if there is no unique one. Membership is
+    checked once, then the scan compares edge masks."""
+    _require_elements(lat, x, y)
+    lower = [z for z in lat.elements if _inside(z.edges, x.edges & y.edges)]
+    greatest = [z for z in lower if all(_inside(v.edges, z.edges) for v in lower)]
     return greatest[0] if greatest else None
 
 
 def join(lat, x, y):
     """The least common upper bound of x and y, by the same scan; None if
     there is no unique one."""
-    upper = [z for z in lat.elements if leq(lat, x, z) and leq(lat, y, z)]
-    least = [z for z in upper if all(leq(lat, z, v) for v in upper)]
+    _require_elements(lat, x, y)
+    upper = [z for z in lat.elements if _inside(x.edges | y.edges, z.edges)]
+    least = [z for z in upper if all(_inside(z.edges, v.edges) for v in upper)]
     return least[0] if least else None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -513,6 +514,45 @@ def test_lattice_formats(capsys):
     code, out, _ = run(capsys, "lattice", "--n", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["graded"] is True
+
+
+# Outputs that the CI workflow pins and no other test does, as the sha256 of
+# stdout or a line it must hold. W8 is the workflow's weight file: zero
+# blocks 3, 2, 2, 1 on K_{8,8}; BAD8 its polynomial's JSON with the first
+# coefficient negated.
+CI_PINS = [
+    (["poly", "--n", "4"], 0, "0e4c80f9e8e2209077b4164f98537bc809e4cefd4f154b65289e5f9a8fab2b50"),
+    (["poly", "--n", "4", "-f", "json"], 0,
+     "e2cad4a0c99d65706f62c916503a79612765bcc706ba08c4a3802e3453003721"),
+    (["poly", "--n", "8", "--weights", "W8"], 0,
+     "835832f2853b4527fc09563e162f213052b222f2133bac5239b575dbce66fbc1"),
+    (["poly", "--n", "8", "--weights", "W8", "-f", "json"], 0,
+     "a91c4dc6791153f3456c94cf2b623862a2c89a0fc3722e34ad2e6266b454fcff"),
+    (["lattice", "--n", "8", "--weights", "W8", "-f", "json"], 0,
+     "c41f3ec8f33d52822014b704c249d7d21c81549cb4faa53bb0b663982b69cc93"),
+    (["lattice", "--n", "8", "--weights", "W8", "-f", "dot"], 0,
+     "e5e9e1169c449ec38dcb30125cef039c7cdae8d96b3e5a752e5b4306c8037878"),
+    (["count-covered", "--n", "8", "--weights", "W8"], 0, "count: 441"),
+    (["verify", "--n", "8", "--weights", "W8", "--check-file", "BAD8"], 1,
+     "6f6c1bb8ac56bb7bf27e2e96fd54a7e64a508f3dd64e214eac59b5170d33f3d0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, pin", CI_PINS, ids=[" ".join(c[0]) for c in CI_PINS])
+def test_ci_pinned_outputs(argv, code, pin, tmp_path, capsys):
+    b = [0, 0, 0, 1, 1, 2, 2, 3]
+    files = {"W8": _zero_weight_file(tmp_path / "w8.txt", 8, lambda i, j: b[i - 1] == b[j - 1])}
+    if "BAD8" in argv:
+        poly = json.loads(run(capsys, "poly", "--n", "8", "--weights", files["W8"], "-f", "json")[1])
+        poly["terms"][0]["coeff"] *= -1
+        files["BAD8"] = str(tmp_path / "bad8.json")
+        Path(files["BAD8"]).write_text(json.dumps(poly))
+    got, out, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert got == code
+    if len(pin) == 64:
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
+    else:
+        assert pin in out.splitlines()
 
 
 def test_lattice_caps_and_validation(capsys):

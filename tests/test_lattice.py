@@ -170,8 +170,9 @@ def test_is_lattice_matches_pairwise_check():
     for lat in lattices:
         assert lat.is_lattice() is pairwise_is_lattice(lat) is True
     # supports wider than 64 edges: the unions of three disjoint 30-edge
-    # atoms, a Boolean lattice that passes the certificate; without one
-    # union, a lattice that fails it; and fin_sphere
+    # atoms, a Boolean lattice whose unions are all elements; without one
+    # union, a lattice whose missing union is found by a join search; and
+    # fin_sphere
     atoms = [((1 << 30) - 1) << 30 * k for k in range(3)]
     masks = [sum(itertools.compress(atoms, pick)) for pick in itertools.product((0, 1), repeat=3)]
     for wide in (masks, masks[:3] + masks[4:]):
@@ -183,8 +184,8 @@ def test_is_lattice_matches_pairwise_check():
 
 def test_is_lattice_on_hand_built_posets():
     g = bipartite_ground(2)
-    # a lattice that is not union-closed: {1} | {2} is missing, so the
-    # certificate fails and the pairwise join check answers
+    # a lattice that is not union-closed: {1} | {2} is missing, so its join
+    # is searched for among the upper bounds, and found
     poset = Lattice([g.empty_graph(), Graph(g, 0b001), Graph(g, 0b010), Graph(g, 0b111)])
     assert poset.is_lattice() and pairwise_is_lattice(poset)
     rng = random.Random(71)
@@ -201,6 +202,42 @@ def test_is_lattice_on_hand_built_posets():
             union_closed = all(a | b in masks for a in masks for b in masks)
             seen.add((answer, union_closed))
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+def down_set_poset(lat, drop=None):
+    """Element k of lat as the set of indices of the elements below it, an
+    edge set on a ground of enough edges, leaving out element drop: the
+    order is kept but the unions are not."""
+    ground = bipartite_ground(math.isqrt(len(lat) - 1) + 1)
+    return subset_poset(ground, [d for k, d in enumerate(lat._down) if k != drop])
+
+
+def test_is_lattice_on_down_set_encodings(monkeypatch):
+    calls = []
+    search = Lattice._join_index
+    monkeypatch.setattr(
+        Lattice, "_join_index", lambda self, x, y: calls.append((x, y)) or search(self, x, y)
+    )
+
+    def check(poset, want):
+        calls.clear()
+        assert poset.is_lattice() is pairwise_is_lattice(poset) is want
+        irreducibles = np.count_nonzero(np.bincount(poset._covers[1], minlength=len(poset)) == 1)
+        assert 0 < len(calls) <= len(poset) * irreducibles
+
+    # 50 elements in rows of 7 bytes (uint64 keys), and 622 in rows of 78
+    # bytes (raw byte keys)
+    small, wide = pm_lattice(3), weighted_n4_lattice(WEIGHTED_N4_PATTERNS[1])
+    for lat, width in ((small, 7), (wide, 78)):
+        poset = down_set_poset(lat)
+        assert (len(poset), poset._rows.shape[1]) == (len(lat), width)
+        check(poset, True)
+    # without an element of two lower and two upper covers, two of its lower
+    # covers have no join: their minimal upper bounds are its upper covers
+    lower, upper = small._covers
+    below, above = (np.bincount(c, minlength=len(small)) for c in (upper, lower))
+    drop = int(np.flatnonzero((below >= 2) & (above >= 2))[0])
+    check(down_set_poset(small, drop), False)
 
 
 def test_order_masks_match_pairwise_scan(monkeypatch):

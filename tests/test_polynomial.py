@@ -4,6 +4,7 @@ import json
 import random
 import time
 import tracemalloc
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -33,7 +34,7 @@ from matchcover import (
 from matchcover import polynomial
 from matchcover.matching import _has_perfect_matchings
 from matchcover.polynomial import _SCAN_CELLS, _pm_family_polynomial, _sign_rule_polynomial
-from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, _row_keys, _subset_transform
+from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, SupportBits, _row_keys, _subset_transform
 from oracles import (
     graph_oracle,
     ground_pairs,
@@ -787,3 +788,32 @@ def test_factoring_a_block_wider_than_the_dense_cap():
     poly = _assert_factoring_holds(w)
     cycle = g.graph_from_edges(zero)
     assert len(poly) == 3 and poly.coefficient(cycle) == -1
+
+
+def test_block_rows_are_placed_on_the_support():
+    # random disjoint blocks of a random support, forced edges beside them,
+    # on grounds of 16, 81 and 144 edges: each block's rows land where the
+    # mask round trip (expand to full masks, compress onto the support) puts
+    # them, and the product rows are the unions of one row from every block
+    rng = random.Random(23)
+    for n in (4, 9, 12):
+        ground = bipartite_ground(n)
+        edges = rng.sample(range(ground.edge_count), rng.randint(6, ground.edge_count))
+        cuts = sorted(rng.sample(range(1, len(edges)), 3))
+        parts = [edges[a:b] for a, b in zip([0] + cuts, cuts + [len(edges)])]
+        forced = sum(1 << k for k in parts[0])
+        blocks = []
+        for part in parts[1:]:
+            count = rng.randint(1, 5)
+            masks = [sum(1 << k for k in part if rng.random() < 0.5) for _ in range(count)]
+            block_bits = SupportBits([sum(1 << k for k in part)])
+            blocks.append((block_bits, block_bits.rows(masks), np.arange(1, count + 1)))
+        support = Graph(ground, sum(1 << k for k in edges))
+        bits, rows, coeffs = polynomial._multiply_blocks(support, forced, blocks)
+        for block in blocks:
+            placed = polynomial._multiply_blocks(support, 0, [block])[1]
+            assert np.array_equal(placed, bits.rows(block[0].expand(block[1]).tolist()))
+        block_masks = [block_bits.expand(block_rows) for block_bits, block_rows, _ in blocks]
+        assert bits.expand(rows).tolist() == [forced | sum(p) for p in product(*block_masks)]
+        block_coeffs = [block_coeffs.tolist() for _, _, block_coeffs in blocks]
+        assert coeffs.tolist() == [prod(p) for p in product(*block_coeffs)]
