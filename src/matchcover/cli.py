@@ -21,7 +21,7 @@ import random
 import stat
 import sys
 from math import prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .matching import (
 from .polynomial import (
     MultilinearPolynomial,
     _multiply_blocks,
+    _pm_family_polynomial,
     _split,
     min_weight_pm_polynomial,
     pm_polynomial,
@@ -134,8 +135,8 @@ def _note(args, msg: str) -> None:
 def _cap(args, width: int, what: str) -> None:
     """Refuse exhaustive work over more than DENSE_BIT_CAP edges, the widest
     table of all subsets that a run builds: the ground's edges for
-    exhaustive and unweighted verification and in complete mode, or the
-    widest block of a support for work done block by block. Callers compute
+    exhaustive verification and in complete mode, or the widest block of a
+    support (K_{n,n} is one) for work done block by block. Callers compute
     the width before building anything of that size."""
     if width > DENSE_BIT_CAP and not args.unsafe_caps:
         raise CapExceededError(
@@ -243,29 +244,28 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The polynomial is read as factors, never multiplied out: a check
+    file is one factor; else each block of the support is one, and its
+    forced edges stand apart (see _product_values)."""
     weights = _load_weights(args)
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
     if args.exhaustive:
         _cap(args, args.n * args.n, "exhaustive verification")
-    elif weights is None:
-        _cap(args, args.n * args.n, "unweighted verification")
 
+    ground = bipartite_ground(args.n)
     if args.check_file:
         with open(args.check_file) as fh:
-            poly = MultilinearPolynomial.from_json(fh.read(), bipartite_ground(args.n))
-    elif weights is None:
-        poly = pm_polynomial(args.n)
+            forced, factors = 0, [MultilinearPolynomial.from_json(fh.read(), ground)]
     else:
-        _support(args, weights, "verification")
-        poly = min_weight_pm_polynomial(weights)
-    ground = poly.ground
-    _note(args, f"polynomial has {len(poly)} terms")
+        _, forced, _, families = _support(args, weights, "unweighted verification")
+        factors = list(map(_pm_family_polynomial, families))
+    _note(args, f"polynomial has {prod(map(len, factors))} terms")
 
     width, n = ground.edge_count, ground.size
     total = 1 << width if args.exhaustive else args.samples
     rng = random.Random(args.seed)
-    values = poly._value_reader(total)
+    values = _product_values(forced, factors, total)
     tight = None if weights is None else weights.tight_mask()
 
     def oracle(points: np.ndarray) -> np.ndarray:
@@ -301,6 +301,16 @@ def cmd_verify(args) -> int:
                 1,
             )
     return _report(args, {"ok": True, "checked": total}, f"verified {total} assignments: OK")
+
+
+def _product_values(forced: int, factors: list[MultilinearPolynomial], points: int) -> Callable:
+    """A function from an array of assignment masks to the values there of
+    the product of the factors, whose supports are disjoint, with every
+    forced edge in every term, for a run of that many points: 0 where a
+    forced edge is missing, else the product of the factors' values, each
+    read by its own _value_reader."""
+    readers = [factor._value_reader(points) for factor in factors]
+    return lambda masks: prod((read(masks) for read in readers), start=(masks & forced) == forced)
 
 
 def cmd_lattice(args) -> int:

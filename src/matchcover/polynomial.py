@@ -182,11 +182,10 @@ class MultilinearPolynomial:
         """A function from an array of assignment masks, int64 below 64
         ground edges, to their values, for a run of that many points: a
         lookup in value_table when it pays, else _scanner's function.
-        Measured at n = 5 on a 2-core x86-64, a table entry costs about
-        25 ns (its s passes included); a point is still priced at the 1 us
-        plus 100 ns a term that the terms dict this replaced took to
-        evaluate it, so the table is taken exactly where it was."""
-        pays = 25 * (1 << len(self._bits)) <= points * (1000 + 100 * len(self))
+        Measured on a 2-core x86-64, a table entry costs up to 25 ns (its s
+        passes included, at s = 25), and the scan about 250 ns a point, to
+        compress it, plus 3 ns a (point, term) pair."""
+        pays = 25 * (1 << len(self._bits)) <= points * (250 + 3 * len(self))
         # None on wide supports and huge coefficients
         table = self.value_table() if pays and self.ground.edge_count < 64 else None
         return self._scanner() if table is None else lambda x: table[self._bits.compress_array(x)]

@@ -208,24 +208,41 @@ def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
         calls.clear()
         return run(capsys, "verify", "--n", str(n), "--weights", wfile, *argv)
 
-    # the table of s support edges costs 25 x 2^s, evaluation point by point
-    # points x (1000 + 100 x terms). Three zero K_{2,2} blocks of K_{6,6} give
-    # 27 terms on 12 edges: 102,400 against 27 x 3,700 = 99,900 or 28 x 3,700
+    # the table of s support edges costs 25 x 2^s, the scan points x (250 +
+    # 3 x terms). One factor, the 49 terms of K_{3,3} on 9 edges: 12,800
+    # against 32 x 397 = 12,704 or 33 x 397 = 13,101
+    for samples, want in ((32, []), (33, [49])):
+        calls.clear()
+        assert run(capsys, "verify", "--n", "3", "--samples", str(samples)) == (
+            0, f"verified {samples} assignments: OK\n", ""
+        )
+        assert calls == want
+    # each block picks its own reader: three zero K_{2,2} blocks of K_{6,6},
+    # 3 terms on 4 edges each, 400 against 1 x 259 or 2 x 259
     blocks = lambda i, j: (i - 1) // 2 == (j - 1) // 2
-    for samples, want in ((27, []), (28, [27])):
+    for samples, want in ((1, []), (2, [3, 3, 3])):
         assert verify(6, blocks, "--samples", str(samples)) == (
             0, f"verified {samples} assignments: OK\n", ""
         )
         assert calls == want
-    # one term on the diagonal: the 32 entries of its 5 edges, not the 2^25
-    # of the ground, cost less than one point; exhaustive runs take the table
-    diagonal = lambda i, j: i == j
-    assert verify(5, diagonal, "--samples", "1") == (0, "verified 1 assignments: OK\n", "")
-    assert calls == [1]
-    assert verify(3, diagonal, "--exhaustive")[:2] == (0, "verified 512 assignments: OK\n")
-    assert calls == [1]
+    # a check file of one term on the diagonal: the 32 entries of its 5
+    # edges, not the 2^25 of the ground, against 3 x 253 or 4 x 253
+    g = bipartite_ground(5)
+    check = tmp_path / "diagonal.json"
+    check.write_text(MultilinearPolynomial(g, {sum(1 << 6 * i for i in range(5)): 1}).to_json())
+    for samples, want in ((3, []), (4, [1])):
+        assert verify(5, lambda i, j: i == j, "--samples", str(samples), "--check-file",
+                      str(check)) == (0, f"verified {samples} assignments: OK\n", "")
+        assert calls == want
+    # exhaustive runs take the table: a zero K_{2,2} block and a forced edge
+    assert verify(3, lambda i, j: i < 3 and j < 3 or i == j, "--exhaustive")[:2] == (
+        0, "verified 512 assignments: OK\n"
+    )
+    assert calls == [3]
     # masks of 64 edges or more do not fit the table's int64 index
-    assert verify(8, diagonal, "--samples", "50")[:2] == (0, "verified 50 assignments: OK\n")
+    assert verify(8, lambda i, j: i < 3 and j < 3 or i == j, "--samples", "50")[:2] == (
+        0, "verified 50 assignments: OK\n"
+    )
     assert calls == []
 
 
@@ -269,28 +286,32 @@ def test_verify_through_the_support_table_equals_pointwise(tmp_path, monkeypatch
 
     from matchcover import Graph, MultilinearPolynomial, WeightFunction, bipartite_ground
     from matchcover import edge_list_str, min_weight_pm_polynomial
-    from matchcover.cli import _VERIFY_CHUNK
+    from matchcover.cli import _VERIFY_CHUNK, _split
 
     real = MultilinearPolynomial.value_table
+    reader = MultilinearPolynomial._value_reader
     tables = []
 
     def counted(self):
         tables.append(real(self))
         return tables[-1]
 
-    def both(*argv):
-        """The run through the table, checked to have taken it, and again
-        point by point."""
+    def both(*argv, factors=1):
+        """The run through the value table of each of its factors, however
+        few the points, checked to have taken them, and again point by
+        point. A support of forced edges alone has no factor and no table."""
         monkeypatch.setattr(MultilinearPolynomial, "value_table", counted)
+        monkeypatch.setattr(MultilinearPolynomial, "_value_reader",
+                            lambda self, points: reader(self, 1 << 40))
         tables.clear()
         table_run = run(capsys, *argv)
-        assert len(tables) == 1 and tables[0] is not None
+        assert len(tables) == factors and all(t is not None for t in tables)
         monkeypatch.setattr(MultilinearPolynomial, "value_table", lambda self: None)
         assert run(capsys, *argv) == table_run
         return table_run
 
     rng = random.Random(151)
-    codes = []
+    codes, forced_only = [], []
     for trial in range(10):
         n = trial % 5 + 2  # 2..6
         weights = [rng.randint(0, 2) for _ in range(n * n)]
@@ -302,14 +323,16 @@ def test_verify_through_the_support_table_equals_pointwise(tmp_path, monkeypatch
         check = tmp_path / f"p{trial}.json"
         check.write_text(poly.to_json())
         sampled = ["--samples", "300", "--seed", str(trial)]
-        both("verify", "--n", str(n), "--weights", str(wfile), *sampled)
+        blocks = len(_split(support_union(WeightFunction(bipartite_ground(n), weights)))[1])
+        forced_only.append(blocks == 0)
+        both("verify", "--n", str(n), "--weights", str(wfile), *sampled, factors=blocks)
         # the polynomial of G_w, narrower than the ground, against the
         # unweighted oracle, which it fails unless G_w is the whole ground
         unweighted = ["verify", "--n", str(n), "--check-file", str(check), "--unsafe-caps"]
         for mode in (sampled, ["--exhaustive"] if n <= 3 else sampled + ["-f", "json"]):
             codes.append(both(*unweighted, *mode)[0])
         both("verify", "--n", str(n), "--weights", str(wfile), "--check-file", str(check), *sampled)
-    assert set(codes) == {0, 1}
+    assert set(codes) == {0, 1} and set(forced_only) == {False, True}
     # the identity is the one minimum-weight matching of these weights; a
     # term for 14 of the 16 edges of K_{4,4} makes the check file wrong at the
     # points that hold them, the first at sample 11,958, in the second chunk
@@ -332,6 +355,138 @@ def test_verify_through_the_support_table_equals_pointwise(tmp_path, monkeypatch
     code, out, _ = both(*argv, "-f", "json")
     assert code == 1
     assert json.loads(out) == {"ok": False, "assignment": witness, "polynomial": 2, "oracle": 1}
+
+
+def _small_block_weights(rng, n):
+    """Weights of K_{n,n} that are 0 on a random part of each of some
+    diagonal blocks of 1 to 3 rows, on shuffled rows and columns, the part
+    holding a perfect matching of its block, and 1 or 2 elsewhere: each
+    block of G_w then has at most 3 rows."""
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    weights = [rng.randint(1, 2) for _ in range(n * n)]
+    lo = 0
+    while lo < n:
+        size = min(n - lo, rng.randint(1, 3))
+        block = range(lo, lo + size)
+        perm = rng.sample(block, size)
+        for a in block:
+            for b in block:
+                if perm[a - lo] == b or rng.random() < 0.5:
+                    weights[rows[a] * n + cols[b]] = 0
+        lo += size
+    return weights
+
+
+def test_block_values_equal_the_flat_product():
+    # the values verify reads block by block, by each block's table and by
+    # its scan, against the scan of the product polynomial, at random points
+    # and at points that hold every forced edge
+    import matchcover.cli as cli
+    from matchcover import min_weight_pm_polynomial
+    from matchcover.polynomial import _pm_family_polynomial
+
+    rng = random.Random(241)
+    held = forced_seen = 0
+    for trial in range(60):
+        n = trial % 7 + 2  # 2..8; 64 ground edges take object masks
+        w = WeightFunction(bipartite_ground(n), _small_block_weights(rng, n))
+        forced, blocks, families = cli._split(support_union(w))
+        assert all(rows <= 3 for rows, _ in blocks)
+        factors = [_pm_family_polynomial(family) for family in families]
+        dtype = np.int64 if n * n < 64 else object
+        masks = [rng.getrandbits(n * n) for _ in range(200)]
+        points = np.array(masks + [m | forced for m in masks], dtype=dtype)
+        want = min_weight_pm_polynomial(w)._scanner()(points)
+        for total in (1, 1 << 40):  # priced for the scan, and for the table
+            got = cli._product_values(forced, factors, total)(points)
+            assert np.array_equal(got, want), (trial, total)
+        held += int(want[200:].any())
+        forced_seen += forced != 0
+    assert held >= 30 and forced_seen >= 30
+
+
+def test_verify_by_blocks_equals_the_product_check_file(tmp_path, capsys):
+    # verify reads the blocks of G_w; given poly's JSON it reads the product
+    # as one factor: the same exit code and bytes, sampled and exhaustive.
+    # A check file with one coefficient negated fails where the negated
+    # product and the oracle truly differ.
+    from matchcover import Graph, MultilinearPolynomial, contains_min_weight_pm
+
+    rng = random.Random(243)
+    failed = 0
+    for trial in range(24):
+        n = trial % 7 + 2  # 2..8
+        weights = _small_block_weights(rng, n)
+        wfile = _weight_file(tmp_path / f"w{trial}.txt", n, lambda i, j: weights[(i - 1) * n + j - 1])
+        code, out, _ = run(capsys, "poly", "--n", str(n), "--weights", wfile, "-f", "json")
+        assert code == 0
+        check = tmp_path / f"p{trial}.json"
+        check.write_text(out)
+        data = json.loads(out)
+        data["terms"][rng.randrange(len(data["terms"]))]["coeff"] *= -1
+        bad = tmp_path / f"bad{trial}.json"
+        bad.write_text(json.dumps(data))
+        mode = ["--exhaustive"] if n <= 4 else ["--samples", "3000", "--seed", str(trial)]
+        for fmt in ("text", "json"):
+            argv = ["verify", "--n", str(n), "--weights", wfile, *mode, "-f", fmt]
+            blocks = run(capsys, *argv)
+            assert blocks[0] == 0
+            assert run(capsys, *argv, "--check-file", str(check)) == blocks
+        code, out, err = run(capsys, "verify", "--n", str(n), "--weights", wfile, *mode,
+                             "--check-file", str(bad), "-f", "json")
+        assert err == "" and code in ((1,) if n <= 4 else (0, 1))
+        if code == 1:
+            failed += 1
+            report = json.loads(out)
+            g = bipartite_ground(n)
+            point = Graph(g, sum(1 << g.edge_index(int(u), int(v)) for u, v in
+                                 (e.split(",") for e in report["assignment"].split())))
+            negated = MultilinearPolynomial.from_json(bad.read_text(), g)
+            w = WeightFunction(g, weights)
+            assert report["polynomial"] == negated.evaluate(point) != report["oracle"]
+            assert report["oracle"] == int(contains_min_weight_pm(point, w))
+    assert failed >= 12
+
+
+def test_one_cap_rule_for_verify(tmp_path, capsys):
+    # a check file builds no table over the ground, so sampled runs check it
+    # on K_{6,6}, with or without --weights; --exhaustive runs and verify of
+    # K_{6,6} with no file are refused as before
+    from matchcover import MultilinearPolynomial
+
+    g = bipartite_ground(6)
+    identity = sum(1 << g.edge_index(i, i) for i in range(1, 7))
+    files = {}
+    for name, terms in (("one", {identity: 1}), ("empty", {}),
+                        ("wide", {identity: 1, (1 << 36) - 1: -1})):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(MultilinearPolynomial(g, terms).to_json())
+    diagonal = _weight_file(tmp_path / "diag.txt", 6, lambda i, j: int(i != j))
+    codes = set()
+    for name, path in files.items():
+        for weights in ([], ["--weights", diagonal]):
+            code, out, err = run(capsys, "verify", "--n", "6", *weights, "--samples", "300",
+                                 "--check-file", str(path))
+            assert code in (0, 1) and err == "", (name, weights)
+            codes.add(code)
+            code, out, err = run(capsys, "verify", "--n", "6", *weights, "--exhaustive",
+                                 "--check-file", str(path))
+            assert (code, out) == (2, "")
+            assert err == ("error: exhaustive verification is capped at 25 support edges,"
+                           " this one has 36 (override with --unsafe-caps)\n")
+    assert codes == {0, 1}
+    assert run(capsys, "verify", "--n", "6", "--weights", diagonal, "--check-file",
+               str(files["one"]), "--samples", "300")[:2] == (0, "verified 300 assignments: OK\n")
+    assert run(capsys, "verify", "--n", "6") == (
+        2, "", "error: unweighted verification is capped at 25 support edges, this one has 36"
+        " (override with --unsafe-caps)\n")
+    # five zero K_{4,4} blocks on K_{20,20}: each block read alone, the
+    # product of 7443^5 terms never built
+    wfile = _zero_blocks(tmp_path / "w20.txt", 4, 4, 4, 4, 4)
+    start = time.perf_counter()
+    assert run(capsys, "verify", "--n", "20", "--weights", wfile, "--samples", "1000", "-v") == (
+        0, "verified 1000 assignments: OK\n", "polynomial has 22842313880435845443 terms\n")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_poly_deterministic(capsys):
@@ -693,7 +848,7 @@ def test_weighted_verify_caps_the_widest_block(tmp_path, capsys):
         2, "", "error: a verify block is capped at 25 support edges, this one has 36"
         " (override with --unsafe-caps)\n")
     assert time.perf_counter() - start < 1.0
-    # a check file keeps its caps: the empty polynomial is checked, and fails
+    # a check file is not capped: the empty polynomial is checked, and fails
     empty = tmp_path / "empty.json"
     empty.write_text('{"ground": {"mode": "bipartite", "size": 6}, "terms": []}')
     code, out, _ = run(capsys, "verify", "--n", "6", "--weights", zero, "--samples", "10",
@@ -1126,10 +1281,11 @@ def test_internal_errors_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "pm_polynomial", fail)
     assert run(capsys, "poly", "--n", "2") == (3, "", "error: internal RuntimeError: boom\n")
 
-    def exhausted(n):
+    def exhausted(family):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "pm_polynomial", exhausted)
+    # verify builds the polynomial of each block of its support, never pm_polynomial
+    monkeypatch.setattr(cli, "_pm_family_polynomial", exhausted)
     assert run(capsys, "verify", "--n", "2") == (3, "", "error: internal MemoryError\n")
 
 
