@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import os
 import random
@@ -78,8 +79,9 @@ def _stream_output(args, write) -> None:
     it is formatted, and so does an --output that names the file stdout
     already is (/dev/stdout, or the file stdout is redirected to). An
     --output that exists but is no regular file (a pipe, a FIFO, a device)
-    is written in place. Any other --output gets the text through a
-    temporary file in the same directory, renamed over the target at the
+    is written in place. Any other --output gets the text through a new
+    temporary file in the same directory (the first free name of
+    target.PID.tmp, target.PID.1.tmp, ...), renamed over the target at the
     end (keeping an old target's permission bits) and removed on error."""
     st = None
     if args.output:
@@ -97,11 +99,18 @@ def _stream_output(args, write) -> None:
     if st is not None and not os.access(args.output, os.W_OK):  # as open() would
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), args.output)
     target = os.path.realpath(args.output)  # replace the file a symlink names
-    temp = f"{target}.{os.getpid()}.tmp"
-    try:
-        fh = open(temp, "x")
-    except OSError as exc:  # name the output, not the temporary file
-        raise OSError(exc.errno, exc.strerror, args.output) from None
+    stem = f"{target}.{os.getpid()}"
+    for attempt in itertools.count():
+        # a name left by an earlier run of this pid is passed over, not
+        # reused; open(..., "x") creates with 0o666 & ~umask, as open(..., "w")
+        temp = f"{stem}.{attempt}.tmp" if attempt else f"{stem}.tmp"
+        try:
+            fh = open(temp, "x")
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # name the output, not the temporary file
+            raise OSError(exc.errno, exc.strerror, args.output) from None
     try:
         with fh:
             if st is not None:

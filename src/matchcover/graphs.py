@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .errors import InputError
 
 BIPARTITE = "bipartite"
@@ -378,22 +380,32 @@ def _write_chunks(chunks: Iterable[str], file=None) -> str | int:
     for chunk in chunks:
         file.write(chunk)
         total += len(chunk)
+        del chunk  # not held while the next one is made
     return _Written(total)
 
 
 def _joined(
-    count: int, items: Callable[[int, int], list[str]], step: int,
+    count: int, items: Callable[[int, int], list], step: int,
     sep: str, first: str, last: str, empty: str,
 ) -> Iterator[str]:
     """count items joined by sep, one string per chunk of step items: the
     first chunk opened by first, each later one by sep, the final one closed
-    by last; empty alone when count is 0. items(lo, hi) encodes items lo to
-    hi - 1."""
+    by last; empty alone when count is 0. items(lo, hi) gives the pieces of
+    items lo to hi - 1 as columns, each an object array of strings with one
+    entry per item or one str for all of them. A chunk is one 2-D object
+    array, a separator column and then those columns, read row by row by a
+    single join: no string is built per item."""
     if not count:
         yield empty
     for lo in range(0, count, step):
         hi = min(count, lo + step)
-        yield (sep if lo else first) + sep.join(items(lo, hi)) + (last if hi == count else "")
+        columns = items(lo, hi)
+        pieces = np.empty((hi - lo, 1 + len(columns)), dtype=object)
+        pieces[:, 0] = sep
+        pieces[0, 0] = sep if lo else first
+        for j, column in enumerate(columns, 1):
+            pieces[:, j] = column
+        yield "".join(pieces.ravel().tolist()) + (last if hi == count else "")
 
 
 def edge_list_str(G: Graph) -> str:

@@ -25,9 +25,11 @@ directly. The whole-lattice passes work on arrays:
 - the Eulerian check counts the even- and odd-ranked elements of the
   intervals of even length in batches of packed up-row / down-row pairs;
 - the JSON and DOT exports write their text directly, their lists laid out
-  a chunk of items at a time by graphs._joined and written to a file as
-  each chunk is made, with each element's edges named by SupportBits.namer:
-  the polynomial writers take the same two steps.
+  a chunk of items at a time by graphs._joined: an item's pieces, index
+  strings from one table and its edges' names from SupportBits.namer's
+  per-byte tables, are columns of one object array, which a single join
+  turns into the chunk's text, written to a file as each chunk is made.
+  The polynomial writers take the same steps.
 """
 
 from __future__ import annotations
@@ -542,15 +544,15 @@ class Lattice:
         name = self._bits.namer(" {},{}", self.ground.edge_pair, ('"];', '{}"];'))
         lower, upper = self._covers
 
-        def labels(lo: int, hi: int) -> list[str]:
-            return name(self._rows[lo:hi], "  " + nodes[lo:hi] + ' [label="').tolist()
+        def labels(lo: int, hi: int) -> list:
+            return [nodes[lo:hi], ' [label="', *name(self._rows[lo:hi])]
 
-        def covers(lo: int, hi: int) -> list[str]:
-            return ("  " + nodes[lower[lo:hi]] + " -> " + nodes[upper[lo:hi]] + ";").tolist()
+        def covers(lo: int, hi: int) -> list:
+            return [nodes[lower[lo:hi]], " -> ", nodes[upper[lo:hi]], ";"]
 
         yield "digraph lattice {\n  rankdir=BT;\n  node [shape=box, fontsize=10];\n"
-        yield from _joined(len(self), labels, _CHUNK_ITEMS, "\n", "", "\n", "")
-        yield from _joined(len(lower), covers, _CHUNK_ITEMS, "\n", "", "\n", "")
+        yield from _joined(len(self), labels, _CHUNK_ITEMS, "\n  ", "  ", "\n", "")
+        yield from _joined(len(lower), covers, _CHUNK_ITEMS, "\n  ", "  ", "\n", "")
         by_rank = np.argsort(ranks, kind="stable")
         levels = np.split(nodes[by_rank], np.flatnonzero(np.diff(np.take(ranks, by_rank))) + 1)
         yield "".join(f"  {{ rank=same; {'; '.join(level)}; }}\n" for level in levels) + "}\n"
@@ -568,22 +570,21 @@ class Lattice:
         mobius = self._mobius_numbers()  # computed before anything is written
         n = len(self)
         lower, upper = self._covers
-        heads = np.array([f"[\n      {k},\n      " for k in range(n)], dtype=object)
-        tails = np.array([f"{k}\n    ]" for k in range(n)], dtype=object)
+        numbers = np.array(list(map(str, range(n))), dtype=object)
         name = self._bits.namer(
             ",\n      [\n        {},\n        {}\n      ]", self.ground.edge_pair, ("\n    ]", "]")
         )
 
-        def array(count: int, items: Callable[[int, int], list[str]]) -> Iterator[str]:
+        def array(count: int, items: Callable[[int, int], list]) -> Iterator[str]:
             """A list as json.dumps writes it at indent 2, one level below
             the top object."""
             return _joined(count, items, _CHUNK_ITEMS, ",\n    ", "[\n    ", "\n  ]", "[]")
 
-        def covers(lo: int, hi: int) -> list[str]:
-            return (heads[lower[lo:hi]] + tails[upper[lo:hi]]).tolist()
+        def covers(lo: int, hi: int) -> list:
+            return ["[\n      ", numbers[lower[lo:hi]], ",\n      ", numbers[upper[lo:hi]], "\n    ]"]
 
-        def elements(lo: int, hi: int) -> list[str]:
-            return name(self._rows[lo:hi], np.full(hi - lo, "[", dtype=object)).tolist()
+        def elements(lo: int, hi: int) -> list:
+            return ["[", *name(self._rows[lo:hi])]
 
         yield '{\n  "covers": '
         yield from array(len(lower), covers)
@@ -594,9 +595,9 @@ class Lattice:
             f'\n  "ground": {{\n    "mode": {json.dumps(self.ground.mode)},'
             f'\n    "size": {self.ground.size}\n  }},\n  "mobius": '
         )
-        yield from array(n, lambda lo, hi: list(map(str, mobius[lo:hi])))
+        yield from array(n, lambda lo, hi: [np.array(list(map(str, mobius[lo:hi])), dtype=object)])
         yield ',\n  "ranks": '
-        yield from array(n, lambda lo, hi: list(map(str, ranks[lo:hi])))
+        yield from array(n, lambda lo, hi: [numbers[ranks[lo:hi]]])
         yield "\n}\n"
 
 

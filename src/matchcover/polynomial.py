@@ -252,8 +252,8 @@ class MultilinearPolynomial:
         name = self._bits.namer(template, self.ground.edge_pair, ends)
         coefficients = _coefficient_strings(self._coeffs, coefficient)
 
-        def terms(lo: int, hi: int) -> list[str]:
-            return name(self._rows[lo:hi], coefficients(self._coeffs[lo:hi])).tolist()
+        def terms(lo: int, hi: int) -> list[np.ndarray]:
+            return [coefficients(self._coeffs[lo:hi]), *name(self._rows[lo:hi])]
 
         return _joined(len(self), terms, self._chunk_terms(), *layout)
 

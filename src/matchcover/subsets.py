@@ -167,29 +167,34 @@ class SupportBits:
         return full
 
     def namer(self, template: str, edge_pair: Callable, ends=None) -> Callable:
-        """A function that adds to out, an object array of strings, the names
-        template.format(*edge_pair(k)) of each byte row's edges k, ascending,
-        and returns out. With ends, a (nonempty, empty) pair, the names are
+        """A function from byte rows to the pieces of their names, as a list
+        of columns (object arrays, one entry per row): the names
+        template.format(*edge_pair(k)) of each row's edges k, ascending,
+        one column per support byte, each entry one lookup in that byte's
+        table. Read across, a row's pieces spell its names; no string is
+        built per row. With ends, a (nonempty, empty) pair, the names are
         joined: the first of a row drops its leading separator character,
-        and the row is closed by the end for whether it has edges. Each
-        per-byte table, built once, holds every value's names twice, the
-        second time cut so."""
+        and a last column closes the row by the end for whether it has
+        edges. Each per-byte table, built once, holds every value's names
+        twice, the second time cut so."""
         names = {k: template.format(*edge_pair(k)) for k in self.ids}
-        tables = [np.array(t + [s[1:] for s in t], dtype=object) for t in self.byte_tables(names, "")]
+        tables = [
+            np.array(t + [s[1:] for s in t] if ends else t, dtype=object)
+            for t in self.byte_tables(names, "")
+        ]
 
-        def add(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        def pieces(rows: np.ndarray) -> list[np.ndarray]:
+            if not ends:
+                return [table[rows[:, b]] for b, table in enumerate(tables)]
+            columns = []
             empty = np.ones(len(rows), dtype=np.intp)
             for b, table in enumerate(tables):
-                if ends:
-                    out += table[rows[:, b] + len(table) // 2 * empty]
-                    empty &= rows[:, b] == 0
-                else:
-                    out += table[rows[:, b]]
-            if ends:
-                out += np.array(ends, dtype=object)[empty]
-            return out
+                columns.append(table[rows[:, b] + len(table) // 2 * empty])
+                empty &= rows[:, b] == 0
+            columns.append(np.array(ends, dtype=object)[empty])
+            return columns
 
-        return add
+        return pieces
 
     def byte_tables(self, names, empty) -> list[list]:
         """For each byte of the support, a table over the values of that

@@ -18,11 +18,12 @@ from matchcover import (
     covered_closure,
     enumerate_min_weight_pms,
     enumerate_perfect_matchings,
+    min_weight_pm_polynomial,
     parse_weight_function,
     support_union,
 )
 from matchcover.cli import main
-from oracles import reference_json_dict
+from oracles import reference_json_dict, reference_text
 
 W22 = "bipartite 2\n1 1 1\n1 2 2\n2 1 2\n2 2 1\n"
 C4 = "bipartite 2\n1 1\n1 2\n2 1\n2 2\n"
@@ -125,6 +126,29 @@ def test_output_refusals_keep_the_old_target(tmp_path, monkeypatch, capsys):
     assert (code, out) == (2, "") and str(target) in err
     assert target.read_text() == "old bytes\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_passes_over_a_stale_temporary_file(tmp_path, capsys):
+    # a temporary file left by an earlier run with this pid (one killed
+    # mid-write): the run takes the next free name and leaves it alone
+    target = tmp_path / "poly.txt"
+    stale = tmp_path / f"poly.txt.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert run(capsys, "poly", "--n", "2", "-o", str(target)) == (0, "", "terms: 3 (odd)\n")
+    assert target.read_text() == POLY2_TEXT
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert stale.read_text() == "stale\n"
+    # the next name is taken too, and the old target keeps its bits
+    (tmp_path / f"poly.txt.{os.getpid()}.1.tmp").write_text("stale\n")
+    target.chmod(0o640)
+    assert run(capsys, "poly", "--n", "2", "-f", "json", "-o", str(target))[0] == 0
+    assert target.read_text() == run(capsys, "poly", "--n", "2", "-f", "json")[1]
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["poly.txt", stale.name, f"poly.txt.{os.getpid()}.1.tmp"]
+    )
 
 
 def _cli(*argv, **kwargs):
@@ -671,10 +695,15 @@ def test_lattice_formats(capsys):
     assert json.loads(out)["graded"] is True
 
 
+# Zero diagonal blocks whose polynomials have supports of 32 and 34 edges:
+# monomials of 4 and 5 row bytes, 11,907 and 2,187 terms.
+WIDE_BLOCKS = {"W16": (3, 2, 2, 2, 2, 2, 1, 1, 1), "W20": (2,) * 7 + (1,) * 6}
+
+
 # Outputs that the CI workflow pins and no other test does, as the sha256 of
 # stdout or a line it must hold. W8 is the workflow's weight file: zero
 # blocks 3, 2, 2, 1 on K_{8,8}; BAD8 its polynomial's JSON with the first
-# coefficient negated.
+# coefficient negated. W16 and W20 are its wide-support files (WIDE_BLOCKS).
 CI_PINS = [
     (["poly", "--n", "4"], 0, "0e4c80f9e8e2209077b4164f98537bc809e4cefd4f154b65289e5f9a8fab2b50"),
     (["poly", "--n", "4", "-f", "json"], 0,
@@ -687,6 +716,14 @@ CI_PINS = [
      "c41f3ec8f33d52822014b704c249d7d21c81549cb4faa53bb0b663982b69cc93"),
     (["lattice", "--n", "8", "--weights", "W8", "-f", "dot"], 0,
      "e5e9e1169c449ec38dcb30125cef039c7cdae8d96b3e5a752e5b4306c8037878"),
+    (["poly", "--n", "16", "--weights", "W16"], 0,
+     "d8359759223b1c5b2ea2c1989296bf48cfbd34596d751e4beebded4c18b478d2"),
+    (["poly", "--n", "16", "--weights", "W16", "-f", "json"], 0,
+     "08f3d8b1a3c6d9dfd449cd61e136e4f0c4b8a785ae766f43ca7941fe298e674f"),
+    (["poly", "--n", "20", "--weights", "W20"], 0,
+     "f305a9dd2cf9ae8078b7828353c192578d33bf8cc41cc33a1b7ac26cb9c0bf18"),
+    (["poly", "--n", "20", "--weights", "W20", "-f", "json"], 0,
+     "ef3b419670d11b547f597d0e24960bc3b001e992d60e27236fb78bfab222de9c"),
     (["count-covered", "--n", "8", "--weights", "W8"], 0, "count: 441"),
     (["verify", "--n", "8", "--weights", "W8", "--check-file", "BAD8"], 1,
      "6f6c1bb8ac56bb7bf27e2e96fd54a7e64a508f3dd64e214eac59b5170d33f3d0"),
@@ -697,6 +734,8 @@ CI_PINS = [
 def test_ci_pinned_outputs(argv, code, pin, tmp_path, capsys):
     b = [0, 0, 0, 1, 1, 2, 2, 3]
     files = {"W8": _zero_weight_file(tmp_path / "w8.txt", 8, lambda i, j: b[i - 1] == b[j - 1])}
+    for name, sizes in WIDE_BLOCKS.items():
+        files[name] = _zero_blocks(tmp_path / f"{name}.txt", *sizes)
     if "BAD8" in argv:
         poly = json.loads(run(capsys, "poly", "--n", "8", "--weights", files["W8"], "-f", "json")[1])
         poly["terms"][0]["coeff"] *= -1
@@ -708,6 +747,19 @@ def test_ci_pinned_outputs(argv, code, pin, tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == pin
     else:
         assert pin in out.splitlines()
+
+
+def test_writers_on_wide_rows(tmp_path, capsys):
+    # poly's text and JSON against the formats written term by term and bit
+    # by bit, where each row spans several per-byte name tables
+    for name, sizes in WIDE_BLOCKS.items():
+        wfile = _zero_blocks(tmp_path / f"{name}.txt", *sizes)
+        poly = min_weight_pm_polynomial(parse_weight_function(Path(wfile).read_text()))
+        assert len(poly._bits) == {"W16": 32, "W20": 34}[name]
+        code, text, _ = run(capsys, "poly", "--n", str(sum(sizes)), "--weights", wfile)
+        assert code == 0 and text == reference_text(poly)
+        code, data, _ = run(capsys, "poly", "--n", str(sum(sizes)), "--weights", wfile, "-f", "json")
+        assert code == 0 and data == json.dumps(reference_json_dict(poly), indent=2) + "\n"
 
 
 def test_lattice_caps_and_validation(capsys):

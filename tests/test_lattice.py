@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -622,6 +623,34 @@ def test_exports_keep_their_pinned_bytes():
     ]
     for text, digest in pins:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_streamed_writers_hold_about_one_chunk():
+    # each writer streamed into a sink that keeps nothing: the traced peak
+    # is the writer's tables, its index strings and about one chunk, well
+    # below the text. Measured on Python 3.11 (peak / text): polynomial
+    # text 0.23 / 0.58 MB, polynomial JSON 1.0 / 4.1, lattice JSON 1.3 /
+    # 4.7, DOT 0.78 / 1.26. A writer that built the whole text first fails
+    # every bound; writers that built a string per item and held two
+    # chunks (0.42, 2.2 and 2.8 MB) fail the text and JSON ones.
+    class Sink:
+        size = 0
+
+        def write(self, chunk):
+            self.size += len(chunk)
+
+    poly, lat = pm_polynomial(4), n4_lattice()
+    lat._mobius_numbers(), lat._rank_data()  # computed first, not traced
+    writers = [(poly.to_text, 0.5), (poly.to_json, 0.4), (lat.to_json, 0.4), (lat.to_dot, 0.75)]
+    for write, share in writers:
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write(sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < share * sink.size, (write.__qualname__, peak, sink.size)
 
 
 def random_posets(rng, ground, edges, count):
