@@ -236,9 +236,9 @@ def _parity(count: int) -> str:
 
 def cmd_poly(args) -> int:
     weights = _load_weights(args)
-    if args.verbose:  # the polynomial splits the support again
-        _support(args, weights, note=True)
-    poly = pm_polynomial(args.n) if weights is None else min_weight_pm_polynomial(weights)
+    split = _support(args, weights, "poly", note=True)
+    poly = (pm_polynomial(args.n, split) if weights is None
+            else min_weight_pm_polynomial(weights, split))
     _stream_output(args, poly.to_json if args.format == "json" else poly.to_text)
     print(f"terms: {len(poly)} ({_parity(len(poly))})", file=sys.stderr)
     return 0
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("poly", help="emit a membership polynomial")
     p.add_argument("--n", type=int, required=True, help="bipartite ground size")
     p.add_argument("--weights", help="weight file (min-weight matchings)")
-    _add_common(p, caps=False)
+    _add_common(p)
     p.set_defaults(func=cmd_poly)
 
     p = subs.add_parser("coeff", help="coefficient of one monomial, no enumeration")

@@ -19,9 +19,10 @@ from .graphs import Family, Graph, GroundGraph, cyclomatic_number
 from .matching import WeightFunction, pm_support
 from .subsets import (
     SupportBits,
+    _canonical_entries,
     _row_keys,
     _subset_transform,
-    byte_rows,
+    _table_index,
     canonical_order,
     dense_fits,
 )
@@ -81,30 +82,35 @@ def covered_closure(F: Family) -> CoveredSet:
     members = [g.edges for g in F]
     bits = SupportBits(members)
     if dense_fits(len(bits), len(members)):
-        rows = _dense_closure_rows(members, bits)
-    else:
-        rows = bits.rows(list(_bfs_closure_masks(members)))
+        return CoveredSet(F.ground, bits, _dense_closure_rows(members, bits))
+    rows = bits.rows(list(_bfs_closure_masks(members)))
     return CoveredSet(F.ground, bits, np.take(rows, canonical_order(rows), axis=0))
 
 
 def _dense_closure_rows(members: list[int], bits: SupportBits) -> np.ndarray:
-    """Byte rows of the covered masks, in index order, by one OR pass over
-    the support.
+    """Byte rows of the covered masks, in canonical order, by one OR pass
+    over the support.
 
     After the pass, table[S] is the union of the members inside S, and S is
-    covered exactly when that union is S itself.
+    covered exactly when that union is S itself: a byte table marks each
+    covered S by a 1, which _canonical_entries reads.
     """
-    cmembers = _row_keys(bits.rows(members)).astype(np.uint32)
-    table = np.zeros(1 << len(bits), dtype=np.uint32)
-    table[cmembers] = cmembers
-    _subset_transform(table, "|")
-    index = np.arange(min(table.size, 1 << 16), dtype=np.uint32)  # 256 KB a block
-    covered = []
-    for block in table.reshape(-1, index.size):
-        covered.append(index[block == index])
-        index += index.size
-    # index 0 always matches, but the empty graph is not covered
-    return byte_rows(np.concatenate(covered)[1:], len(bits))
+
+    def covered_table() -> np.ndarray:
+        cmembers = _table_index(_row_keys(bits.rows(members)), len(bits))
+        table = np.zeros(1 << len(bits), dtype=np.uint32)
+        table[cmembers] = cmembers
+        _subset_transform(table, "|")
+        marks = np.empty(table.size, dtype=np.uint8)
+        index = np.arange(min(table.size, 1 << 16), dtype=np.uint32)  # 256 KB a block
+        for block, out in zip(table.reshape(-1, index.size), marks.reshape(-1, index.size)):
+            np.equal(block, index, out=out)
+            index += index.size
+        return marks
+
+    # index 0 always matches, but the empty graph, first in canonical order,
+    # is not covered
+    return _canonical_entries(covered_table)[0][1:]
 
 
 def _bfs_closure_masks(members: list[int]) -> set[int]:

@@ -13,7 +13,9 @@ independent check on grounds of up to DENSE_BIT_CAP edges, K_{5,5} among
 them. Every route ends in the same arrays (support edges, compressed
 monomials in canonical order, coefficients), which the text and JSON
 writers format a chunk at a time; both Mobius routes reach them through
-one helper, which reads the nonzero entries of the table.
+one helper, which reads the nonzero entries of the table in canonical
+order (the table numbers its bits in reverse; see subsets), so neither
+sorts rows by a lexsort.
 """
 
 from __future__ import annotations
@@ -49,13 +51,17 @@ from .matching import (
 from .subsets import (
     DENSE_BIT_CAP,
     SupportBits,
+    _canonical_entries,
+    _packed_or_transform,
     _row_keys,
     _subset_transform,
-    byte_rows,
+    _table_index,
     canonical_order,
     dense_fits,
 )
 
+# A support with its _split: forced edges, blocks and their families.
+_Split = tuple[Graph, int, list[tuple[int, int]], Iterator[Family]]
 # Assignments per call of a truth-table oracle: 2^16 int64 masks, 512 KB.
 _ORACLE_CHUNK = 1 << 16
 # Support-edge slots formatted per chunk of the writers: a chunk takes
@@ -95,25 +101,26 @@ class MultilinearPolynomial:
         if (coeffs == 0).any():
             raise InputError("zero coefficients must be dropped")
         bits = SupportBits(masks)
-        self._hold(ground, bits, bits.rows(masks), coeffs)
+        rows = bits.rows(masks)
+        order = canonical_order(rows)
+        self._hold(ground, bits, np.take(rows, order, axis=0), coeffs[order])
 
     def _hold(
         self, ground: GroundGraph, bits: SupportBits, rows: np.ndarray, coeffs: np.ndarray
     ) -> None:
-        """Keep the monomials' byte rows on the support bits, and their
-        coefficients, in canonical order."""
-        order = canonical_order(rows)
+        """Keep the monomials' byte rows on the support bits, in canonical
+        order, and their coefficients in the same order."""
         self.ground = ground
         self._bits = bits
-        self._rows = np.take(rows, order, axis=0)  # faster than rows[order]
-        self._coeffs = coeffs[order]
+        self._rows = rows
+        self._coeffs = coeffs
 
     @classmethod
     def _from_rows(
         cls, ground: GroundGraph, bits: SupportBits, rows: np.ndarray, coeffs: np.ndarray
     ) -> "MultilinearPolynomial":
         """The polynomial of nonzero coefficients on distinct byte rows whose
-        union is the whole support, in any order."""
+        union is the whole support, in canonical order."""
         poly = cls.__new__(cls)
         poly._hold(ground, bits, rows, coeffs)
         return poly
@@ -338,8 +345,8 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
     """Membership polynomial of a family of perfect matchings.
 
     On a narrow support (see dense_fits) the coefficients are the Mobius
-    transform of the membership table, which one OR pass builds; on a wide
-    one they come from the sign rule over the closure.
+    transform of the membership table, which one OR pass over its bits
+    builds; on a wide one they come from the sign rule over the closure.
     """
     _check_family(F)
     members = [g.edges for g in F]
@@ -348,11 +355,11 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
         return _sign_rule_polynomial(F)
 
     def mobius_residues() -> np.ndarray:
-        # the membership table is 0/1, so both passes run on its own bytes.
-        # The Mobius pass wraps, so each byte ends as its coefficient mod 2^8
-        table = np.zeros(1 << len(bits), dtype=np.uint8)
-        table[_row_keys(bits.rows(members))] = 1
-        _subset_transform(table, "|")
+        # the membership table is 0/1, so the OR pass runs on its bits and
+        # the Mobius pass on its bytes, which wrap: each byte ends as its
+        # coefficient mod 2^8
+        ones = _table_index(_row_keys(bits.rows(members)), len(bits))
+        table = _packed_or_transform(ones, len(bits))
         return _subset_transform(table, "+", inverse=True).view(np.int8)
 
     # by the sign rule every coefficient is -1, 0 or 1, so the residues read
@@ -370,48 +377,57 @@ def _table_polynomial(
     ground: GroundGraph, bits: SupportBits, mobius_table: Callable[[], np.ndarray]
 ) -> MultilinearPolynomial:
     """The polynomial whose coefficients are the nonzero entries of the
-    table that mobius_table() returns, indexed by masks on the support bits;
-    a support bit that no monomial touches is dropped. The table is built
-    here and held nowhere else, so it and its mask of nonzero entries are
-    freed before the sort, which needs the room."""
-    table = mobius_table()
-    nonzero = table != 0
-    coeffs = table[nonzero]
-    del table
-    masks = np.flatnonzero(nonzero)
-    del nonzero
-    narrow = SupportBits([int(np.bitwise_or.reduce(masks, initial=0))])
-    if len(narrow) < len(bits):
-        masks = narrow.compress_array(masks)
-        bits = SupportBits([sum(1 << bits.ids[k] for k in narrow.ids)])
-    return MultilinearPolynomial._from_rows(ground, bits, byte_rows(masks, len(bits)), coeffs)
+    table that mobius_table() returns, indexed by masks on the support bits
+    as _table_index numbers them, read by _canonical_entries; a support bit
+    that no monomial touches is dropped, which keeps the order."""
+    rows, coeffs = _canonical_entries(mobius_table)
+    union = np.array([np.bitwise_or.reduce(column) for column in rows.T], dtype=np.uint8)
+    used = np.flatnonzero(np.unpackbits(union, count=len(bits), bitorder="little"))
+    if len(used) < len(bits):
+        edges = np.unpackbits(rows, axis=1, count=len(bits), bitorder="little")
+        rows = np.packbits(edges[:, used], axis=1, bitorder="little")
+        bits = SupportBits([sum(1 << bits.ids[k] for k in used.tolist())])
+    return MultilinearPolynomial._from_rows(ground, bits, rows, coeffs)
 
 
-def pm_polynomial(n: int) -> MultilinearPolynomial:
+def pm_polynomial(n: int, split: _Split | None = None) -> MultilinearPolynomial:
     """Membership polynomial of the perfect matchings of K_{n,n}: one term
-    per matching-covered subgraph, signed by its cyclomatic number."""
-    return _support_polynomial(bipartite_ground(n).full_graph())
+    per matching-covered subgraph, signed by its cyclomatic number. split,
+    if given, is K_{n,n} with its _split, made already."""
+    return _support_polynomial(*(split or _with_split(bipartite_ground(n).full_graph())))
 
 
-def min_weight_pm_polynomial(w: WeightFunction) -> MultilinearPolynomial:
+def min_weight_pm_polynomial(
+    w: WeightFunction, split: _Split | None = None
+) -> MultilinearPolynomial:
     """Membership polynomial of the minimum-weight perfect matchings under w,
-    those of their union G_w."""
-    return _support_polynomial(support_union(w))
+    those of their union G_w. split, if given, is G_w with its _split, made
+    already."""
+    return _support_polynomial(*(split or _with_split(support_union(w))))
 
 
-def _support_polynomial(support: Graph) -> MultilinearPolynomial:
+def _with_split(support: Graph) -> _Split:
+    return (support, *_split(support))
+
+
+def _support_polynomial(
+    support: Graph, forced: int, blocks: list[tuple[int, int]], families: Iterator[Family]
+) -> MultilinearPolynomial:
     """Membership polynomial of the perfect matchings of a bipartite graph
-    that is their union: a graph is covered exactly when its part in every
-    block is covered there, and cyclomatic numbers add over blocks, so it is
-    the product of the blocks' polynomials, each forced edge in every term.
-    A support of one block, such as K_{n,n}, takes the family's route whole.
+    that is their union, from _split's forced edges, blocks and families of
+    it: a graph is covered exactly when its part in every block is covered
+    there, and cyclomatic numbers add over blocks, so it is the product of
+    the blocks' polynomials, each forced edge in every term. A support of
+    one block, such as K_{n,n}, takes the family's route whole.
     """
-    forced, blocks, families = _split(support)
     if len(blocks) + forced.bit_count() == 1:
         return _pm_family_polynomial(enumerate_perfect_matchings(support))
     polys = [(p._bits, p._rows, p._coeffs) for p in map(_pm_family_polynomial, families)]
     bits, rows, coeffs = _multiply_blocks(support, forced, polys)
-    return MultilinearPolynomial._from_rows(support.ground, bits, rows, coeffs)
+    order = canonical_order(rows)
+    return MultilinearPolynomial._from_rows(
+        support.ground, bits, np.take(rows, order, axis=0), coeffs[order]  # take beats rows[order]
+    )
 
 
 def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]]:
@@ -472,8 +488,11 @@ def truth_table_transform(
     all 0/1 assignments, by the subset Mobius transform of its truth table.
 
     oracle maps an int64 array of edge masks of the ground to an array of
-    their values, each 0 or 1 (bools too); it is called on the masks in
-    order, _ORACLE_CHUNK at a time, and any other answer is refused.
+    their values, each 0 or 1 (bools too); it is called once on each mask,
+    _ORACLE_CHUNK at a time, and any other answer is refused. A chunk's
+    masks are those of a run of table indices, which number the bits in
+    reverse (_table_index), so its answers are written in place, in the
+    order that _canonical_entries reads.
     Exhaustive by construction, so grounds wider than DENSE_BIT_CAP are
     refused before any table exists. Every coefficient of a Boolean function
     on m edges is at most 2^m in absolute value, so the int32 table holds
@@ -488,7 +507,8 @@ def truth_table_transform(
     def mobius_table() -> np.ndarray:
         table = np.empty(1 << m, dtype=np.int32)
         for lo in range(0, len(table), _ORACLE_CHUNK):
-            masks = np.arange(lo, min(lo + _ORACLE_CHUNK, len(table)), dtype=np.int64)
+            index = np.arange(lo, min(lo + _ORACLE_CHUNK, len(table)))
+            masks = _table_index(index, m).astype(np.int64)
             values = np.asarray(oracle(masks))
             if values.shape != masks.shape or not ((values == 0) | (values == 1)).all():
                 raise InputError(f"the oracle must answer 0 or 1 for each of {len(masks)} masks")

@@ -14,7 +14,14 @@ The butterfly's steps commute. It runs those of the low bits one
 cache-sized block of the table at a time, the shortest of them (partners 1
 to 8 entries apart) as strided slices, and the rest over the whole table.
 Fixed-width entries wrap, so every transform is exact modulo 2^width: a
-byte table gives each sum mod 2^8.
+byte table gives each sum mod 2^8. An OR pass over a 0/1 table runs on its
+bits, 64 entries to a word.
+
+The tables whose nonzero entries become rows (the closure's and the Mobius
+routes') number their bits in reverse, support bit k as table bit s-1-k
+(_table_index). Within one bit count, canonical order is then descending
+index, so _canonical_entries reads such a table backwards and needs only a
+stable sort by bit count, never canonical_order's lexsort.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from .graphs import _iter_bits
 # Widest support that gets a dense table, and the one cap on exhaustive
 # work (the CLI's caps and truth_table_transform): 2^25 entries of 4 bytes
 # are 128 MB, the 25 edges of K_{5,5}. At this width, on a 2-core x86-64,
-# `count-covered --n 5` peaks at 251 MB of RSS, `verify --n 5 --exhaustive`
-# at 246 MB and the truth table of K_{5,5} at 228 MB.
+# `count-covered --n 5` peaks at 191 MB of RSS, `verify --n 5 --exhaustive`
+# at 243 MB and the truth table of K_{5,5} at 210 MB.
 DENSE_BIT_CAP = 25
 # k members have at most 2^k - 1 unions. A closure graph costs the
 # breadth-first route microseconds and a table entry costs nanoseconds a
@@ -53,6 +60,9 @@ _BUTTERFLY = {
 # inner loop over a (-1, 2, 2^bit) view would run only that long, so they go
 # as 2^bit strided 1-D slices instead, each over the whole block.
 _STRIDED_BITS = 4
+# For each of the six in-word steps of _packed_or_transform, the lanes of a
+# 64-entry word whose index has that bit clear.
+_LOW_LANES = [np.uint64(sum(1 << k for k in range(64) if not k >> bit & 1)) for bit in range(6)]
 # The steps on the low bits run a block of this many bytes at a time, while
 # it sits in cache: 1 MiB, half the 2 MiB L2 cache per core of the 2-core
 # x86-64 machine the README's timings come from.
@@ -91,6 +101,19 @@ def _butterfly_steps(table: np.ndarray, ufunc: np.ufunc, bits: range) -> None:
         else:
             halves = table.reshape(-1, 2, half)
             ufunc(halves[:, 1], halves[:, 0], out=halves[:, 1])
+
+
+def _packed_or_transform(ones: np.ndarray, width: int) -> np.ndarray:
+    """The OR pass over the 0/1 table of 2^width entries that holds 1 at the
+    indices ones, as a uint8 table. It runs on the bits: six shift-and-mask
+    steps inside each uint64 word of 64 entries, then the butterfly over the
+    words, an eighth of the bytes a byte table would take."""
+    words = np.zeros(max(1, (1 << width) >> 6), dtype="<u8")
+    np.bitwise_or.at(words, ones >> 6, np.uint64(1) << (ones & 63).astype(np.uint64))
+    for bit in range(min(width, 6)):
+        words |= (words & _LOW_LANES[bit]) << np.uint64(1 << bit)
+    _subset_transform(words, "|")
+    return np.unpackbits(words.view(np.uint8), count=1 << width, bitorder="little")
 
 
 def dense_fits(width: int, members: int) -> bool:
@@ -211,13 +234,6 @@ class SupportBits:
         return tables
 
 
-def byte_rows(masks: np.ndarray, width: int) -> np.ndarray:
-    """Nonnegative integer masks below 2^width (width < 64) as rows of
-    little-endian bytes: a view of int64 masks, no copy."""
-    size = -(-width // 8)
-    return masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :size]
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Keys that are equal exactly when the byte rows are: each row's
     little-endian value as uint64 when it fits, else its raw bytes."""
@@ -239,6 +255,46 @@ def canonical_order(rows: np.ndarray) -> np.ndarray:
     count = np.bitwise_count(rows).sum(axis=1, dtype=count_type)
     keys = [~_REVERSED[rows[:, b]] for b in reversed(range(rows.shape[1]))]
     return np.lexsort([*keys, count])
+
+
+def _table_index(masks: np.ndarray, width: int) -> np.ndarray:
+    """The indices, as uint32, of masks below 2^width (width <= 32) in a
+    table of bits numbered in reverse: bit k of a mask is bit width-1-k of
+    its index. Its own inverse."""
+    # with its bytes swapped and each reversed, a 32-bit value is reversed
+    data = masks.astype("<u4").byteswap(inplace=True).tobytes().translate(_REVERSED.tobytes())
+    return np.frombuffer(data, dtype="<u4") >> np.uint32(32 - width)
+
+
+def _canonical_entries(make_table: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of the table that make_table() returns, indexed
+    as _table_index numbers them: their masks as byte rows in canonical
+    order, and their values in the same order.
+
+    The table is read backwards a block at a time, so the entries of each
+    bit count come in canonical order and a stable sort by bit count merges
+    them. It is held here alone and freed before the sort, which needs the
+    room.
+    """
+    table = make_table()
+    width = table.size.bit_length() - 1
+    # 2^19 entries a block: at 2^16, poly --n 5 peaked 24 MB higher, its
+    # many small arrays left in malloc's heap
+    step = min(table.size, 1 << 19)
+    found, values = [], []
+    for lo in range(table.size - step, -1, -step):
+        block = table[lo : lo + step]
+        k = np.flatnonzero(block != 0)[::-1]  # numpy's fast path reads bools
+        found.append((k + lo).astype(np.uint32))
+        values.append(block[k])
+    del table, block
+    index, values = np.concatenate(found), np.concatenate(values)
+    del found
+    order = np.argsort(np.bitwise_count(index), kind="stable")
+    index, values = index[order], values[order]
+    del order
+    masks = _table_index(index, width).astype("<u4", copy=False)
+    return masks.view(np.uint8).reshape(-1, 4)[:, : -(-width // 8)], values
 
 
 def _order_key(row: np.ndarray) -> tuple[int, bytes]:

@@ -867,24 +867,30 @@ def test_one_edge_cap_at_its_boundary(tmp_path, capsys):
     assert code == 0 and out == "count: 6092721\nparity: odd\n"
     cycle = {(i, i) for i in range(1, 14)} | {(i, i % 13 + 1) for i in range(1, 14)}
     block = _weight_file(tmp_path / "13.txt", 13, lambda i, j: int((i, j) not in cycle))
-    for cmd in ("count-covered", "lattice"):
+    for cmd in ("count-covered", "lattice", "poly"):
         message = (f"error: a {cmd} block is capped at 25 support edges, this one"
                    " has 26 (override with --unsafe-caps)\n")
         assert run(capsys, cmd, "--n", "13", "--weights", block) == (2, "", message)
     assert run(capsys, "count-covered", "--n", "13", "--weights", block, "--unsafe-caps") == (
         0, "count: 3\nparity: odd\n", "")
-    # unweighted runs: K_{6,6} has 36 edges, K_8 28
+    code, out, err = run(capsys, "poly", "--n", "13", "--weights", block, "--unsafe-caps")
+    assert code == 0 and len(out.splitlines()) == 3 and err == "terms: 3 (odd)\n"
+    # unweighted runs: K_{6,6} has 36 edges, K_8 28; each is refused from
+    # --n, before anything is built
     for argv, what, width in [
+        (["poly", "--n", "6"], "poly", 36),
         (["count-covered", "--n", "6"], "count-covered", 36),
         (["lattice", "--n", "6"], "a bipartite lattice", 36),
         (["verify", "--n", "6"], "unweighted verification", 36),
         (["verify", "--n", "6", "--exhaustive"], "exhaustive verification", 36),
         (["lattice", "--mode", "complete", "--n", "8"], "complete mode", 28),
     ]:
+        start = time.perf_counter()
         assert run(capsys, *argv) == (
             2, "", f"error: {what} is capped at 25 support edges, this one has {width}"
             " (override with --unsafe-caps)\n"
         )
+        assert time.perf_counter() - start < 1.0
     # K_{5,5} passes the width cap, and its lattice is refused by the element
     # cap from the face-count bound, 2^17, before a matching is listed
     assert run(capsys, "lattice", "--n", "5") == (
@@ -1040,11 +1046,10 @@ def test_lattice_of_the_blocks_matches_the_whole_family(monkeypatch, tmp_path, c
 
 
 def test_flags_that_change_nothing_are_refused(tmp_path):
-    # poly and coeff take no caps, coeff writes no progress
+    # coeff takes no caps and writes no progress
     gfile = tmp_path / "g.txt"
     gfile.write_text(IDENT)
-    for argv in (["poly", "--n", "2", "--unsafe-caps"],
-                 ["coeff", "--n", "2", "--graph", str(gfile), "--unsafe-caps"],
+    for argv in (["coeff", "--n", "2", "--graph", str(gfile), "--unsafe-caps"],
                  ["coeff", "--n", "2", "--graph", str(gfile), "-v"],
                  ["coeff", "--n", "2", "--graph", str(gfile), "--verbose"]):
         with pytest.raises(SystemExit) as exc:
@@ -1327,7 +1332,7 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
 def test_internal_errors_exit_3(monkeypatch, capsys):
     import matchcover.cli as cli
 
-    def fail(n):
+    def fail(n, split):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "pm_polynomial", fail)

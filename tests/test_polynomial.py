@@ -4,7 +4,7 @@ import json
 import random
 import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
@@ -34,7 +34,17 @@ from matchcover import (
 from matchcover import polynomial
 from matchcover.matching import _has_perfect_matchings
 from matchcover.polynomial import _SCAN_CELLS, _pm_family_polynomial, _sign_rule_polynomial
-from matchcover.subsets import _BLOCK_BYTES, _STRIDED_BITS, SupportBits, _row_keys, _subset_transform
+from matchcover.subsets import (
+    _BLOCK_BYTES,
+    _STRIDED_BITS,
+    SupportBits,
+    _canonical_entries,
+    _packed_or_transform,
+    _row_keys,
+    _subset_transform,
+    _table_index,
+    canonical_order,
+)
 from oracles import (
     graph_oracle,
     ground_pairs,
@@ -330,6 +340,53 @@ def test_subset_transform_matches_reference_butterfly(dtype):
             assert np.array_equal(got, reference_subset_transform(table.copy(), op, inverse))
 
 
+def test_packed_or_transform_matches_byte_table():
+    # widths from one entry, through tables of less than one 64-entry word
+    # and of exactly one, up to 2^20 entries; sparse and dense 0/1 tables
+    rng = np.random.default_rng(127)
+    for width in range(21):
+        for density in (4 / (1 << width), 0.01, 0.5):
+            table = (rng.random(1 << width) < density).astype(np.uint8)
+            ones = np.flatnonzero(table).astype(np.uint32)
+            got = _packed_or_transform(ones, width)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, _subset_transform(table, "|"))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32])
+def test_canonical_entries_match_canonical_order(dtype):
+    # the Mobius route's int8 table, the closure's uint8 marks and the truth
+    # table's int32 one, of widths 1 to 25 (rows of 1 to 4 bytes, most
+    # widths no multiple of 8): entries few and spread over the table, or
+    # dense in a small one
+    rng = np.random.default_rng(131)
+    info = np.iinfo(dtype)
+    for width in range(1, 26):
+        size = 1 << width
+        table = np.zeros(size, dtype=dtype)
+        count = size // 2 if width <= 10 else rng.integers(1, 2000)
+        index = rng.integers(0, size, count)
+        table[index] = rng.integers(info.min, info.max, count, dtype=dtype, endpoint=True)
+        index = np.flatnonzero(table)
+        want = SupportBits([size - 1]).rows(_table_index(index, width).tolist())
+        order = canonical_order(want)
+        want_values = table[index][order]
+        rows, values = _canonical_entries(lambda: table)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, want[order])
+        assert values.dtype == dtype and np.array_equal(values, want_values)
+
+
+def test_table_index_reverses_the_bits():
+    rng = random.Random(137)
+    for width in (0, 1, 7, 8, 9, 16, 25, 32):
+        masks = [rng.getrandbits(width) for _ in range(50)]
+        got = _table_index(np.array(masks, dtype=np.uint64), width)
+        assert got.dtype == np.uint32
+        assert got.tolist() == [int(f"{m:0{width}b}"[::-1] or "0", 2) for m in masks]
+        assert _table_index(got, width).tolist() == masks
+
+
 def test_dense_coefficients_match_sign_rule_and_lattice():
     rng = random.Random(107)
     families = []
@@ -374,6 +431,26 @@ def test_dense_route_refuses_a_coefficient_that_is_no_sign():
     fam = Family(g, [Graph(g, 0b011), Graph(g, 0b101), Graph(g, 0b110)])
     assert membership_polynomial_general(fam).terms[0b111] == -2
     with pytest.raises(RuntimeError, match="residue 254"):
+        _pm_family_polynomial(fam)
+
+
+@pytest.mark.parametrize("atoms, pairs, coefficient", [(5, 9, 5), (5, 10, 6), (6, 14, 9)])
+def test_packed_route_keeps_the_full_residue_check(atoms, pairs, coefficient):
+    # Members U - B_i, where each pair i, j of the first `pairs` pairs of
+    # atoms has an edge in B_i and B_j alone: the pairs' unions are
+    # distinct coatoms, every other union is U, and U's coefficient is
+    # 1 + pairs - atoms, the only one that is no sign. 5 and 9 are 1 mod 4
+    # (9 is 1 mod 8): a check of the residue mod 2, 4 or 8 would pass them.
+    # Supports of 9 to 14 edges take the packed OR pass.
+    g = bipartite_ground(4)
+    chosen = list(combinations(range(atoms), 2))[:pairs]
+    full = (1 << pairs) - 1
+    members = [full & ~sum(1 << k for k, p in enumerate(chosen) if i in p) for i in range(atoms)]
+    fam = Family(g, [Graph(g, m) for m in members])
+    terms = membership_polynomial_general(fam).terms
+    assert terms[full] == coefficient
+    assert sorted(c for m, c in terms.items() if m != full) == [-1] * pairs + [1] * atoms
+    with pytest.raises(RuntimeError, match=f"residue {coefficient} mod 2\\^8"):
         _pm_family_polynomial(fam)
 
 
