@@ -20,7 +20,6 @@ from .matching import WeightFunction, pm_support
 from .subsets import (
     SupportBits,
     _canonical_entries,
-    _row_keys,
     _subset_transform,
     _table_index,
     canonical_order,
@@ -97,7 +96,7 @@ def _dense_closure_rows(members: list[int], bits: SupportBits) -> np.ndarray:
     """
 
     def covered_table() -> np.ndarray:
-        cmembers = _table_index(_row_keys(bits.rows(members)), len(bits))
+        cmembers = _table_index(bits.words(members)[:, 0], len(bits))
         table = np.zeros(1 << len(bits), dtype=np.uint32)
         table[cmembers] = cmembers
         _subset_transform(table, "|")

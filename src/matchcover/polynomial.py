@@ -158,7 +158,7 @@ class MultilinearPolynomial:
 
     def evaluate(self, x: Graph | int) -> int:
         """Value at a 0/1 assignment: sum of coefficients of submonomials."""
-        return int(self._scanner()(np.array([self._mask_of(x)], dtype=object))[0])
+        return int(self._scanner()([self._mask_of(x)])[0])
 
     def _scanner(self) -> Callable[[np.ndarray], np.ndarray]:
         """A function from an array of assignment masks (int64 or Python
@@ -173,35 +173,37 @@ class MultilinearPolynomial:
         coeffs = self._coeffs.astype(object if top * len(self) >= 1 << 62 else np.int64, copy=False)
         step = max(1, _SCAN_CELLS // max(1, len(self)))
 
-        def scan(points: np.ndarray) -> np.ndarray:
-            rows = self._bits.rows(points.tolist())
+        def scan(points: list[int] | np.ndarray) -> np.ndarray:
+            rows = self._bits.rows(points)
             out = np.zeros(len(points), dtype=coeffs.dtype)
             for lo in range(0, len(points), step):
                 inside = np.ones((len(rows[lo : lo + step]), len(self)), dtype=bool)
-                for b in range(rows.shape[1]):
-                    inside &= np.take(_INSIDE[rows[lo : lo + step, b]], self._rows[:, b], axis=1)
+                for point, term in zip(rows[lo : lo + step].T, self._rows.T):
+                    inside &= _INSIDE.take(point, axis=0).take(term, axis=1)
                 out[lo : lo + step] = inside @ coeffs
             return out
 
         return scan
 
     def _value_reader(self, points: int) -> Callable[[np.ndarray], np.ndarray]:
-        """A function from an array of assignment masks, int64 below 64
-        ground edges, to their values, for a run of that many points: a
-        lookup in value_table when it pays, else _scanner's function.
-        Measured on a 2-core x86-64, a table entry costs up to 25 ns (its s
-        passes included, at s = 25), and the scan about 250 ns a point, to
-        compress it, plus 3 ns a (point, term) pair."""
-        pays = 25 * (1 << len(self._bits)) <= points * (250 + 3 * len(self))
+        """A function from an array of assignment masks (int64, or Python
+        ints) to their values, for a run of that many points: a lookup in
+        value_table when it pays, else _scanner's function. Both compress
+        the points through SupportBits.words, so the rule prices what
+        differs. Measured on a 2-core x86-64, a table entry costs up to
+        25 ns (its s passes included, at s = 25), and the scan about 40 ns a
+        point more than a table read, for int64 and object points alike,
+        plus 3 ns a (point, term) pair."""
+        pays = 25 * (1 << len(self._bits)) <= points * (40 + 3 * len(self))
         # None on wide supports and huge coefficients
-        table = self.value_table() if pays and self.ground.edge_count < 64 else None
-        return self._scanner() if table is None else lambda x: table[self._bits.compress_array(x)]
+        table = self.value_table() if pays else None
+        return self._scanner() if table is None else lambda x: table[self._bits.words(x)[:, 0]]
 
     def value_table(self) -> np.ndarray | None:
         """Values at all 2^s assignments of the s support edges, by one zeta
-        pass, indexed by the assignment compressed onto the support (see
-        SupportBits.compress_array); edges off the support do not change a
-        value.
+        pass, indexed by the assignment compressed onto the support, the
+        first word of SupportBits.words; edges off the support do not change
+        a value.
 
         The int32 table holds partial sums of coefficients, so it is refused
         (None) when the absolute coefficients sum past int32, as well as
@@ -358,7 +360,7 @@ def _pm_family_polynomial(F: Family) -> MultilinearPolynomial:
         # the membership table is 0/1, so the OR pass runs on its bits and
         # the Mobius pass on its bytes, which wrap: each byte ends as its
         # coefficient mod 2^8
-        ones = _table_index(_row_keys(bits.rows(members)), len(bits))
+        ones = _table_index(bits.words(members)[:, 0], len(bits))
         table = _packed_or_transform(ones, len(bits))
         return _subset_transform(table, "+", inverse=True).view(np.int8)
 

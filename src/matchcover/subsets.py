@@ -7,8 +7,10 @@ question for every subgraph at once: one pass of Yates' butterfly (the fast
 zeta and Mobius transforms; Bjorklund, Husfeldt, Kaski and Koivisto,
 "Fourier meets Mobius", STOC 2007) gives the union of the members inside
 each subgraph, the value of a polynomial at each assignment, or the
-coefficients of a truth table. Masks compressed onto a support travel as
-rows of bytes, which byte lookup tables sort, expand and name.
+coefficients of a truth table. Masks of any ground width are compressed
+onto a support by SupportBits.words, one 256-entry lookup for each ground
+byte that holds support bits and each 64-bit word of the row it feeds, and
+travel as rows of bytes, which byte lookup tables sort, expand and name.
 
 The butterfly's steps commute. It runs those of the low bits one
 cache-sized block of the table at a time, the shortest of them (partners 1
@@ -50,6 +52,8 @@ DENSE_SLACK_BITS = 8
 _REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
 # The same, complemented, as a bytes.translate table for _order_key.
 _KEY_BYTES = (~_REVERSED).tobytes()
+# Row k, column v: bit k of the byte value v, as a uint64 for SupportBits.
+_BYTE_BITS = np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None] & 1
 
 _BUTTERFLY = {
     ("+", False): np.add,
@@ -127,50 +131,55 @@ class SupportBits:
 
     Compressed masks are held as rows of little-endian bytes, one row per
     mask; the renumbering keeps the order of edge ids, so canonical_order
-    sorts them as the graphs they stand for.
+    sorts them as the graphs they stand for. One method, words, compresses
+    masks of any ground width onto the support, for every reader: each
+    (ground byte, word of the row) pair that holds support bits has a
+    256-entry table, built once here, of the word bits that each value of
+    that ground byte sets.
     """
 
-    __slots__ = ("ids", "_cols", "_picked")
+    __slots__ = ("ids", "_lookups")
 
     def __init__(self, masks: Iterable[int]):
         union = 0
         for mask in masks:
             union |= mask
         self.ids = list(_iter_bits(union))
-        # the bytes that hold support bits, and each support bit's place
-        # among the bits of those bytes (np.unique would cost a first call
-        # 9 ms and 1.8 MB of peak RSS)
-        ids = np.array(self.ids, dtype=np.intp)
-        self._cols = np.array(sorted({k >> 3 for k in self.ids}), dtype=np.intp)
-        self._picked = np.searchsorted(self._cols, ids >> 3) * 8 + (ids & 7)
+        # support bit b goes to bit b % 64 of word b // 64: for each (ground
+        # byte, word) pair that holds support bits, the word bit that each
+        # bit of the byte sets
+        place = {}
+        for b, k in enumerate(self.ids):
+            place.setdefault((k >> 3, b >> 6), [0] * 8)[k & 7] = 1 << (b & 63)
+        # the bits of a row are distinct, so the product with _BYTE_BITS ORs
+        tables = np.array(list(place.values()), dtype=np.uint64).reshape(-1, 8) @ _BYTE_BITS
+        self._lookups = list(zip(place, tables))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def compress_array(self, masks: np.ndarray) -> np.ndarray:
-        """Each mask of an int64 array compressed onto the support, read as
-        an int64, its edges off the support dropped: one 256-entry lookup
-        per byte of the ground that holds support bits."""
-        values = np.arange(256, dtype=np.int64)
-        out = np.zeros(len(masks), dtype=np.int64)
-        for c in self._cols.tolist():
-            table = np.zeros(256, dtype=np.int64)
-            for b, k in enumerate(self.ids):
-                if k >> 3 == c:
-                    table |= (values >> (k & 7) & 1) << b
-            out |= table[masks >> 8 * c & 255]
-        return out
-
-    def rows(self, masks: list[int]) -> np.ndarray:
+    def words(self, masks: list[int] | np.ndarray) -> np.ndarray:
         """Masks compressed onto the support, their edges off it dropped, as
-        byte rows: the bytes that hold support bits unpacked, the support's
-        columns packed again."""
-        size = (self.ids[-1] >> 3) + 1 if self.ids else 0
-        low = (1 << 8 * size) - 1
-        data = b"".join((m & low).to_bytes(size, "little") for m in masks)
-        full = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
-        edges = np.unpackbits(full[:, self._cols], axis=1, bitorder="little")
-        return np.packbits(edges[:, self._picked], axis=1, bitorder="little")
+        rows of little-endian uint64 words (at least one), support bit b at
+        bit b % 64 of word b // 64. The ground bytes are an int64 array's
+        own bytes, or one to_bytes join of Python ints (a list or an object
+        array); each table lookup is ORed into its word."""
+        words = np.zeros((len(masks), max(1, -(-len(self) // 64))), dtype="<u8")
+        if isinstance(masks, np.ndarray) and masks.dtype != object:
+            full = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(len(masks), 8)
+        else:
+            size = (self.ids[-1] >> 3) + 1 if self.ids else 0
+            low = (1 << 8 * size) - 1
+            data = b"".join([(m & low).to_bytes(size, "little") for m in masks])
+            full = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
+        for (c, j), table in self._lookups:
+            np.bitwise_or(words[:, j], table.take(full[:, c]), out=words[:, j])
+        return words
+
+    def rows(self, masks: list[int] | np.ndarray) -> np.ndarray:
+        """Masks compressed onto the support as byte rows: a byte view of
+        their words, cut to the support's bytes."""
+        return self.words(masks).view(np.uint8)[:, : -(-len(self) // 8)]
 
     def find(self, rows: np.ndarray, mask: int) -> int | None:
         """Index of mask's row among byte rows in canonical order, by binary

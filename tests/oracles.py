@@ -13,8 +13,10 @@ the library's strided, cache-blocked kernel, and a block's perfect
 matchings listed over the whole ground, the other rows padded with one
 fixed perfect matching, instead of on the block's own vertices, and a
 polynomial's values summed over its terms dict instead of scanned from its
-byte rows. A test of one Graph at a time becomes an oracle over arrays of
-edge masks, as truth_table_transform takes, through graph_oracle.
+byte rows, and masks compressed onto a support by unpacking and packing
+their bits instead of through per-byte lookup tables. A test of one Graph
+at a time becomes an oracle over arrays of edge masks, as
+truth_table_transform takes, through graph_oracle.
 The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's join-irreducible test, blocked masks, level-wise Mobius
@@ -271,6 +273,21 @@ def graph_oracle(ground, test):
     """The array oracle of a test of one Graph: test(Graph(ground, m)) at
     each mask m of an int64 array, as an array."""
     return lambda masks: np.array([test(Graph(ground, m)) for m in masks.tolist()])
+
+
+def reference_rows(ids, masks):
+    """Masks (Python ints) compressed onto the support edges ids, ascending,
+    as byte rows: the ground bytes that hold support bits unpacked, the
+    support's columns picked and packed again."""
+    cols = np.array(sorted({k >> 3 for k in ids}), dtype=np.intp)
+    ids = np.array(ids, dtype=np.intp)
+    picked = np.searchsorted(cols, ids >> 3) * 8 + (ids & 7)
+    size = (int(ids[-1]) >> 3) + 1 if len(ids) else 0
+    low = (1 << 8 * size) - 1
+    data = b"".join((m & low).to_bytes(size, "little") for m in masks)
+    full = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
+    edges = np.unpackbits(full[:, cols], axis=1, bitorder="little")
+    return np.packbits(edges[:, picked], axis=1, bitorder="little")
 
 
 def reference_evaluate(terms, mask):

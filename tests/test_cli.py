@@ -232,29 +232,29 @@ def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
         calls.clear()
         return run(capsys, "verify", "--n", str(n), "--weights", wfile, *argv)
 
-    # the table of s support edges costs 25 x 2^s, the scan points x (250 +
+    # the table of s support edges costs 25 x 2^s, the scan points x (40 +
     # 3 x terms). One factor, the 49 terms of K_{3,3} on 9 edges: 12,800
-    # against 32 x 397 = 12,704 or 33 x 397 = 13,101
-    for samples, want in ((32, []), (33, [49])):
+    # against 68 x 187 = 12,716 or 69 x 187 = 12,903
+    for samples, want in ((68, []), (69, [49])):
         calls.clear()
         assert run(capsys, "verify", "--n", "3", "--samples", str(samples)) == (
             0, f"verified {samples} assignments: OK\n", ""
         )
         assert calls == want
     # each block picks its own reader: three zero K_{2,2} blocks of K_{6,6},
-    # 3 terms on 4 edges each, 400 against 1 x 259 or 2 x 259
+    # 3 terms on 4 edges each, 400 against 8 x 49 or 9 x 49
     blocks = lambda i, j: (i - 1) // 2 == (j - 1) // 2
-    for samples, want in ((1, []), (2, [3, 3, 3])):
+    for samples, want in ((8, []), (9, [3, 3, 3])):
         assert verify(6, blocks, "--samples", str(samples)) == (
             0, f"verified {samples} assignments: OK\n", ""
         )
         assert calls == want
     # a check file of one term on the diagonal: the 32 entries of its 5
-    # edges, not the 2^25 of the ground, against 3 x 253 or 4 x 253
+    # edges, not the 2^25 of the ground, against 18 x 43 or 19 x 43
     g = bipartite_ground(5)
     check = tmp_path / "diagonal.json"
     check.write_text(MultilinearPolynomial(g, {sum(1 << 6 * i for i in range(5)): 1}).to_json())
-    for samples, want in ((3, []), (4, [1])):
+    for samples, want in ((18, []), (19, [1])):
         assert verify(5, lambda i, j: i == j, "--samples", str(samples), "--check-file",
                       str(check)) == (0, f"verified {samples} assignments: OK\n", "")
         assert calls == want
@@ -263,11 +263,29 @@ def test_verify_takes_the_value_table_by_cost(tmp_path, monkeypatch, capsys):
         0, "verified 512 assignments: OK\n"
     )
     assert calls == [3]
-    # masks of 64 edges or more do not fit the table's int64 index
+    # and so do wide grounds, whose masks are Python ints: a zero K_{2,2}
+    # block of K_{8,8}, 400 against 50 x 49
     assert verify(8, lambda i, j: i < 3 and j < 3 or i == j, "--samples", "50")[:2] == (
         0, "verified 50 assignments: OK\n"
     )
-    assert calls == []
+    assert calls == [3]
+
+
+def test_verify_takes_five_tables_on_a_400_edge_ground(tmp_path, monkeypatch, capsys):
+    """Five zero K_{4,4} blocks of K_{20,20}: each factor, 7,443 terms on 16
+    edges, takes its value table at 1,000 samples, though the ground's
+    masks are Python ints."""
+    from matchcover import MultilinearPolynomial
+
+    tables = []
+    real = MultilinearPolynomial.value_table
+    monkeypatch.setattr(MultilinearPolynomial, "value_table",
+                        lambda self: tables.append(real(self)) or tables[-1])
+    wfile = _zero_weight_file(tmp_path / "w20.txt", 20, lambda i, j: (i - 1) // 4 == (j - 1) // 4)
+    assert run(capsys, "verify", "--n", "20", "--weights", wfile)[:2] == (
+        0, "verified 1000 assignments: OK\n"
+    )
+    assert len(tables) == 5 and all(t is not None and len(t) == 1 << 16 for t in tables)
 
 
 def test_no_run_reads_the_terms_dict(tmp_path, monkeypatch, capsys, refuse_terms):
@@ -288,11 +306,13 @@ def test_no_run_reads_the_terms_dict(tmp_path, monkeypatch, capsys, refuse_terms
         0, "verified 512 assignments: OK\n"
     )
     assert len(tables) == 1 and tables[0] is not None
-    # through the scan: 64 ground edges do not fit the table's int64 index
+    # through the scan of 64-edge masks, Python ints: 6 samples pay for no
+    # factor's table, 400 against 6 x 49 for each K_{2,2} block (see
+    # test_verify_takes_the_value_table_by_cost)
     b = [0, 0, 0, 1, 1, 2, 2, 3]
     wfile = _zero_weight_file(tmp_path / "w8.txt", 8, lambda i, j: b[i - 1] == b[j - 1])
-    assert run(capsys, "verify", "--n", "8", "--weights", wfile, "--samples", "200")[:2] == (
-        0, "verified 200 assignments: OK\n"
+    assert run(capsys, "verify", "--n", "8", "--weights", wfile, "--samples", "6")[:2] == (
+        0, "verified 6 assignments: OK\n"
     )
     assert len(tables) == 1
     # through the scan: the int32 table cannot hold the coefficient

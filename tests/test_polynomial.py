@@ -53,6 +53,7 @@ from oracles import (
     random_int_weights,
     reference_evaluate,
     reference_json_dict,
+    reference_rows,
     reference_sorted_terms,
     reference_subset_transform,
     reference_text,
@@ -465,21 +466,67 @@ def test_value_table_matches_evaluate():
         values = poly.value_table()
         assert values.dtype == np.int32
         assert len(values) == 1 << len(poly._bits)
-        index = poly._bits.compress_array(points)
-        assert index.tolist() == _row_keys(poly._bits.rows(points.tolist())).tolist()
+        index = poly._bits.words(points)[:, 0]
+        assert index.tolist() == _row_keys(reference_rows(poly._bits.ids, points.tolist())).tolist()
         assert [int(v) for v in values[index]] == [poly.evaluate(m) for m in range(1 << 9)]
     assert len(polys[1].value_table()) < 1 << 9  # a support narrower than the ground
 
 
 def test_support_index_on_wide_grounds():
-    # support bits spread over the bytes of a 36-edge ground, up to bit 35
+    # support bits spread over the bytes of a 36-edge ground, up to bit 35,
+    # and of an 81-edge one, whose masks are Python ints, up to bit 80
     rng = random.Random(157)
-    poly = MultilinearPolynomial(bipartite_ground(6), {1 << 3 | 1 << 20: 2, 1 << 35: -1, 1 << 9: 4})
-    points = [rng.getrandbits(36) for _ in range(500)]
-    values = poly.value_table()
-    assert len(values) == 1 << 4
-    got = values[poly._bits.compress_array(np.array(points, dtype=np.int64))]
-    assert got.tolist() == [poly.evaluate(m) for m in points]
+    for n, dtype in ((6, np.int64), (9, object)):
+        top = n * n - 1
+        poly = MultilinearPolynomial(bipartite_ground(n), {1 << 3 | 1 << 20: 2, 1 << top: -1, 1 << 9: 4})
+        points = [rng.getrandbits(n * n) for _ in range(500)]
+        values = poly.value_table()
+        assert len(values) == 1 << 4
+        got = values[poly._bits.words(np.array(points, dtype=dtype))[:, 0]]
+        assert got.tolist() == [poly.evaluate(m) for m in points]
+
+
+@pytest.mark.parametrize("width", [16, 36, 64, 81, 400, 2000])
+def test_support_rows_match_the_reference(width):
+    """SupportBits.rows, by one lookup table per (ground byte, word) pair,
+    against the unpack-and-pack reference: lists, int64 arrays below 64
+    edges and object arrays, with bits off the support set."""
+    rng = random.Random(width)
+    for s in (0, 1, 7, 63, 64, 65, 200):
+        if s > width:
+            continue
+        ids = sorted(rng.sample(range(width), s))
+        bits = SupportBits([sum(1 << k for k in ids)])
+        assert bits.ids == ids
+        masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(100)]
+        want = reference_rows(ids, masks)
+        assert want.shape == (len(masks), -(-s // 8))
+        inputs = [masks, np.array(masks, dtype=object)]
+        if width < 64:
+            inputs.append(np.array(masks, dtype=np.int64))
+        for points in inputs:
+            assert np.array_equal(bits.rows(points), want), (width, s)
+        assert bits.rows([]).shape == (0, want.shape[1])
+        # the words hold the same bits: support bit b at bit b % 64 of word b // 64
+        words = bits.words(masks)
+        assert words.shape == (len(masks), max(1, -(-s // 64)))
+        assert [sum(int(w) << 64 * j for j, w in enumerate(row)) for row in words.tolist()] == [
+            sum(1 << b for b, k in enumerate(ids) if m >> k & 1) for m in masks
+        ]
+
+
+def test_support_rows_where_a_ground_byte_straddles_two_words():
+    # ground byte 8 (edges 64..71) holds support bits 62, 63 and 64: its
+    # values feed words 0 and 1
+    ids = list(range(62)) + [65, 67, 69, 300]
+    bits = SupportBits([sum(1 << k for k in ids)])
+    assert [b for b, k in enumerate(ids) if k >> 3 == 8] == [62, 63, 64]
+    assert [pair for pair, _ in bits._lookups if pair[0] == 8] == [(8, 0), (8, 1)]
+    rng = random.Random(163)
+    masks = [rng.getrandbits(301) for _ in range(200)] + [sum(1 << k for k in ids), 1 << 67]
+    assert np.array_equal(bits.rows(masks), reference_rows(ids, masks))
+    assert np.array_equal(bits.rows(np.array(masks, dtype=object)), reference_rows(ids, masks))
+    assert bits.words([1 << 67]).tolist() == [[1 << 63, 0]]
 
 
 def test_scan_matches_reference_evaluate():
