@@ -56,7 +56,7 @@ from .polynomial import (
     min_weight_pm_polynomial,
     pm_polynomial,
 )
-from .subsets import DENSE_BIT_CAP, canonical_order
+from .subsets import DENSE_BIT_CAP
 
 # The lattice of K_{4,4}, the largest one built: its down- and up-masks take
 # N^2 bits each (7 MB apiece at this N), and the Eulerian check counts an
@@ -176,12 +176,12 @@ def _load_graph(path: str, ground: GroundGraph) -> Graph:
 
 
 def _support(
-    args, weights, what=None, note=False
+    args, weights, what, note=False
 ) -> tuple[Graph, int, list[tuple[int, int]], Iterator[Family]]:
     """The support of a bipartite run, K_{n,n} or G_w under weights, and
     _split's forced edges, blocks and families of it. With note, -v names
-    its width and its blocks' row counts. With what, the widest block is
-    capped before any matching is listed:
+    its width and its blocks' row counts. The widest block is capped before
+    any matching is listed:
     K_{n,n}, one block, as what, from --n before its n^2-bit mask is built;
     a block of G_w as a block of the subcommand."""
     if weights is None:
@@ -196,11 +196,10 @@ def _support(
         _note(args, f"support: {width} edges in {len(sizes)} block{plural}"
                     f" ({','.join(map(str, sizes))})")
     if weights is None:
-        if what:
-            _cap(args, width, what)
+        _cap(args, width, what)
         support = bipartite_ground(args.n).full_graph()
         forced, blocks, families = _split(support)
-    elif what:
+    else:
         widest = max((edges.bit_count() for _, edges in blocks), default=1)
         _cap(args, widest, f"a {args.command} block")
     return support, forced, blocks, families
@@ -350,10 +349,8 @@ def cmd_lattice(args) -> int:
     count = prod(map(len, covers))
     _note(args, f"covered set has {count} graphs")
     _cap_elements(args, count + 1)
-    if forced or len(covers) > 1:
-        bits, rows, _ = _multiply_blocks(support, forced, [(c.bits, c.rows, None) for c in covers])
-        covers = [CoveredSet(ground, bits, np.take(rows, canonical_order(rows), axis=0))]
-    lat = build_lattice(covers[0])
+    bits, rows, _ = _multiply_blocks(support, forced, [(c.bits, c.rows, None) for c in covers])
+    lat = build_lattice(CoveredSet(ground, bits, rows))
 
     if args.format != "text":
         _stream_output(args, lat.to_json if args.format == "json" else lat.to_dot)
@@ -362,7 +359,7 @@ def cmd_lattice(args) -> int:
     lines = [f"elements: {len(lat)}"]
     lines.append(f"is-lattice: {str(lat.is_lattice()).lower()}")
     check = lat.eulerian_check()
-    ranks, violation = lat._rank_data()
+    ranks, violation = lat._rank_data
     lines.append(f"graded: {str(violation is None).lower()}")
     if violation is not None:  # the Eulerian witness is then the offending cover
         lo, hi = check.witness

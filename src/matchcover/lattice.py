@@ -20,7 +20,7 @@ directly. The whole-lattice passes work on arrays:
 - ranks are longest chains over the cover arrays, one edge-count level at
   a time;
 - Mobius numbers mu(bottom, x) are computed one edge-count level at a time,
-  as popcounts of packed down-set rows against bit planes of the numbers
+  as popcounts of the down-set bitmasks against bit planes of the numbers
   already known (exact at any magnitude);
 - the Eulerian check counts the even- and odd-ranked elements of the
   intervals of even length in batches of packed up-row / down-row pairs;
@@ -54,9 +54,6 @@ from .graphs import (
 )
 from .subsets import SupportBits, _row_keys, canonical_order
 
-# Words per block of packed down-set rows in the Mobius pass: 2^18 uint64
-# are 2 MB.
-_BLOCK_WORDS = 1 << 18
 # Words per batch of interval tests, and per chunk of packed up-rows, in the
 # Eulerian check: small enough for the cache.
 _BATCH_WORDS = 1 << 16
@@ -109,35 +106,27 @@ def _first_unbalanced(
     bits of up-row x (row x - first_row of up) and down-row y, does not hold
     as many elements of the even mask as outside it; or None.
 
-    Pairs are sorted by the 64-row block of x and then by y, and tested in
-    batches of about _BATCH_WORDS words. The interval of (x, y) lies
-    between indices x and y, so a batch in one row block needs only the
-    words from that block to its largest y. Over those words, the popcount
-    of interval ^ even exceeds that of even by the interval's odd elements
-    minus its even ones, so one popcount per pair decides.
+    Pairs are sorted by y and tested in batches of about _BATCH_WORDS
+    words. The interval of (x, y) lies between indices x and y, and every x
+    is a row of up, so a batch needs only the words from up's first row to
+    its largest y. Over those words, the popcount of interval ^ even
+    exceeds that of even by the interval's odd elements minus its even
+    ones, so one popcount per pair decides.
     """
-    if not len(x):
-        return None
-    order = np.argsort((x // 64) * down.shape[0] + y)
+    order = np.argsort(y)
     x, y = x[order], y[order]
-    block = x // 64
-    start = 0
-    for end in [*np.flatnonzero(np.diff(block)) + 1, len(x)]:
-        w0 = int(block[start])
-        failed = []
-        while start < end:
-            stop = min(end, start + max(1, _BATCH_WORDS // (down.shape[1] - w0)))
-            w1 = int(y[stop - 1]) // 64 + 1
-            interval = up[x[start:stop] - first_row, w0:w1]
-            interval &= down[y[start:stop], w0:w1]
-            interval ^= even[w0:w1]  # its odd elements, and the even ones it lacks
-            flipped = np.bitwise_count(interval).sum(axis=1, dtype=np.int32)
-            bad = np.flatnonzero(flipped != np.bitwise_count(even[w0:w1]).sum()) + start
-            failed.extend(zip(x[bad].tolist(), y[bad].tolist()))
-            start = stop
-        if failed:
-            return min(failed)
-    return None
+    w0 = first_row // 64
+    step = max(1, _BATCH_WORDS // (down.shape[1] - w0))
+    failed = []
+    for start in range(0, len(x), step):
+        w1 = int(y[min(len(y), start + step) - 1]) // 64 + 1
+        interval = up[x[start : start + step] - first_row, w0:w1]
+        interval &= down[y[start : start + step], w0:w1]
+        interval ^= even[w0:w1]  # its odd elements, and the even ones it lacks
+        flipped = np.bitwise_count(interval).sum(axis=1, dtype=np.int32)
+        bad = np.flatnonzero(flipped != np.bitwise_count(even[w0:w1]).sum()) + start
+        failed.extend(zip(x[bad].tolist(), y[bad].tolist()))
+    return min(failed, default=None)
 
 
 def _pack_rows(rows: np.ndarray) -> list[int]:
@@ -206,8 +195,6 @@ class Lattice:
             )
         self._bottom = int(bottoms[0])
         self._top = int(tops[0])
-        self._mobius: Optional[list[int]] = None
-        self._ranklabels: Optional[tuple[list[int], Optional[tuple[int, int]]]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -358,84 +345,73 @@ class Lattice:
 
     # -- Mobius numbers ----------------------------------------------------------
 
+    @cached_property
     def _mobius_numbers(self) -> list[int]:
         """mu(bottom, x) of every element, computed one edge-count level at a
-        time and cached.
+        time on first use.
 
         A strict subgraph has strictly fewer edges, so each level of the
         canonical order is a contiguous index range whose strict down-sets
         lie wholly in the earlier levels (the bottom, alone in the first
-        level, has mu = 1). mu of a row is minus the sum of the known mu over
-        its down-set. The known values are split by sign and binary digit
-        into bit planes, and the sum is the signed, weighted popcount of the
-        packed row against each plane: exact at any magnitude.
+        level, has mu = 1). mu of an element is minus the sum of the known mu
+        over its down-set. The known values are split by sign and binary
+        digit into bit planes over element indices, and the sum is the
+        signed, weighted popcount of the down-set bitmask against each
+        plane: exact at any magnitude.
         """
-        if self._mobius is None:
-            mu = [1]
-            planes = {(0, 0): 1}  # (sign, binary digit) -> bits of the elements with it
-            starts = self._level_starts().tolist()
-            for lo, hi in zip(starts[1:-1], starts[2:]):
-                keys = sorted(planes)
-                words = -(-lo // 64)
-                packed = _pack_ints([planes[key] for key in keys], words)
-                weights = np.array(
-                    [(1 - 2 * sign) << digit for sign, digit in keys], dtype=object
-                )
-                below = (1 << lo) - 1  # the strict down-set of a row of this level
-                step = max(1, _BLOCK_WORDS // words)
-                for start in range(lo, hi, step):
-                    end = min(hi, start + step)
-                    rows = _pack_ints([self._down[k] & below for k in range(start, end)], words)
-                    hits = [np.bitwise_count(rows & plane).sum(axis=1) for plane in packed]
-                    mu.extend((-(np.stack(hits, axis=1).astype(object) @ weights)).tolist())
-                for k in range(lo, hi):
-                    sign, size = int(mu[k] < 0), abs(mu[k])
-                    for digit in range(size.bit_length()):
-                        if size >> digit & 1:
-                            planes[sign, digit] = planes.get((sign, digit), 0) | 1 << k
-            self._mobius = mu
-        return self._mobius
+        mu = [1]
+        planes = {(0, 0): 1}  # (sign, binary digit) -> bits of the elements with it
+        starts = self._level_starts().tolist()
+        for lo, hi in zip(starts[1:-1], starts[2:]):
+            weighted = [((1 - 2 * sign) << digit, plane) for (sign, digit), plane in planes.items()]
+            for down in self._down[lo:hi]:
+                mu.append(-sum(weight * (down & plane).bit_count() for weight, plane in weighted))
+            for k in range(lo, hi):
+                sign, size = int(mu[k] < 0), abs(mu[k])
+                for digit in range(size.bit_length()):
+                    if size >> digit & 1:
+                        planes[sign, digit] = planes.get((sign, digit), 0) | 1 << k
+        return mu
 
     def mobius(self, x: Graph) -> int:
         """Mobius number mu(bottom, x)."""
-        return self._mobius_numbers()[self.index_of(x)]
+        return self._mobius_numbers[self.index_of(x)]
 
     def mobius_table(self) -> dict[Graph, int]:
-        return dict(zip(self.elements, self._mobius_numbers()))
+        return dict(zip(self.elements, self._mobius_numbers))
 
     # -- ranks, gradedness, Eulerian property ------------------------------------
 
+    @cached_property
     def _rank_data(self) -> tuple[list[int], Optional[tuple[int, int]]]:
         """Longest-chain ranks, and the first cover in (lower, upper) order
-        whose rank step is not 1.
+        whose rank step is not 1, computed on first use.
 
         The covers are sorted by their lower ends, so the covers out of one
         edge-count level are a contiguous range. Levels are taken bottom up:
         every cover into a level comes out of an earlier one, so the ranks
         of a level are final before its own covers are read.
         """
-        if self._ranklabels is None:
-            lower, upper = self._covers
-            ranks = np.zeros(len(self), dtype=np.intp)
-            cuts = np.searchsorted(lower, self._level_starts()).tolist()
-            for lo, hi in zip(cuts, cuts[1:]):
-                np.maximum.at(ranks, upper[lo:hi], ranks[lower[lo:hi]] + 1)
-            bad = np.flatnonzero(ranks[upper] != ranks[lower] + 1)
-            violation = (int(lower[bad[0]]), int(upper[bad[0]])) if len(bad) else None
-            self._ranklabels = (ranks.tolist(), violation)
-        return self._ranklabels
+        lower, upper = self._covers
+        ranks = np.zeros(len(self), dtype=np.intp)
+        cuts = np.searchsorted(lower, self._level_starts()).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.maximum.at(ranks, upper[lo:hi], ranks[lower[lo:hi]] + 1)
+        bad = np.flatnonzero(ranks[upper] != ranks[lower] + 1)
+        violation = (int(lower[bad[0]]), int(upper[bad[0]])) if len(bad) else None
+        return ranks.tolist(), violation
 
     def rank_labels(self) -> RankLabels:
         """Longest-chain-from-bottom ranks; a labeling is graded iff every
         cover step raises the rank by exactly one, otherwise the first
         offending cover pair is the witness."""
-        ranks, violation = self._rank_data()
+        ranks, violation = self._rank_data
         witness = None if violation is None else tuple(self._graphs(list(violation)))
         return RankLabels(dict(zip(self.elements, ranks)), witness)
 
     def level_counts(self) -> tuple[int, ...]:
         """Number of elements per rank, bottom upward."""
-        ranks, _ = self._rank_data()
+        ranks, _ = self._rank_data
         return tuple(np.bincount(ranks).tolist())
 
     def eulerian_check(self) -> EulerianCheck:
@@ -454,7 +430,7 @@ class Lattice:
         first failing even one in index order, so after a failure the pairs
         of every row up to it are checked again, all lengths included.
         """
-        ranks, violation = self._rank_data()
+        ranks, violation = self._rank_data
         if violation is not None:
             return EulerianCheck(False, "not graded", tuple(self._graphs(list(violation))))
         pair = self._scan_intervals(ranks, len(self), even_only=True)
@@ -539,7 +515,7 @@ class Lattice:
         return _write_chunks(self._dot_chunks(), file)
 
     def _dot_chunks(self) -> Iterator[str]:
-        ranks, _ = self._rank_data()
+        ranks, _ = self._rank_data
         nodes = np.array([f"n{k}" for k in range(len(self))], dtype=object)
         name = self._bits.namer(" {},{}", self.ground.edge_pair, ('"];', '{}"];'))
         lower, upper = self._covers
@@ -566,8 +542,8 @@ class Lattice:
         return _write_chunks(self._json_chunks(), file)
 
     def _json_chunks(self) -> Iterator[str]:
-        ranks, violation = self._rank_data()
-        mobius = self._mobius_numbers()  # computed before anything is written
+        ranks, violation = self._rank_data
+        mobius = self._mobius_numbers  # computed before anything is written
         n = len(self)
         lower, upper = self._covers
         numbers = np.array(list(map(str, range(n))), dtype=object)

@@ -70,9 +70,6 @@ _ORACLE_CHUNK = 1 << 16
 _CHUNK_SLOTS = 1 << 14
 # (point, term) pairs per block of a scan of the rows: a 256 KB bool block.
 _SCAN_CELLS = 1 << 18
-# Row v, column u: whether byte u's bits are all inside byte v. Built from
-# bytes, as int64 temporaries would add 0.7 MB to the peak RSS of a run.
-_INSIDE = (np.arange(256, dtype=np.uint8) & ~np.arange(256, dtype=np.uint8)[:, None]) == 0
 
 
 class MultilinearPolynomial:
@@ -163,7 +160,8 @@ class MultilinearPolynomial:
     def _scanner(self) -> Callable[[np.ndarray], np.ndarray]:
         """A function from an array of assignment masks (int64 or Python
         ints) to their values, read from the rows: a term counts at a point
-        when each of its support bytes is inside the point's byte there.
+        when each of its support bytes is inside the point's byte there
+        (term & ~point == 0).
         Blocks of points take about _SCAN_CELLS (point, term) pairs each.
         The coefficients are cast once, here: the sums are int64 (the
         coefficients themselves, not a copy) while the largest absolute
@@ -179,7 +177,7 @@ class MultilinearPolynomial:
             for lo in range(0, len(points), step):
                 inside = np.ones((len(rows[lo : lo + step]), len(self)), dtype=bool)
                 for point, term in zip(rows[lo : lo + step].T, self._rows.T):
-                    inside &= _INSIDE.take(point, axis=0).take(term, axis=1)
+                    inside &= (term & ~point[:, None]) == 0
                 out[lo : lo + step] = inside @ coeffs
             return out
 
@@ -331,7 +329,7 @@ def membership_polynomial_general(F: Family) -> MultilinearPolynomial:
     inclusion-exclusion: each covered graph contributes minus its Mobius
     number."""
     cov = covered_closure(F)
-    mobius = build_lattice(cov)._mobius_numbers()[1:]  # the bottom is first
+    mobius = build_lattice(cov)._mobius_numbers[1:]  # the bottom is first
     terms = {m: -mu for m, mu in zip(cov.bits.expand(cov.rows).tolist(), mobius) if mu}
     return MultilinearPolynomial(F.ground, terms)
 
@@ -420,16 +418,11 @@ def _support_polynomial(
     it: a graph is covered exactly when its part in every block is covered
     there, and cyclomatic numbers add over blocks, so it is the product of
     the blocks' polynomials, each forced edge in every term. A support of
-    one block, such as K_{n,n}, takes the family's route whole.
+    one block, such as K_{n,n}, is that block's polynomial.
     """
-    if len(blocks) + forced.bit_count() == 1:
-        return _pm_family_polynomial(enumerate_perfect_matchings(support))
     polys = [(p._bits, p._rows, p._coeffs) for p in map(_pm_family_polynomial, families)]
     bits, rows, coeffs = _multiply_blocks(support, forced, polys)
-    order = canonical_order(rows)
-    return MultilinearPolynomial._from_rows(
-        support.ground, bits, np.take(rows, order, axis=0), coeffs[order]  # take beats rows[order]
-    )
+    return MultilinearPolynomial._from_rows(support.ground, bits, rows, coeffs)
 
 
 def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]]:
@@ -463,10 +456,15 @@ def _split(support: Graph) -> tuple[int, list[tuple[int, int]], Iterator[Family]
 
 def _multiply_blocks(
     support: Graph, forced: int, blocks: list[tuple[SupportBits, np.ndarray, np.ndarray | None]]
-) -> tuple[SupportBits, np.ndarray, np.ndarray]:
-    """The support's bits; the byte rows on them, unsorted, of each union of
-    the forced edges and one row of every block, a (bits, rows, coefficients
-    or None) triple; and the products of the blocks' coefficients."""
+) -> tuple[SupportBits, np.ndarray, np.ndarray | None]:
+    """The support's bits; the byte rows on them, in canonical order, of
+    each union of the forced edges and one row of every block; and the
+    products of the blocks' coefficients in the same order, or None for
+    blocks without them. Each block is a (bits, rows, coefficients or None)
+    triple, its rows in canonical order. A lone block with no forced edge
+    spans the whole support, so it is returned as it is."""
+    if not forced and len(blocks) == 1:
+        return blocks[0]
     bits = SupportBits([support.edges])
     rows = bits.rows([forced])
     coeffs = np.ones(1, dtype=np.int64)
@@ -478,9 +476,10 @@ def _multiply_blocks(
         )
         block_rows = np.packbits(edges, axis=1, bitorder="little")
         rows = (rows[:, None] | block_rows[None]).reshape(-1, rows.shape[1])
-        if block_coeffs is not None:
-            coeffs = np.multiply.outer(coeffs, block_coeffs).reshape(-1)
-    return bits, rows, coeffs
+        coeffs = None if block_coeffs is None else np.multiply.outer(coeffs, block_coeffs).ravel()
+    order = canonical_order(rows)
+    # np.take beats rows[order]
+    return bits, np.take(rows, order, axis=0), None if coeffs is None else coeffs[order]
 
 
 def truth_table_transform(

@@ -448,7 +448,7 @@ def eulerian_mobius_check(lat):
     """mu(x, y) == (-1)^(rank difference) on every interval; desk scale only."""
     if not lat.rank_labels().graded:
         return False
-    ranks = lat._rank_data()[0]
+    ranks = lat._rank_data[0]
     for i in range(len(lat.elements)):
         for j in _iter_bits(lat._up[i]):
             if mobius_pair(lat, i, j) != (-1) ** (ranks[j] - ranks[i]):
@@ -474,7 +474,7 @@ def memo_mobius(lat):
 def pairwise_eulerian_check(lat):
     """(eulerian, reason, witness index pair) by counting the even- and
     odd-ranked elements of every interval [i, j], i < j, in (i, j) order."""
-    ranks, violation = lat._rank_data()
+    ranks, violation = lat._rank_data
     if violation is not None:
         return False, "not graded", violation
     even = 0

@@ -728,6 +728,8 @@ CI_PINS = [
     (["poly", "--n", "4"], 0, "0e4c80f9e8e2209077b4164f98537bc809e4cefd4f154b65289e5f9a8fab2b50"),
     (["poly", "--n", "4", "-f", "json"], 0,
      "e2cad4a0c99d65706f62c916503a79612765bcc706ba08c4a3802e3453003721"),
+    (["lattice", "--n", "4"], 0,
+     "27e83b4af48cf83b3945ad37d6e00b1760b3a38158625611cb9c11cb20d682d8"),
     (["poly", "--n", "8", "--weights", "W8"], 0,
      "835832f2853b4527fc09563e162f213052b222f2133bac5239b575dbce66fbc1"),
     (["poly", "--n", "8", "--weights", "W8", "-f", "json"], 0,

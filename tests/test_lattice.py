@@ -241,7 +241,7 @@ def test_is_lattice_on_down_set_encodings(monkeypatch):
     check(down_set_poset(small, drop), False)
 
 
-def test_order_masks_match_pairwise_scan(monkeypatch):
+def test_order_masks_match_pairwise_scan():
     cases = [
         shift_lattice(8, range(3)),  # 64 edges: one full 64-bit word
         shift_lattice(9, range(3)),  # 81 edges: two words
@@ -250,18 +250,15 @@ def test_order_masks_match_pairwise_scan(monkeypatch):
     assert [len(lat) for lat in cases] == [8, 8, 28]
     for lat in cases:
         assert (lat._down, lat._up) == pairwise_order_masks(lat)
-    # the n = 3 lattice, with the Mobius rows packed a few at a time
-    monkeypatch.setattr(lattice_module, "_BLOCK_WORDS", 100)
+    # the n = 3 lattice
     lat = pm_lattice(3)
     assert (lat._down, lat._up) == pairwise_order_masks(lat)
-    assert lat._mobius_numbers() == memo_mobius(lat)
+    assert lat._mobius_numbers == memo_mobius(lat)
 
 
 def test_order_masks_of_the_n4_lattice():
-    # 7,444 elements, more than one block of packed rows; scan every 41st
-    # row pairwise
+    # 7,444 elements; scan every 41st row pairwise
     lat = n4_lattice()
-    assert len(lat) ** 2 > lattice_module._BLOCK_WORDS
     masks = [g.edges for g in lat.elements]
     for i in range(0, len(masks), 41):
         up = sum(1 << j for j, m in enumerate(masks) if masks[i] & ~m == 0)
@@ -523,12 +520,12 @@ def eulerian_indices(lat):
 def test_mobius_and_eulerian_match_the_oracles(monkeypatch):
     seen = set()
     for lat in order_test_posets():
-        assert lat._mobius_numbers() == memo_mobius(lat)
+        assert lat._mobius_numbers == memo_mobius(lat)
         assert [lat.mobius(g) for g in lat.elements] == memo_mobius(lat)
         assert eulerian_indices(lat) == pairwise_eulerian_check(lat)
         seen.add(lat.eulerian_check().reason)
     assert seen == {None, "not graded", "interval"}
-    # batches of one or two pairs, chunks of one row block each
+    # one-pair batches inside a 64-row chunk
     monkeypatch.setattr(lattice_module, "_BATCH_WORDS", 8)
     for lat in (fin_sphere(62), pm_lattice(3), weighted_n4_lattice(WEIGHTED_N4_PATTERNS[0])):
         assert eulerian_indices(lat) == pairwise_eulerian_check(lat)
@@ -546,7 +543,7 @@ def test_mobius_is_exact_past_int64():
         masks += [below | 1 << (3 * r + i) for i in range(3)]
     masks.append((1 << 198) - 1)
     lat = subset_poset(ground, masks)
-    mu = lat._mobius_numbers()
+    mu = lat._mobius_numbers
     for r in range(1, 67):
         assert mu[3 * r - 2 : 3 * r + 1] == [(-1) ** r * 2 ** (r - 1)] * 3
     assert mu[-1] == -(2**66)
@@ -640,7 +637,7 @@ def test_streamed_writers_hold_about_one_chunk():
             self.size += len(chunk)
 
     poly, lat = pm_polynomial(4), n4_lattice()
-    lat._mobius_numbers(), lat._rank_data()  # computed first, not traced
+    lat._mobius_numbers, lat._rank_data  # computed first, not traced
     writers = [(poly.to_text, 0.5), (poly.to_json, 0.4), (lat.to_json, 0.4), (lat.to_dot, 0.75)]
     for write, share in writers:
         sink = Sink()
@@ -706,7 +703,7 @@ def assert_same_lattice(built, ref):
     assert built.elements == ref.elements
     assert built.covers() == ref.covers()
     assert built.rank_labels() == ref.rank_labels()
-    assert built._mobius_numbers() == ref._mobius_numbers()
+    assert built._mobius_numbers == ref._mobius_numbers
     assert built.mobius_table() == ref.mobius_table()
     assert built.is_lattice() == ref.is_lattice()
     assert built.eulerian_check() == ref.eulerian_check()
@@ -758,7 +755,7 @@ def test_exports_build_no_graphs():
     lat.to_dot()
     assert lat.is_lattice()
     assert lat.eulerian_check().eulerian
-    assert lat._mobius_numbers()[-1] == 1  # K_{4,4}: cyclomatic number 9
+    assert lat._mobius_numbers[-1] == 1  # K_{4,4}: cyclomatic number 9
     assert "elements" not in vars(lat)
 
 

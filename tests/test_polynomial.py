@@ -883,14 +883,21 @@ def test_split_lists_blocks_on_a_ground_deeper_than_the_recursion_limit():
 
 
 def test_factoring_on_one_block_takes_the_whole_route(monkeypatch):
-    # K_{1,1}, one forced edge, and K_{n,n} are supports of one block
+    # K_{n,n} is a support of one block, whose polynomial the product returns
+    # untouched: its rows are canonical already, so nothing is sorted.
+    # K_{1,1}, one forced edge, is the product of no blocks
     def refuse(*args):
-        raise AssertionError("a support of one block reached the product")
+        raise AssertionError("a lone block was sorted")
 
-    monkeypatch.setattr(polynomial, "_multiply_blocks", refuse)
     for n in (1, 2, 3, 4):
         poly = _assert_factoring_holds(WeightFunction.unit(bipartite_ground(n)))
-        assert poly == pm_polynomial(n)
+        with monkeypatch.context() as patch:
+            if n > 1:
+                patch.setattr(polynomial, "canonical_order", refuse)
+            assert poly == pm_polynomial(n)
+    poly = pm_polynomial(2)
+    block = (poly._bits, poly._rows, poly._coeffs)
+    assert polynomial._multiply_blocks(bipartite_ground(2).full_graph(), 0, [block]) is block
 
 
 def test_factoring_with_every_edge_forced():
@@ -935,9 +942,12 @@ def test_block_rows_are_placed_on_the_support():
         support = Graph(ground, sum(1 << k for k in edges))
         bits, rows, coeffs = polynomial._multiply_blocks(support, forced, blocks)
         for block in blocks:
-            placed = polynomial._multiply_blocks(support, 0, [block])[1]
-            assert np.array_equal(placed, bits.rows(block[0].expand(block[1]).tolist()))
+            placed = polynomial._multiply_blocks(support, forced, [block])[1]
+            want = bits.rows([forced | m for m in block[0].expand(block[1]).tolist()])
+            assert np.array_equal(placed, want[canonical_order(want)])
         block_masks = [block_bits.expand(block_rows) for block_bits, block_rows, _ in blocks]
-        assert bits.expand(rows).tolist() == [forced | sum(p) for p in product(*block_masks)]
+        want = bits.rows([forced | sum(p) for p in product(*block_masks)])
+        order = canonical_order(want)
+        assert np.array_equal(rows, want[order])
         block_coeffs = [block_coeffs.tolist() for _, _, block_coeffs in blocks]
-        assert coeffs.tolist() == [prod(p) for p in product(*block_coeffs)]
+        assert coeffs.tolist() == np.array([prod(p) for p in product(*block_coeffs)])[order].tolist()
