@@ -161,8 +161,7 @@ def _cap(args, width: int, what: str) -> None:
 def _load_weights(args) -> WeightFunction | None:
     if not getattr(args, "weights", None):
         return None
-    with open(args.weights) as fh:
-        weights = parse_weight_function(fh.read())
+    weights = parse_weight_function(_read_input(args.weights))
     if weights.ground.size != args.n:
         raise InputError(
             f"weight file ground {weights.ground.header()} does not match --n {args.n}"
@@ -171,8 +170,16 @@ def _load_weights(args) -> WeightFunction | None:
 
 
 def _load_graph(path: str, ground: GroundGraph) -> Graph:
-    with open(path) as fh:
-        return parse_graph(fh.read(), ground)
+    return parse_graph(_read_input(path), ground)
+
+
+def _read_input(path: str) -> str:
+    """The text of an input file; one that does not decode is bad input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
 
 
 def _support(
@@ -263,8 +270,7 @@ def cmd_verify(args) -> int:
 
     ground = bipartite_ground(args.n)
     if args.check_file:
-        with open(args.check_file) as fh:
-            forced, factors = 0, [MultilinearPolynomial.from_json(fh.read(), ground)]
+        forced, factors = 0, [MultilinearPolynomial.from_json(_read_input(args.check_file), ground)]
     else:
         _, forced, _, families = _support(args, weights, "unweighted verification")
         factors = list(map(_pm_family_polynomial, families))

@@ -15,12 +15,15 @@ monomials in canonical order, coefficients), which the text and JSON
 writers format a chunk at a time; both Mobius routes reach them through
 one helper, which reads the nonzero entries of the table in canonical
 order (the table numbers its bits in reverse; see subsets), so neither
-sorts rows by a lexsort.
+sorts rows by a lexsort. JSON in the writer's layout is read back into the
+same arrays without json.loads (_layout_polynomial).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from typing import Callable, Iterator
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .errors import CapExceededError, InputError
 from .covered import _check_family, covered_closure
 from .graphs import (
+    BIPARTITE,
     Family,
     Graph,
     GroundGraph,
@@ -35,6 +39,7 @@ from .graphs import (
     _components,
     _iter_bits,
     _joined,
+    _mask_of_ids,
     _mask_of_rows,
     _row_masks,
     _write_chunks,
@@ -70,6 +75,14 @@ _ORACLE_CHUNK = 1 << 16
 _CHUNK_SLOTS = 1 << 14
 # (point, term) pairs per block of a scan of the rows: a 256 KB bool block.
 _SCAN_CELLS = 1 << 18
+# Terms per match of _layout_polynomial's runs of terms.
+_LAYOUT_TERMS = 16
+# A bytes.translate table that keeps the bytes of integers ("-" and the
+# digits) and makes every other byte a space.
+_INTEGER_BYTES = bytes(c if c in b"-0123456789" else 32 for c in range(256))
+# A bytes.translate table that makes each byte 1 when it is neither JSON
+# whitespace nor one of {}[],:, else 0.
+_TOKEN_BYTES = bytes(c not in b" \t\n\r{}[],:" for c in range(256))
 
 
 class MultilinearPolynomial:
@@ -267,7 +280,15 @@ class MultilinearPolynomial:
     @classmethod
     def from_json(cls, text: str, ground: GroundGraph) -> "MultilinearPolynomial":
         """The polynomial of JSON text on the expected ground, which its
-        header must name."""
+        header must name.
+
+        Text in the writer's layout (its key order, any JSON whitespace
+        between tokens; see _layout_patterns) is read as arrays by
+        _layout_polynomial. Any other text, and any that reader declines,
+        is read by json.loads, which gives every refusal its message."""
+        poly = _layout_polynomial(text, ground)
+        if poly is not None:
+            return poly
         try:
             data = json.loads(text)
             mode, size = data["ground"]["mode"], data["ground"]["size"]
@@ -290,13 +311,107 @@ class MultilinearPolynomial:
         except InputError:  # a ValueError already worded for the user
             raise
         # ValueError: text that is no JSON, a number past int()'s digit
-        # limit, or an edge that is not a pair
-        except (KeyError, TypeError, ValueError) as exc:
+        # limit, or an edge that is not a pair; RecursionError: arrays or
+        # objects nested past the interpreter's recursion limit
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from None
         return cls(ground, terms)
 
     def __repr__(self) -> str:
         return f"MultilinearPolynomial({self.ground.header()!r}, {len(self)} terms)"
+
+
+@functools.cache
+def _layout_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The writer's layout of polynomial JSON without its whitespace, as
+    two patterns of bytes: the head, up to the "[" of the terms, whose
+    groups 1 and 2 are the ground's mode and size, and a run of terms
+    {"coeff":c,"edges":[[u,v],...]} separated by commas. Integers are
+    RFC 8259 ones of at most 18 digits, so each fits int64; coefficients
+    are nonzero and vertices positive."""
+    positive = rb"[1-9][0-9]{0,17}"
+    edge = rb"\[" + positive + b"," + positive + rb"\]"
+    term = rb'\{"coeff":-?' + positive + rb',"edges":\[(?:' + edge + b"(?:," + edge + rb")*)?\]\}"
+    head = rb'\{"ground":\{"mode":"([a-z]*)","size":(' + positive + rb')\},"terms":\['
+    return re.compile(head), re.compile(term + b"(?:," + term + b")*")
+
+
+def _token_pairs(data: bytes) -> int:
+    """The adjacent pairs of bytes that are neither JSON whitespace nor one
+    of {}[],: (parts of strings, numbers or literals)."""
+    inside = np.frombuffer(data.translate(_TOKEN_BYTES), dtype=bool)
+    return np.count_nonzero(inside[1:] & inside[:-1])
+
+
+def _layout_polynomial(text: str, ground: GroundGraph) -> MultilinearPolynomial | None:
+    """The polynomial of JSON text in the writer's layout (its keys in its
+    order, any JSON whitespace between tokens) on the expected ground, read
+    as arrays; None for any other text, and for text that from_json's
+    json.loads path refuses (another ground, a vertex off the ground, a
+    loop of K_m, duplicate monomials) or reads past int64.
+
+    The whitespace is deleted and the rest matched to _layout_patterns;
+    whitespace between two token bytes would join two tokens when deleted,
+    which adds a pair to _token_pairs, so such text is declined. The terms
+    are matched _LAYOUT_TERMS at a time, cut at the commas between terms:
+    the re module keeps its backtracking state, about 250 bytes an edge,
+    until a match returns (2.2 MB for one match of all 8,868 edges of a
+    909-term file). One np.fromstring reads every integer (the ground's
+    size, then each term's coefficient and vertices), every other byte
+    read as a space; a term's "[" are its list's and one for each edge,
+    so the positions of "{" and "[" give its edge count.
+    """
+    if not text.isascii() or ground.size >> 31:  # below, edge ids fit int64
+        return None
+    raw = text.encode()
+    data = raw.translate(None, b" \t\n\r")
+    if _token_pairs(data) != _token_pairs(raw):
+        return None
+    head_pattern, run_pattern = _layout_patterns()
+    head, close = head_pattern.match(data), len(data) - 2
+    if (
+        head is None
+        or (head[1].decode(), int(head[2])) != (ground.mode, ground.size)
+        or not data.endswith(b"]}")
+    ):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8)
+    opens = np.flatnonzero(chars == ord("{"))[2:]  # past the file's and the ground's
+    brackets = np.flatnonzero(chars == ord("["))
+    edges = np.diff(np.searchsorted(brackets, opens), append=len(brackets)) - 1
+    if len(opens):
+        # runs of _LAYOUT_TERMS terms, each after a comma (the first after the head)
+        cuts = [data.rfind(b",", 0, k) for k in opens[_LAYOUT_TERMS::_LAYOUT_TERMS].tolist()]
+        runs = zip([head.end() - 1, *cuts], [*cuts, close])
+        if not all(run_pattern.fullmatch(data, lo + 1, hi) for lo, hi in runs):
+            return None
+    elif head.end() != close:
+        return None
+
+    numbers = np.fromstring(data.translate(_INTEGER_BYTES), dtype=np.int64, sep=" ")
+    coefficient_at = np.arange(1, len(opens) + 1) + 2 * (np.cumsum(edges) - edges)
+    u, v = np.delete(numbers, np.r_[0, coefficient_at]).reshape(-1, 2).T
+    n = ground.size
+    if ground.mode == BIPARTITE:
+        if max(u.max(initial=0), v.max(initial=0)) > n:
+            return None
+        ids = (u - 1) * n + v - 1
+    else:  # as edge_index numbers {u, v}
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        if v.max(initial=0) > n or (u == v).any():
+            return None
+        ids = (u - 1) * (2 * n - u) // 2 + v - u - 1
+    support, place = np.unique(ids, return_inverse=True)
+    width = -(-len(support) // 8)
+    rows = np.zeros((len(opens), width), dtype=np.uint8)
+    at = np.repeat(np.arange(len(opens)) * width, edges) + (place >> 3)
+    np.bitwise_or.at(rows.reshape(-1), at, np.left_shift(1, place & 7).astype(np.uint8))
+    union = _mask_of_ids(support.tolist(), int(support.max(initial=-1)) + 1)
+    order = canonical_order(rows)
+    rows, coeffs = np.take(rows, order, axis=0), numbers[coefficient_at][order]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        return None
+    return MultilinearPolynomial._from_rows(ground, SupportBits([union]), rows, coeffs)
 
 
 def _int_array(values: list) -> np.ndarray:

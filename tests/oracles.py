@@ -21,11 +21,14 @@ The lattice checks are order, meet and join read off edge-subset relations
 between elements, and the generic O(N^2) pair scans and per-element loops
 that the library's join-irreducible test, blocked masks, level-wise Mobius
 numbers and blocked Eulerian check replace.
+The polynomial JSON reader is checked against from_json's json.loads path,
+with the array reader made to decline (loaded_outcome).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 
@@ -33,9 +36,11 @@ from matchcover import (
     Family,
     Graph,
     InputError,
+    MultilinearPolynomial,
     WeightFunction,
     enumerate_perfect_matchings,
     has_perfect_matching,
+    polynomial,
 )
 from matchcover.graphs import _iter_bits, _row_masks
 from matchcover.matching import _kuhn_matching
@@ -356,6 +361,21 @@ def reference_lattice_json_dict(lat):
         "ranks": [labels.ranks[g] for g in lat.elements],
         "graded": labels.graded,
     }
+
+
+def outcome(call):
+    """What call returns, or the text of the InputError it raises."""
+    try:
+        return call()
+    except InputError as exc:
+        return str(exc)
+
+
+def loaded_outcome(text, ground):
+    """The outcome of MultilinearPolynomial.from_json on its json.loads
+    path alone: the array reader declines every text."""
+    with mock.patch.object(polynomial, "_layout_polynomial", return_value=None):
+        return outcome(lambda: MultilinearPolynomial.from_json(text, ground))
 
 
 def pattern_weights(ground, pattern):

@@ -1351,6 +1351,36 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
         assert err == f"error: ({shown}, 1) is not an edge of bipartite 2\n"
 
 
+def test_input_files_that_do_not_decode_exit_2(tmp_path, capsys):
+    from matchcover import pm_polynomial
+
+    # a byte 0xff in a check file, a weight file and a graph file
+    bad = {}
+    for name, text in (("check", pm_polynomial(2).to_json()), ("weights", W22), ("graph", IDENT)):
+        path = tmp_path / name
+        path.write_bytes(text.encode()[:-2] + b"\xff\n")
+        bad[name] = str(path)
+    runs = [
+        ["verify", "--n", "2", "--check-file", bad["check"]],
+        ["poly", "--n", "2", "--weights", bad["weights"]],
+        ["verify", "--n", "2", "--weights", bad["weights"]],
+        ["coeff", "--n", "2", "--graph", bad["graph"]],
+    ]
+    for argv in runs:
+        assert run(capsys, *argv) == (2, "", f"error: {argv[-1]} is not utf-8 text: invalid start byte\n")
+
+
+def test_deeply_nested_check_file_exits_2(tmp_path, capsys):
+    # 100,000 nested arrays in an extra key pass the interpreter's recursion
+    # limit in json.loads
+    check = tmp_path / "deep.json"
+    check.write_text('{"ground": {"mode": "bipartite", "size": 1}, "terms": [], "x": '
+                     + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "verify", "--n", "1", "--check-file", str(check))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed polynomial JSON: maximum recursion depth exceeded")
+
+
 def test_internal_errors_exit_3(monkeypatch, capsys):
     import matchcover.cli as cli
 

@@ -532,6 +532,28 @@ def test_mobius_and_eulerian_match_the_oracles(monkeypatch):
     assert eulerian_indices(fin_sphere(62))[1:] == ("interval", (65, 379))
 
 
+def test_eulerian_witness_is_first_in_index_order(monkeypatch):
+    # Two failing intervals in one 64-row chunk, (x1, y1) before (x2, y2) in
+    # index order but y1 after y2. Element k holds bit k and the bits of the
+    # elements below it: the bottom (0), atoms 1 to 7, four rank-2 elements
+    # over the atom pairs 12, 13, 14 and 34, and y2 (12) over those four, so
+    # atom 1 lies below three of them and [1, 12] fails; y1 covers atoms 5,
+    # 6 and 7, so [0, y1] fails, and seven more bits of its own put it after
+    # y2 (13). One element over y1 and a top keep the poset graded. Pairs
+    # are tested in batches sorted by y, which meet (1, 12) first.
+    atoms = [1 | 1 << k for k in range(1, 8)]
+    pairs = [(0, 1), (0, 2), (0, 3), (2, 3)]
+    middles = [atoms[i] | atoms[j] | 1 << 8 + k for k, (i, j) in enumerate(pairs)]
+    y2 = functools.reduce(int.__or__, middles) | 1 << 12
+    y1 = atoms[4] | atoms[5] | atoms[6] | 0xFF << 13
+    masks = [1, *atoms, *middles, y2, y1, y1 | 1 << 21, (1 << 22) - 1]
+    lat = subset_poset(bipartite_ground(5), masks)
+    assert [lat.index_of(Graph(lat.ground, m)) for m in masks] == list(range(len(masks)))
+    assert not lat.interval(lat.elements[1], lat.elements[12]).is_eulerian()
+    monkeypatch.setattr(lattice_module, "_BATCH_WORDS", 8)
+    assert eulerian_indices(lat) == pairwise_eulerian_check(lat) == (False, "interval", (0, 13))
+
+
 def test_mobius_is_exact_past_int64():
     # 66 levels of 3 incomparable elements on K_{15,15}: element (r, i) holds
     # every edge of the levels below r plus edge i of level r. Then

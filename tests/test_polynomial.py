@@ -48,6 +48,8 @@ from matchcover.subsets import (
 from oracles import (
     graph_oracle,
     ground_pairs,
+    loaded_outcome,
+    outcome,
     padded_block_families,
     pattern_weights,
     random_int_weights,
@@ -294,6 +296,83 @@ def test_json_round_trip():
         )
     with pytest.raises(InputError, match="bipartite 3 does not match bipartite 2"):
         MultilinearPolynomial.from_json(poly.to_json(), bipartite_ground(2))
+
+
+def test_layout_reader_takes_every_writer_output():
+    # the writer's outputs for n <= 4, unweighted and weighted (a tie-heavy
+    # K_{4,4} and random weights), and on complete grounds, as written and
+    # re-dumped at several indents and separators: the array reader takes
+    # each and gives the polynomial of the json.loads path
+    rng = random.Random(29)
+    polys = [pm_polynomial(n) for n in range(1, 5)]
+    polys += [min_weight_pm_polynomial(random_int_weights(rng, bipartite_ground(n), 1, 2))
+              for n in (1, 2, 3, 3, 4, 4)]
+    polys.append(min_weight_pm_polynomial(pattern_weights(bipartite_ground(4), "0000000001000001")))
+    for m in (4, 6):
+        family = enumerate_perfect_matchings(complete_ground(m).full_graph())
+        polys.append(membership_polynomial_general(family))
+    layouts = [{}, {"indent": 0}, {"indent": 1}, {"indent": "\t"}, {"indent": " \r\n"},
+               {"separators": (",", ":")}, {"indent": 3, "separators": ("\t,", " :\n")}]
+    for poly in polys:
+        text = poly.to_json()
+        data = json.loads(text)
+        for variant in [text, *(json.dumps(data, **layout) for layout in layouts)]:
+            read = polynomial._layout_polynomial(variant, poly.ground)
+            assert read is not None
+            assert read == poly == loaded_outcome(variant, poly.ground)
+
+
+def test_layout_reader_declines_all_else():
+    # each text leaves the writer's layout in one way: the array reader
+    # declines it, and from_json gives the polynomial or the refusal of its
+    # json.loads path
+    def swap(text, old, new):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    k2 = json.dumps(json.loads(pm_polynomial(2).to_json()))
+    k4 = json.dumps(json.loads(membership_polynomial_general(
+        enumerate_perfect_matchings(complete_ground(4).full_graph())).to_json()))
+    first = '{"coeff": 1, "edges": [[1, 1], [2, 2]]}'
+    cases = [(k4, bipartite_ground(2)), (k4, complete_ground(5))] + [
+        (swap(k4, "[[1, 2], [3, 4]]", "[[1, 2], [4, 4]]"), complete_ground(4)),  # a loop
+        (swap(k4, "[[1, 2], [3, 4]]", "[[1, 2], [3, 5]]"), complete_ground(4)),
+    ] + [(text, bipartite_ground(2)) for text in [
+        swap(k2, '"coeff"', '"co eff"'),  # JSON whitespace inside a token
+        swap(k2, "[1, 1]", "[1 1, 1]"),
+        swap(k2, '"bipartite"', '"bipartite "'),
+        swap(k2, "[1, 1]", "[1\f, 1]"),  # whitespace that JSON has not
+        swap(k2, "[1, 1]", "[1\u00a0, 1]"),
+        "\ufeff" + k2,
+        swap(k2, '"coeff": 1', '"coeff": 01'),
+        swap(k2, '"coeff": 1', '"coeff": -0'),
+        swap(k2, '"coeff": 1', '"coeff": 0'),
+        swap(k2, '"coeff": 1', '"coeff": 1.0'),
+        swap(k2, '"coeff": 1', '"coeff": true'),
+        swap(k2, '"coeff": 1', '"coeff": 1111111111111111111'),  # 19 digits, in int64
+        swap(k2, '"coeff": 1', '"coeff": 99999999999999999999'),
+        swap(k2, "[1, 1]", "[1, 1111111111111111111]"),
+        swap(k2, '"coeff"', '"\\u0063oeff"'),
+        swap(k2, first, '{"edges": [[1, 1], [2, 2]], "coeff": 1}'),
+        swap(k2, first, '{"coeff": 1, "edges": [[1, 1], [2, 2]], "x": 0}'),
+        swap(k2, '"size": 2', '"size": 2, "x": [[[]]]'),
+        swap(k2, "[[1, 1], [2, 2]]", "[[1, 1], [2, 3]]"),
+        swap(k2, "[[1, 1], [2, 2]]", "[[0, 1], [2, 2]]"),
+        swap(k2, "[[1, 1], [2, 2]]", "[[1, 2], [2, 1]]"),  # a duplicate monomial
+        swap(k2, "[[1, 1], [2, 2]]", "[[1, 1, 1], [2, 2]]"),
+        swap(k2, '"size": 2', '"size": 02'),
+        k2 + "x",
+        k2 + "]",
+        k2 + "\f",
+    ]]
+    for text, ground in cases:
+        assert polynomial._layout_polynomial(text, ground) is None, text
+        got = loaded_outcome(text, ground)
+        assert outcome(lambda: MultilinearPolynomial.from_json(text, ground)) == got
+    # JSON whitespace between tokens, and a duplicate edge, which leaves the
+    # monomial as it is
+    for text in (swap(k2, "[1, 1]", "\t[ 1\n,\r1 ]"), swap(k2, "[[1, 1], [2, 2]]", "[[1, 1], [2, 2], [1, 1]]")):
+        assert polynomial._layout_polynomial(text, bipartite_ground(2)) == pm_polynomial(2)
 
 
 def test_has_perfect_matching_agrees_with_polynomial_membership():

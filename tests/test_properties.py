@@ -1,6 +1,7 @@
 """Hypothesis properties: the parsers return a result or raise InputError on
 any input, refuse a header naming a huge ground without allocating for it,
-and Euler's relation holds for every weighting.
+and Euler's relation holds for every weighting; the array reader of
+polynomial JSON agrees with the json.loads path on mutated writer outputs.
 
 Parser inputs are well-formed files on grounds of size at most 6 with a few
 parts garbled, mostly parsed against the ground their header names, so that
@@ -9,6 +10,7 @@ them is unstructured text.
 """
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -23,11 +25,15 @@ from matchcover import (
     WeightFunction,
     bipartite_ground,
     complete_ground,
+    enumerate_perfect_matchings,
+    membership_polynomial_general,
     min_weight_pm_polynomial,
     parse_graph,
     parse_weight_function,
+    pm_polynomial,
+    polynomial,
 )
-from oracles import ground_pairs
+from oracles import ground_pairs, loaded_outcome, outcome
 
 PARSER_EXAMPLES = settings(max_examples=300)
 # what the formats are made of, and characters that str.split() or int()
@@ -208,3 +214,130 @@ def test_euler_relation_for_every_weighting(data):
     poly = min_weight_pm_polynomial(WeightFunction(bipartite_ground(n), weights))
     assert sum(poly.terms.values()) == 1
     assert len(poly) % 2 == 1
+
+
+# Writer outputs to mutate: K_{n,n} for n <= 3, a weighted K_{3,3}, K_4 and
+# the K_6 witness family.
+K6_WITNESS = [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 6)]
+LAYOUT_POLYS = [
+    *map(pm_polynomial, (1, 2, 3)),
+    min_weight_pm_polynomial(WeightFunction(bipartite_ground(3), [1, 1, 2, 1, 1, 2, 2, 2, 1])),
+    membership_polynomial_general(enumerate_perfect_matchings(complete_ground(4).full_graph())),
+    membership_polynomial_general(
+        enumerate_perfect_matchings(complete_ground(6).graph_from_edges(K6_WITNESS))
+    ),
+]
+JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+def _objects(data):
+    return [data, data["ground"], *data["terms"]]
+
+
+def _edges(draw, data):
+    """The edge list of a term that has edges, or None."""
+    lists = [term["edges"] for term in data["terms"] if term["edges"]]
+    return draw(st.sampled_from(lists)) if lists else None
+
+
+def _reorder(draw, data, ground):
+    node = draw(st.sampled_from(_objects(data)))
+    items = list(node.items())[::-1]
+    node.clear()
+    node.update(items)
+
+
+def _extra_key(draw, data, ground):
+    draw(st.sampled_from(_objects(data)))[draw(st.sampled_from(["x", "", "size"]))] = draw(JSON_VALUES)
+
+
+def _duplicate_term(draw, data, ground):
+    if data["terms"]:
+        data["terms"].append(json.loads(json.dumps(draw(st.sampled_from(data["terms"])))))
+
+
+def _duplicate_edge(draw, data, ground):
+    edges = _edges(draw, data)
+    if edges:
+        edges.append(list(draw(st.sampled_from(edges))))
+
+
+def _vertex(draw, data, ground):
+    edges = _edges(draw, data)
+    if edges:
+        edge = draw(st.sampled_from(edges))
+        side = draw(st.integers(0, 1))
+        # 0, past the ground, 19 and 20 digits, or u == v (a loop of K_m)
+        edge[side] = draw(st.sampled_from([0, -1, ground.size + 1, 10**18, 10**19, edge[1 - side]]))
+
+
+def _coefficient(draw, data, ground):
+    if data["terms"]:
+        values = [0, True, False, 1.0, -0.0, 2.5, None, "1", 10**18 - 1, -(10**18), 10**19, -(10**25)]
+        draw(st.sampled_from(data["terms"]))["coeff"] = draw(st.sampled_from(values))
+
+
+def _insert_space(draw, text):
+    # inside a string or number, or next to one of {}[],:
+    inside = [m.start() + 1 for m in re.finditer(r'[^\s{}\[\],:]{2}', text)]
+    between = [m.start() + draw(st.integers(0, 1)) for m in re.finditer(r"[{}\[\],:]", text)]
+    k = draw(st.sampled_from(inside if inside and draw(st.booleans()) else between))
+    # JSON whitespace, and form feed, vertical tab, no-break space and line
+    # separator, which are not
+    return text[:k] + draw(st.sampled_from(" \t\n\r\x0c\x0b\u00a0\u2028")) + text[k:]
+
+
+def _integer(draw, text):
+    found = list(re.finditer(r"-?[0-9]+", text))
+    if not found:
+        return text
+    m = draw(st.sampled_from(found))
+    forms = ["0" + m[0], "-0", "-" + m[0], "+" + m[0], m[0] + ".0", m[0] + "e0", "9" * 18, "9" * 19]
+    return text[: m.start()] + draw(st.sampled_from(forms)) + text[m.end():]
+
+
+def _escape(draw, text):
+    # one string spelled with a JSON escape, as "\u0063oeff" for "coeff"
+    word = draw(st.sampled_from(["coeff", "edges", "ground", "terms", "mode", "size", "bipartite", "complete"]))
+    return text.replace(f'"{word}"', f'"\\u{ord(word[0]):04x}{word[1:]}"', draw(st.integers(1, 2)))
+
+
+def _trailing(draw, text):
+    return text + draw(st.sampled_from(["x", "]", "}", ",", "0", "{}", "\x00", "\x0c"]))
+
+
+DATA_MUTATIONS = [_reorder, _extra_key, _duplicate_term, _duplicate_edge, _vertex, _coefficient]
+TEXT_MUTATIONS = [_insert_space, _integer, _escape, _trailing]
+
+
+@st.composite
+def layout_inputs(draw):
+    """A writer output re-dumped by json.dumps at some indent and
+    separators, with JSON whitespace around it and at most one mutation,
+    the ground it is read on, and whether it is still in the writer's
+    layout on that ground (no mutation, the same ground)."""
+    poly = draw(st.sampled_from(LAYOUT_POLYS))
+    data = json.loads(poly.to_json())
+    mutate = draw(st.sampled_from([None, *DATA_MUTATIONS, *TEXT_MUTATIONS]))
+    if mutate in DATA_MUTATIONS:
+        mutate(draw, data, poly.ground)
+    indent = draw(st.one_of(st.none(), st.integers(0, 2), JSON_SPACE))
+    separators = (draw(JSON_SPACE) + "," + draw(JSON_SPACE), draw(JSON_SPACE) + ":" + draw(JSON_SPACE))
+    text = draw(JSON_SPACE) + json.dumps(data, indent=indent, separators=separators) + draw(JSON_SPACE)
+    if mutate in TEXT_MUTATIONS:
+        text = mutate(draw, text)
+    ground = draw(expected_ground(poly.ground))
+    return text, ground, mutate is None and ground == poly.ground
+
+
+@PARSER_EXAMPLES
+@given(args=layout_inputs())
+def test_layout_reader_agrees_with_json_loads(args):
+    # from_json gives the polynomial, or the InputError text, of its
+    # json.loads path, whether the array reader takes the text or declines
+    text, ground, in_layout = args
+    read = polynomial._layout_polynomial(text, ground)
+    want = loaded_outcome(text, ground)
+    assert outcome(lambda: MultilinearPolynomial.from_json(text, ground)) == want
+    assert read is None or read == want
+    assert read is not None or not in_layout
